@@ -45,7 +45,9 @@ import workloads  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = Path(__file__).resolve().parent
 REFERENCE = BENCH / "reference.json"
-FRESH_PROCESSES = 7
+# Fresh interpreters per run, spread between the timed cycles so that their
+# median samples the machine's speed over the whole run, not one moment.
+FRESH_PROCESSES = 11
 # At least two cycles, so that no percentile rests on a single sample of a
 # job: lag_riesz runs one 9-job cycle in about 23 s.
 MIN_CYCLES = 2
@@ -115,11 +117,16 @@ def run_job(package, argv: list, tracer=None) -> Outcome:
                    error or err.getvalue().strip(), agree)
 
 
-def run_cycles(package, jobs: list, cycles: int, tracer=None):
-    """Closed loop over whole cycles; returns outcomes, cycle walls and, when
-    traced, the per-layer figures of each cycle."""
-    outcomes, walls, layers = [], [], []
-    for _ in range(cycles):
+def run_cycles(package, plan: list, tracer=None, fresh=0):
+    """Closed loop over the cycles of ``plan``, each a list of argvs; returns
+    outcomes, cycle walls, when traced the per-layer figures of each cycle,
+    and the (setup_s, import_s) of ``fresh`` fresh interpreters started
+    between cycles, outside their timing."""
+    outcomes, walls, layers, setups = [], [], [], []
+    n = len(plan)
+    for i, jobs in enumerate(plan):
+        for _ in range((i + 1) * fresh // n - i * fresh // n):
+            setups.append(fresh_process())
         if tracer:
             tracer.reset()
         t0 = perf_counter()
@@ -128,26 +135,22 @@ def run_cycles(package, jobs: list, cycles: int, tracer=None):
         walls.append(perf_counter() - t0)
         if tracer:
             layers.append(tracer.layer_metrics())
-    return outcomes, walls, layers
+    return outcomes, walls, layers, setups
 
 
-def fresh_processes(n: int) -> tuple:
-    """(setup_s, import_s) medians over n fresh interpreters."""
+def fresh_process() -> tuple:
+    """(setup_s, import_s) of one fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **BLAS_ENV)
-    setup, imports = [], []
-    for _ in range(n):
-        t0 = perf_counter()
-        with subprocess.Popen([sys.executable, "-c", _FRESH], cwd=ROOT,
-                              env=env, stdout=subprocess.PIPE,
-                              text=True) as proc:
-            line = proc.stdout.readline()
-            ready = perf_counter()
-            proc.stdout.read()
-            if proc.wait(timeout=60) != 0 or not line:
-                sys.exit("bench: fresh-process set-up failed")
-        setup.append(ready - t0)
-        imports.append(json.loads(line)["import_s"])
-    return statistics.median(setup), statistics.median(imports)
+    t0 = perf_counter()
+    with subprocess.Popen([sys.executable, "-c", _FRESH], cwd=ROOT,
+                          env=env, stdout=subprocess.PIPE,
+                          text=True) as proc:
+        line = proc.stdout.readline()
+        ready = perf_counter()
+        proc.stdout.read()
+        if proc.wait(timeout=60) != 0 or not line:
+            sys.exit("bench: fresh-process set-up failed")
+    return ready - t0, json.loads(line)["import_s"]
 
 
 def judge(outcomes: list, reference: dict) -> dict:
@@ -249,56 +252,60 @@ def main(argv=None) -> int:
         record(package)
         return 0
     reference = json.loads(REFERENCE.read_text())
-    jobs = workloads.cycle(args.workload, args.seed)[:args.jobs]
     nominal = workloads.NOMINAL_CYCLE_S[args.workload]
-    print(f"# workload {args.workload}  seed {args.seed}  trace {args.trace}"
-          f"  closed loop, 1 client, {len(jobs)} jobs per cycle")
-    print("# env " + json.dumps(environment(), sort_keys=True))
-
-    setup_s, import_s = fresh_processes(FRESH_PROCESSES)
-    warm = run_job(package, jobs[0])
     if args.trace == 0:
         cycles = max(MIN_CYCLES, round(args.seconds / nominal))
-        outcomes, walls, _ = run_cycles(package, jobs, cycles)
+    else:
+        cycles = max(1, round(0.5 * args.seconds / nominal))
+    plan = [jobs[:args.jobs]
+            for jobs in workloads.cycles(args.workload, args.seed, cycles)]
+    print(f"# workload {args.workload}  seed {args.seed}  trace {args.trace}"
+          f"  closed loop, 1 client, {len(plan[0])} jobs per cycle")
+    print("# env " + json.dumps(environment(), sort_keys=True))
+
+    warm = run_job(package, plan[0][0])
+    if args.trace == 0:
+        outcomes, walls, _, setups = run_cycles(package, plan,
+                                                fresh=FRESH_PROCESSES)
         lat = [o.latency_s for o in outcomes]
         tail_s, pct, n = tail(lat)
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         rows = [
-            ("ops_per_s", len(jobs) / statistics.median(walls), "1/s",
-             f"{len(jobs)} jobs / median wall of {cycles} cycles"),
+            ("ops_per_s", len(outcomes) / sum(walls), "1/s",
+             f"{len(outcomes)} jobs / wall of {cycles} cycles"),
             ("op_p50_s", statistics.median(lat), "s", f"median of {n} jobs"),
             ("op_tail_s", tail_s, "s", f"p{pct:.1f} of {n} jobs"
              + (" (fewer than 21: maximum)" if n < 21 else "")),
-            ("setup_s", setup_s, "s",
+            ("setup_s", statistics.median(s for s, _ in setups), "s",
              f"median of {FRESH_PROCESSES} fresh processes"),
             ("peak_rss_mb", rss_mb, "MB", "ru_maxrss of this process"),
         ]
     else:
         # untraced and traced cycles alternate, so drift in machine speed
         # over the run does not read as tracing overhead
-        cycles = max(1, round(0.5 * args.seconds / nominal))
+        imports = [fresh_process()[1] for _ in range(FRESH_PROCESSES)]
         tracer = spans.Tracer()
         plain, plain_walls, traced, walls, layers = [], [], [], [], []
-        for _ in range(cycles):
-            o, w, _ = run_cycles(package, jobs, 1)
+        for jobs in plan:
+            o, w, _, _ = run_cycles(package, [jobs])
             plain += o
             plain_walls += w
             tracer.install(package)
             try:
-                o, w, lay = run_cycles(package, jobs, 1, tracer)
+                o, w, lay, _ = run_cycles(package, [jobs], tracer)
             finally:
                 tracer.uninstall()
             traced += o
             walls += w
             layers += lay
         outcomes = plain + traced
-        ops_plain = len(jobs) / statistics.median(plain_walls)
-        ops_traced = len(jobs) / statistics.median(walls)
+        ops_plain = len(plain) / sum(plain_walls)
+        ops_traced = len(traced) / sum(walls)
         rows = [(name, statistics.median(c[name] for c in layers),
                  spans.unit(name), f"median of {cycles} traced cycles")
                 for name in layers[0]]
         rows += [
-            ("cli.import_s", import_s, "s",
+            ("cli.import_s", statistics.median(imports), "s",
              f"median of {FRESH_PROCESSES} fresh processes"),
             ("trace.ops_per_s", ops_traced, "1/s",
              f"traced; untraced {ops_plain:.6g} 1/s"),

@@ -1,11 +1,12 @@
 """Job cycles of the benchmark workloads and the seeded choice of their inputs.
 
 A job is one argv for ``rieszlag.cli.main``.  Each workload is a fixed cycle
-of job templates; the seed picks, per job, one of ``VARIANTS`` input variants
-(a bump centre and radius inside the family's domain, or the ``lp-scan
---seed``).  Seed 0 picks variant 0 everywhere, which is the CLI default bump
-and ``lp-scan --seed 0``.  The variants are a fixed finite set so that every
-job any seed can produce has a reference artifact in ``reference.json``.
+of job templates; the seed picks, per job and per cycle, one of ``VARIANTS``
+input variants (a bump centre and radius inside the family's domain, or the
+``lp-scan --seed``).  Seed 0 picks variant 0 everywhere, which is the CLI
+default bump and ``lp-scan --seed 0``.  The variants are a fixed finite set
+so that every job any seed can produce has a reference artifact in
+``reference.json``.
 """
 
 from __future__ import annotations
@@ -71,11 +72,17 @@ TEMPLATES = {
 }
 
 
-def cycle(workload: str, seed: int) -> list:
-    """The workload's job cycle for this seed."""
+def cycles(workload: str, seed: int, n: int) -> list:
+    """The workload's first n job cycles for this seed.
+
+    Each cycle draws its variants afresh.  The variants of one job differ in
+    cost by up to 17% (``riesz --family hermite --k 3``), so one draw per run
+    would make the seed move the figures; over many cycles the draws average
+    out.
+    """
     rng = np.random.default_rng(seed)
-    return [t(0 if seed == 0 else int(rng.integers(VARIANTS)))
-            for t in TEMPLATES[workload]]
+    return [[t(0 if seed == 0 else int(rng.integers(VARIANTS)))
+             for t in TEMPLATES[workload]] for _ in range(n)]
 
 
 def every_job(workload: str) -> list:
