@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (AlphaParam, QuadratureRule, alpha_value,
-                      gauss_jacobi_01, gauss_legendre_panels, log_gamma)
+from .specfun import (QuadratureRule, alpha_value, gauss_jacobi_01,
+                      gauss_legendre_panels, log_gamma)
 
 __all__ = [
     "BasisTag",
@@ -46,16 +46,15 @@ class BasisTag:
     functions of type alpha on (0, infinity)."""
 
     kind: str
-    alpha: AlphaParam | None = None
+    alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("hermite", "laguerre-phi"):
+        if self.kind not in ("hermite", "laguerre"):
             raise ValueError(f"unknown basis kind: {self.kind}")
-        if self.kind == "laguerre-phi":
+        if self.kind == "laguerre":
             if self.alpha is None:
-                raise ValueError("laguerre-phi basis requires alpha")
-            if not isinstance(self.alpha, AlphaParam):
-                object.__setattr__(self, "alpha", AlphaParam(float(self.alpha)))
+                raise ValueError("laguerre basis requires alpha")
+            object.__setattr__(self, "alpha", alpha_value(self.alpha))
         elif self.alpha is not None:
             raise ValueError("hermite basis takes no alpha")
 
@@ -64,7 +63,7 @@ class BasisTag:
         n = np.asarray(n, dtype=float)
         if self.kind == "hermite":
             return n + 0.5
-        return 2.0 * n + self.alpha.value + 1.0
+        return 2.0 * n + self.alpha + 1.0
 
 
 @dataclass(frozen=True)
@@ -91,12 +90,6 @@ class SpectralCoeffs:
         """Crude truncation indicator |c_N| + |c_{N-1}|."""
         c = self.coeffs
         return float(abs(c[-1]) + (abs(c[-2]) if len(c) > 1 else 0.0))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,c_n\n")
-            for n, c in enumerate(self.coeffs):
-                fh.write(f"{n},{float(c)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +242,6 @@ class SmoothFunction:
                    deriv=lambda x: phi_fn_deriv(n, a, x),
                    deriv2=lambda x: phi_fn_deriv2(n, a, x))
 
-    @classmethod
-    def from_callable(cls, f, h: float = 1e-3,
-                      support=None) -> "SmoothFunction":
-        """Wrap a bare callable; derivatives fall back to five-point
-        central differences (test-oracle quality, not production)."""
-        def d1(x):
-            return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h)
-                    + f(x - 2 * h)) / (12 * h)
-
-        def d2(x):
-            return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x)
-                    + 16 * f(x - h) - f(x - 2 * h)) / (12 * h * h)
-
-        return cls(value=f, deriv=d1, deriv2=d2, support=support)
-
 
 def apply_D_alpha(f: SmoothFunction, alpha, x):
     """First-order factor (-(alpha+1/2)/x + x + d/dx) applied to f at x."""
@@ -382,11 +360,3 @@ def synthesize(coeffs: SpectralCoeffs, x):
     table = _basis_table(coeffs.basis, coeffs.truncation, xa)
     vals = coeffs.coeffs @ table
     return vals if np.ndim(x) else float(vals[0])
-
-
-def sampled_to_csv(path, x, values) -> None:
-    """CSV dump of a sampled function (columns: x, f(x))."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,f\n")
-        for xi, vi in zip(np.asarray(x, float), np.asarray(values, float)):
-            fh.write(f"{float(xi)!r},{float(vi)!r}\n")

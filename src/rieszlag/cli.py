@@ -23,7 +23,6 @@ import numpy as np
 from . import combinat, kernels, operators, verify
 from .basis import BasisTag, analyze, synthesize
 from .kernels import KernelSpec
-from .specfun import AlphaParam
 
 __all__ = ["main"]
 
@@ -55,12 +54,6 @@ def _fail(witness: dict) -> int:
 
 def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _basis_tag(family: str, alpha) -> BasisTag:
-    if family == "hermite":
-        return BasisTag("hermite")
-    return BasisTag("laguerre-phi", AlphaParam(alpha))
 
 
 def _default_bump(family: str, args) -> operators.SmoothFunction | None:
@@ -106,11 +99,20 @@ def _cubic_spline(xs: np.ndarray, ys: np.ndarray):
 
 
 def _load_sampled_function(path: str):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    xs = np.asarray(data["x"], dtype=float)
-    ys = np.asarray(data["f"], dtype=float)
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except IndexError:  # numpy's reaction to an empty file
+        raise ValueError(f"{path}: empty file, expected columns x,f") from None
+    xs = np.atleast_1d(np.asarray(data["x"], dtype=float))
+    ys = np.atleast_1d(np.asarray(data["f"], dtype=float))
+    if xs.size < 2:
+        raise ValueError(f"{path}: need at least 2 sample rows, got {xs.size}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError(f"{path}: sample values must be finite numbers")
     order = np.argsort(xs)
     xs, ys = xs[order], ys[order]
+    if not np.all(np.diff(xs) > 0):
+        raise ValueError(f"{path}: repeated x value")
     fn = _cubic_spline(xs, ys)
     fn.support = (float(xs[0]), float(xs[-1]))
     return fn
@@ -121,7 +123,8 @@ def _load_sampled_function(path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_basis(args) -> int:
-    tag = _basis_tag(args.family, args.alpha)
+    tag = BasisTag(args.family,
+                   args.alpha if args.family == "laguerre" else None)
     if args.mode == "samples":
         if args.family == "hermite":
             lo = -args.xmax if args.xmin is None else args.xmin
@@ -169,12 +172,11 @@ def _cmd_riesz(args) -> int:
         f = _load_sampled_function(args.input_csv)
     else:
         f = _default_bump(args.family, args)
-    alpha = 0.0 if args.family == "hermite" else float(args.alpha)
+    alpha = None if args.family == "hermite" else float(args.alpha)
     a, b = f.support
     pad = 0.12 * (b - a)
     pts = np.linspace(a + pad, b - pad, args.points)
-    tag = _basis_tag(args.family, alpha)
-    coeffs = analyze(f, tag, args.nmax)
+    coeffs = analyze(f, BasisTag(args.family, alpha), args.nmax)
     if args.family == "hermite":
         out = operators.riesz_spectral_hermite(args.k, coeffs)
 
@@ -264,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-        p.add_argument("--seed", type=int, default=0)
+
+    def threads(p):
         p.add_argument("--threads", type=int,
                        default=max(1, os.cpu_count() or 1))
 
@@ -325,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-bounds", help="kernel bound region scans")
     common(p)
+    threads(p)
     p.add_argument("--statement", choices=list(verify.STATEMENTS),
                    required=True)
     p.add_argument("--k", type=int, required=True)
@@ -337,6 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp-scan", help="weighted norm ratio scan")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
+    threads(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--p", type=float, default=2.0)

@@ -8,12 +8,12 @@ point enters only when a caller converts a coefficient for numerical use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .specfun import alpha_value
 
 __all__ = [
     "Rational",
-    "AlphaRational",
     "e_coeff",
     "bracket_coeff",
     "a_sum",
@@ -24,25 +24,6 @@ __all__ = [
 
 # Exactness carrier for every identity check below.
 Rational = Fraction
-
-
-@dataclass(frozen=True)
-class AlphaRational:
-    """Laguerre type parameter as an exact rational, restricted to > -1."""
-
-    value: Rational
-
-    def __post_init__(self):
-        value = Fraction(self.value)
-        if value <= -1:
-            raise ValueError(f"alpha must be > -1, got {value}")
-        object.__setattr__(self, "value", value)
-
-
-def _alpha_fraction(alpha) -> Fraction:
-    if isinstance(alpha, AlphaRational):
-        return alpha.value
-    return AlphaRational(Fraction(alpha)).value
 
 
 def e_coeff(N: int, l: int) -> Fraction:
@@ -69,7 +50,7 @@ def bracket_coeff(alpha, r: int) -> Fraction:
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    a = Fraction(alpha.value if isinstance(alpha, AlphaRational) else alpha)
+    a = Fraction(alpha)
     num = Fraction(1)
     for i in range(1, r + 1):
         num *= 4 * a * a - (2 * i - 1) ** 2
@@ -105,7 +86,8 @@ def lemma_n1_check(j: int, m: int, alpha) -> Fraction:
         raise ValueError(f"j must be >= 1, got {j}")
     if not 0 <= m <= j // 2:
         raise ValueError(f"m out of range for j={j}: {m}")
-    a = _alpha_fraction(alpha)
+    a = Fraction(alpha)
+    alpha_value(a)  # range check only; the sum below stays exact
     total = Fraction(0)
     for n in range(m + 1):
         for l in range(2 * n, j + 1):

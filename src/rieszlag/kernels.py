@@ -23,15 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import combinat
-from .specfun import alpha_value, bessel_i_scaled, gamma, hermite_poly
+from .specfun import (alpha_value, bessel_i_scaled, gamma,
+                      gauss_legendre_panels, hermite_poly)
 
 __all__ = [
     "KernelSpec",
-    "SubstitutedTime",
     "KernelAgreementWarning",
     "QuadratureConvergenceError",
     "heat_kernel_hermite",
-    "heat_kernel_hermite_s",
     "heat_kernel_laguerre",
     "d_plus_x_pow_l_heat",
     "d_alpha_pow_k_heat",
@@ -85,27 +84,6 @@ class KernelSpec:
             object.__setattr__(self, "alpha", alpha_value(self.alpha))
 
 
-@dataclass(frozen=True)
-class SubstitutedTime:
-    """The time variable under t = log((1+s)/(1-s)); s in (0, 1)."""
-
-    s: float
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s must lie in (0, 1), got {self.s}")
-
-    @property
-    def t(self) -> float:
-        return 2.0 * math.atanh(self.s)
-
-    @classmethod
-    def from_t(cls, t: float) -> "SubstitutedTime":
-        if not t > 0.0:
-            raise ValueError(f"t must be > 0, got {t}")
-        return cls(math.tanh(0.5 * t))
-
-
 @lru_cache(maxsize=512)
 def _e_float(n: int, l: int) -> float:
     return float(combinat.e_coeff(n, l))
@@ -149,13 +127,6 @@ def _dplusx_heat_sw(l: int, s, w, x, y):
     lam = w * w / (4.0 * s)
     arg = (w * x - (1.0 + s) * y) / (2.0 * np.sqrt(s))
     return val * (-1.0) ** l * lam ** (0.5 * l) * hermite_poly(l, arg)
-
-
-def heat_kernel_hermite_s(s: float, x, y):
-    """Hermite heat kernel in the substituted time variable s in (0, 1)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    return _dplusx_heat_sw(0, s, 1.0 - s, x, y)
 
 
 def d_plus_x_pow_l_heat(l: int, t: float, x, y):
@@ -301,21 +272,15 @@ def _s_quadrature(nodes: int = 8, lo_floor: float = 1e-18,
     geometrically toward s = 0 and (in the complement variable) toward
     s = 1.
     """
-    xb, wb = np.polynomial.legendre.leggauss(nodes)
+    def panels(floor):
+        n = int(math.ceil(math.log(floor / 0.5) / math.log(ratio)))
+        return gauss_legendre_panels(
+            0.5 * ratio ** np.arange(n, -1, -1, dtype=float), nodes)
 
-    def panels(edges):
-        a = edges[:-1][:, None]
-        b = edges[1:][:, None]
-        xs = (0.5 * (b - a) * xb[None, :] + 0.5 * (b + a)).ravel()
-        ws = (0.5 * (b - a) * wb[None, :]).ravel()
-        return xs, ws
-
-    n_lo = int(math.ceil(math.log(lo_floor / 0.5) / math.log(ratio)))
-    s_lo, gl_lo = panels(0.5 * ratio ** np.arange(n_lo, -1, -1, dtype=float))
+    s_lo, gl_lo = panels(lo_floor)
     w_lo = 1.0 - s_lo
 
-    n_hi = int(math.ceil(math.log(hi_floor / 0.5) / math.log(ratio)))
-    w_hi, gl_hi = panels(0.5 * ratio ** np.arange(n_hi, -1, -1, dtype=float))
+    w_hi, gl_hi = panels(hi_floor)
     w_hi = w_hi[::-1]
     gl_hi = gl_hi[::-1]
     s_hi = 1.0 - w_hi
@@ -330,24 +295,34 @@ def _s_quadrature(nodes: int = 8, lo_floor: float = 1e-18,
     return s, w, t, weight
 
 
-def _time_integral(point_eval, half_order: float, nodes: int = 8):
-    """(1/Gamma(q)) * integral of t^{q-1} point_eval(s, w) dt, q = half_order.
-
-    ``point_eval`` may return a vector over s or an (s, y)-mesh; the time
-    axis is always the first one.
-    """
+def _hermite_time_integral(l: int, half_order: float, x: float, y,
+                           nodes: int) -> np.ndarray:
+    """(1/Gamma(q)) * integral of t^{q-1} (d/dx + x)^l W_t(x, y) dt,
+    q = half_order, vectorized in y."""
     s, w, t, weight = _s_quadrature(nodes)
-    vals = np.asarray(point_eval(s, w))
+    vals = _dplusx_heat_sw(l, s[:, None], w[:, None], x, y[None, :])
     wt = weight * t ** (half_order - 1.0)
-    if vals.ndim == 2:
-        return (wt[:, None] * vals).sum(axis=0) / gamma(half_order)
-    return float((wt * vals).sum() / gamma(half_order))
+    return (wt[:, None] * vals).sum(axis=0) / gamma(half_order)
 
 
-def _time_integral_with_err(point_eval, half_order: float, nodes: int = 8):
-    coarse = _time_integral(point_eval, half_order, nodes)
-    fine = _time_integral(point_eval, half_order, nodes + 4)
-    return fine, abs(fine - coarse)
+def _at_point(vec, x: float, y: float, nodes: int, rel_tol: float | None,
+              what: str, with_err: bool):
+    """A scalar kernel as a one-point view on its vector path.
+
+    ``vec(y, nodes)`` returns the kernel at the points y and the relative
+    disagreement of its evaluation routes (0 for single-route kernels).  The
+    value is taken at nodes+4 time nodes; its error estimate is the change
+    from nodes, or the route disagreement if that is larger.  An estimate
+    above rel_tol * |value| raises (never, for rel_tol None).
+    """
+    y1 = np.array([float(y)])
+    coarse, agree = vec(y1, nodes)
+    val = float(vec(y1, nodes + 4)[0][0])
+    err = max(abs(val - float(coarse[0])), agree * abs(val))
+    if rel_tol is not None and err > max(rel_tol * abs(val), 1e-250):
+        raise QuadratureConvergenceError(
+            f"{what} quadrature stalled at ({x}, {y}): est err {err}")
+    return (val, err) if with_err else val
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +340,10 @@ def frac_kernel(gamma_: float, x: float, y: float, *, nodes: int = 8,
         raise ValueError(f"gamma must be > 0, got {gamma_}")
     if gamma_ <= 1.0 and x == y:
         raise ValueError("K_gamma on the diagonal requires gamma > 1")
-    val, err = _time_integral_with_err(
-        lambda s, w: _dplusx_heat_sw(0, s, w, x, y), 0.5 * gamma_, nodes)
-    val = float(val)
-    err = float(err)
-    if err > max(1e-5 * abs(val), 1e-250):
-        raise QuadratureConvergenceError(
-            f"K_gamma quadrature stalled at ({x}, {y}): est err {err}")
-    return (val, err) if with_err else val
+    return _at_point(
+        lambda ys, n: (_hermite_time_integral(0, 0.5 * gamma_, float(x), ys,
+                                              n), 0.0),
+        x, y, nodes, 1e-5, "K_gamma", with_err)
 
 
 def riesz_kernel_hermite_vec(k: int, l: int, x: float, y, *, nodes: int = 8):
@@ -382,23 +353,17 @@ def riesz_kernel_hermite_vec(k: int, l: int, x: float, y, *, nodes: int = 8):
     y = np.asarray(y, dtype=float)
     if l >= k - 1 and np.any(y == x):
         raise ValueError("kernel singular on the diagonal for l >= k-1")
-    return _time_integral(
-        lambda s, w: _dplusx_heat_sw(l, s[:, None], w[:, None], x, y[None, :]),
-        0.5 * k, nodes)
+    return _hermite_time_integral(l, 0.5 * k, x, y, nodes)
 
 
 def riesz_kernel_hermite(k: int, l: int, x: float, y: float, *,
                          nodes: int = 8, with_err: bool = False):
     """Kernel of the order-k Hermite Riesz transform family at (x, y);
     l = k gives the Riesz kernel itself."""
-    if k < 1 or not 0 <= l <= k:
-        raise ValueError(f"need k >= 1 and 0 <= l <= k, got k={k}, l={l}")
-    if l >= k - 1 and x == y:
-        raise ValueError("kernel singular on the diagonal for l >= k-1")
-    val, err = _time_integral_with_err(
-        lambda s, w: _dplusx_heat_sw(l, s, w, float(x), float(y)), 0.5 * k,
-        nodes)
-    return (float(val), float(err)) if with_err else float(val)
+    return _at_point(
+        lambda ys, n: (riesz_kernel_hermite_vec(k, l, float(x), ys, nodes=n),
+                       0.0),
+        x, y, nodes, None, "Riesz kernel", with_err)
 
 
 def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8,
@@ -441,17 +406,10 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8,
 def riesz_kernel_laguerre(k: int, alpha, x: float, y: float, *,
                           nodes: int = 8, with_err: bool = False):
     """Order-k Laguerre Riesz kernel at a point, x != y."""
-    vec, agree = riesz_kernel_laguerre_vec(k, alpha, float(x),
-                                           np.array([float(y)]), nodes=nodes,
-                                           return_agreement=True)
-    fine = riesz_kernel_laguerre_vec(k, alpha, float(x),
-                                     np.array([float(y)]), nodes=nodes + 4)
-    val = float(fine[0])
-    err = max(abs(val - float(vec[0])), agree * abs(val))
-    if err > max(1e-4 * abs(val), 1e-250):
-        raise QuadratureConvergenceError(
-            f"Riesz kernel quadrature stalled at ({x}, {y}): est err {err}")
-    return (val, err) if with_err else val
+    return _at_point(
+        lambda ys, n: riesz_kernel_laguerre_vec(k, alpha, float(x), ys,
+                                                nodes=n, return_agreement=True),
+        x, y, nodes, 1e-4, "Riesz kernel", with_err)
 
 
 def kernel_value(spec: KernelSpec, x: float, y: float,

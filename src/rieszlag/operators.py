@@ -227,8 +227,8 @@ def riesz_apply_laguerre_spectral(k: int, alpha, f: SpectralCoeffs, x, *,
     if k < 1:
         raise ValueError("k must be >= 1")
     a = alpha_value(alpha)
-    if f.basis.kind != "laguerre-phi" or abs(f.basis.alpha.value - a) > 0:
-        raise ValueError("expansion basis must be laguerre-phi with this alpha")
+    if f.basis.kind != "laguerre" or f.basis.alpha != a:
+        raise ValueError("expansion basis must be laguerre with this alpha")
     if f.tail_bound > tail_tol:
         warnings.warn(
             f"expansion tail {f.tail_bound:.2e} exceeds {tail_tol:.0e}; "
@@ -306,6 +306,30 @@ def _pv_segments(x: float, eps: np.ndarray, support, seg_nodes: int):
     return segs
 
 
+def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray, support,
+                       seg_nodes: int = 12) -> np.ndarray:
+    """Integrals of kern_vec(y) f(y) over the support minus |y - x| <= eps_i,
+    one per excision radius, from a single kernel evaluation on the
+    segments of :func:`_pv_segments`."""
+    segs = _pv_segments(x, eps, support, seg_nodes)
+    if not segs:
+        raise ValueError(f"the support {tuple(support)} lies within the "
+                         f"smallest excision radius {eps[-1]} of x={x}")
+    ally = np.concatenate([s[1] for s in segs])
+    contrib = kern_vec(ally) * np.asarray(f(ally), dtype=float)
+    far_total = 0.0
+    strip_total = np.zeros(len(eps) - 1)
+    pos = 0
+    for idx, xs, ws in segs:
+        seg_val = float(ws @ contrib[pos:pos + len(xs)])
+        pos += len(xs)
+        if idx < 0:
+            far_total += seg_val
+        else:
+            strip_total[idx] += seg_val
+    return far_total + np.concatenate([[0.0], np.cumsum(strip_total)])
+
+
 def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
              ratio: float = 0.5, stages: int = 8, eps_schedule=None,
              support=None, seg_nodes: int = 12) -> PVResult:
@@ -323,11 +347,7 @@ def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
         raise ValueError("pv_apply expects a Riesz kernel spec")
     if spec.family == "hermite-riesz" and spec.l != spec.k:
         raise ValueError("principal value is defined for the full kernel l = k")
-    if support is None:
-        support = getattr(f, "support", None)
-    if support is None:
-        raise ValueError("f needs a compact support (pass support=...)")
-    a, b = float(support[0]), float(support[1])
+    a, b = _support_of(f, support)
     if spec.family == "laguerre-riesz" and a <= 0:
         raise ValueError("Laguerre support must lie inside (0, inf)")
     if not a < x < b:
@@ -341,28 +361,17 @@ def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
                              "positive radii")
     else:
         eps = _eps_schedule(eps0, ratio, stages)
-    segs = _pv_segments(x, eps, (a, b), seg_nodes)
-    ally = np.concatenate([s[1] for s in segs])
     agreement = 0.0
-    if spec.family == "hermite-riesz":
-        kern = kernels.riesz_kernel_hermite_vec(spec.k, spec.k, x, ally)
-    else:
-        kern, agreement = kernels.riesz_kernel_laguerre_vec(
-            spec.k, spec.alpha, x, ally, return_agreement=True)
-    fy = np.asarray(f(ally), dtype=float)
-    contrib = kern * fy
 
-    far_total = 0.0
-    strip_total = np.zeros(len(eps) - 1)
-    pos = 0
-    for idx, xs, ws in segs:
-        seg_val = float(ws @ contrib[pos:pos + len(xs)])
-        pos += len(xs)
-        if idx < 0:
-            far_total += seg_val
-        else:
-            strip_total[idx] += seg_val
-    values = far_total + np.concatenate([[0.0], np.cumsum(strip_total)])
+    def kern(y):
+        nonlocal agreement
+        if spec.family == "hermite-riesz":
+            return kernels.riesz_kernel_hermite_vec(spec.k, spec.k, x, y)
+        vals, agreement = kernels.riesz_kernel_laguerre_vec(
+            spec.k, spec.alpha, x, y, return_agreement=True)
+        return vals
+
+    values = _excised_integrals(kern, f, x, eps, (a, b), seg_nodes)
     limit, err = extrapolate_to_zero(eps, values)
     return PVResult(epsilons=eps, values=values, extrapolated=limit,
                     err_estimate=err, wk_correction=wk(spec.k) * float(f(x)),

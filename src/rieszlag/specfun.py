@@ -18,39 +18,27 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "AlphaParam",
     "QuadratureRule",
+    "alpha_value",
     "gamma",
     "log_gamma",
     "bessel_i",
     "bessel_i_scaled",
     "laguerre_poly",
     "hermite_poly",
-    "make_rule",
     "gauss_legendre_panels",
     "gauss_jacobi_01",
     "geometric_edges",
 ]
 
 
-@dataclass(frozen=True)
-class AlphaParam:
-    """Laguerre type parameter; only values > -1 are admissible."""
-
-    value: float
-
-    def __post_init__(self):
-        value = float(self.value)
-        if not math.isfinite(value) or value <= -1.0:
-            raise ValueError(f"alpha must be a finite number > -1, got {self.value}")
-        object.__setattr__(self, "value", value)
-
-
 def alpha_value(alpha) -> float:
-    """Validate and unwrap an alpha given as AlphaParam or plain number."""
-    if isinstance(alpha, AlphaParam):
-        return alpha.value
-    return AlphaParam(float(alpha)).value
+    """Validate a Laguerre type parameter; only finite values > -1 are
+    admissible.  Returns it as a plain float."""
+    value = float(alpha)
+    if not math.isfinite(value) or value <= -1.0:
+        raise ValueError(f"alpha must be a finite number > -1, got {alpha}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +247,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def integrate(self, f) -> float:
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node,weight\n")
-            for xi, wi in zip(self.nodes, self.weights):
-                fh.write(f"{float(xi)!r},{float(wi)!r}\n")
-
 
 @lru_cache(maxsize=64)
 def _gl_base(n: int):
@@ -350,52 +329,3 @@ def gauss_jacobi_01(n: int, power: float):
     x = 0.5 * (u + 1.0)
     w01 = 2.0 ** (-power - 1.0) * w
     return x, w01 / x**power
-
-
-def _exp_tail(a: float, panels: int, nodes: int):
-    # Map x = a - log(1-u), u in [0, 1); panels graded toward u = 1.
-    edges = 1.0 - 0.5 ** np.arange(panels + 1)
-    u, wu = gauss_legendre_panels(edges, nodes)
-    return a - np.log1p(-u), wu / (1.0 - u)
-
-
-def make_rule(interval, kind: str = "composite-gauss-legendre", *,
-              panels: int = 10, nodes: int = 16, power: float = 0.0,
-              degree: int | None = None) -> QuadratureRule:
-    """Build a quadrature rule on an interval.
-
-    Parameters
-    ----------
-    interval : (a, b)
-        Integration domain; b may be ``inf`` for the ``exp-tail`` kind.
-    kind : str
-        'composite-gauss-legendre' (finite [a, b], uniform panels),
-        'endpoint-power-weighted' (finite [a, b], integrand ~ (x-a)^power
-        near a, power > -1), or
-        'exp-tail' ([a, inf) via a logarithmic map, for integrands with at
-        least exponential decay).
-    panels, nodes : int
-        Panel count and Gauss nodes per panel.
-    power : float
-        Endpoint exponent for the weighted kind.
-    degree : int, optional
-        If given, ``nodes`` is raised so each panel is exact to this degree.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if kind == "exp-tail":
-        if not math.isinf(b):
-            raise ValueError("exp-tail rule requires an infinite upper endpoint")
-        x, w = _exp_tail(a, max(panels, 45), max(nodes, 12))
-        return QuadratureRule(x, w, kind)
-    if not a < b:
-        raise ValueError(f"degenerate interval [{a}, {b}]")
-    if kind == "composite-gauss-legendre":
-        if degree is not None:
-            nodes = max(nodes, degree // 2 + 1)
-        edges = np.linspace(a, b, panels + 1)
-        x, w = gauss_legendre_panels(edges, nodes)
-        return QuadratureRule(x, w, kind)
-    if kind == "endpoint-power-weighted":
-        x, w = gauss_jacobi_01(max(nodes * panels, nodes), power)
-        return QuadratureRule(a + (b - a) * x, (b - a) * w, kind)
-    raise ValueError(f"unknown rule kind: {kind}")

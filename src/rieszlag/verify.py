@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels, operators
 from .basis import BasisTag, analyze
-from .specfun import AlphaParam, alpha_value, gauss_legendre_panels, geometric_edges
+from .specfun import alpha_value, gauss_legendre_panels, geometric_edges
 
 __all__ = [
     "BoundCheckReport",
@@ -243,23 +243,8 @@ def check_prop31(k: int, l: int, *, x_values=(-1.5, -0.4, 0.3, 1.0, 2.0),
 
 def _excised_sup(kern_vec, f, x: float, eps: np.ndarray, support) -> float:
     """Sup over the excision schedule of |integral over |y-x| > eps_j|."""
-    segs = operators._pv_segments(x, eps, support, 12)
-    if not segs:
-        return 0.0
-    ally = np.concatenate([s[1] for s in segs])
-    contrib = kern_vec(ally) * np.asarray(f(ally), dtype=float)
-    far = 0.0
-    strips = np.zeros(len(eps) - 1)
-    pos = 0
-    for idx, xs, ws in segs:
-        val = float(ws @ contrib[pos:pos + len(xs)])
-        pos += len(xs)
-        if idx < 0:
-            far += val
-        else:
-            strips[idx] += val
-    vals = far + np.concatenate([[0.0], np.cumsum(strips)])
-    return float(np.abs(vals).max())
+    return float(np.abs(operators._excised_integrals(
+        kern_vec, f, x, eps, support)).max())
 
 
 def check_maximal_domination(k: int, alpha, f, grid, *, eps0: float = 0.1,
@@ -270,7 +255,7 @@ def check_maximal_domination(k: int, alpha, f, grid, *, eps0: float = 0.1,
     averaging operator, with a single fitted constant."""
     a = alpha_value(alpha)
     delta_k = 1.0 if k % 2 else 0.0
-    sup_a, sup_b = _support_of_f(f)
+    sup_a, sup_b = operators._support_of(f, None)
     grid = np.asarray(grid, dtype=float)
     eps = operators._eps_schedule(eps0, ratio, stages)
 
@@ -320,13 +305,6 @@ def check_maximal_domination(k: int, alpha, f, grid, *, eps0: float = 0.1,
     }
 
 
-def _support_of_f(f):
-    support = getattr(f, "support", None)
-    if support is None:
-        raise ValueError("f needs a compact support attribute")
-    return float(support[0]), float(support[1])
-
-
 def _near_diagonal_average(f, x: float, lo: float, hi: float) -> float:
     """integral over (x/2, 2x) of f(y)/y * (1 + sqrt(x/|x-y|)) dy."""
     total = 0.0
@@ -366,7 +344,7 @@ def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
     if family_size < 1:
         raise ValueError("family_size must be >= 1")
     a = alpha_value(alpha)
-    tag = BasisTag("laguerre-phi", AlphaParam(a))
+    tag = BasisTag("laguerre", a)
     lo, hi = strong_type_range(k, a, p)
     in_range = lo < delta < hi
 

@@ -4,6 +4,7 @@ own evaluation paths."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -66,47 +67,63 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_fn_table(x, nmax, alpha, dps):
+    """h_0(x)..h_nmax(x) (alpha None) or phi_0^alpha(x)..phi_nmax^alpha(x)
+    by the normalized recurrences, at dps digits."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        if alpha is None:
+            hx = [mp.pi**mp.mpf("-0.25") * mp.e**(-x * x / 2)]
+            if nmax >= 1:
+                hx.append(mp.sqrt(2) * x * hx[0])
+            for n in range(1, nmax):
+                cn = mp.sqrt(mp.mpf(2) / (n + 1))
+                dn = mp.sqrt(mp.mpf(n) / (n + 1))
+                hx.append(cn * x * hx[n] - dn * hx[n - 1])
+        else:
+            a = mp.mpf(alpha)
+            hx = [mp.sqrt(2 / mp.gamma(a + 1)) * x**(a + mp.mpf("0.5"))
+                  * mp.e**(-x * x / 2)]
+            if nmax >= 1:
+                hx.append((1 + a - x * x) / mp.sqrt(1 + a) * hx[0])
+            for n in range(1, nmax):
+                c2 = mp.sqrt(n * (n + a) / ((n + 1) * (n + 1 + a)))
+                hx.append(((2 * n + 1 + a - x * x) * hx[n]
+                           / mp.sqrt((n + 1) * (n + 1 + a))) - c2 * hx[n - 1])
+        return tuple(hx)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_heat_weights(t, nmax, alpha, dps):
+    """e^{-t lambda_n}, n = 0..nmax, at dps digits."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+        if alpha is None:
+            lam = [n + mp.mpf("0.5") for n in range(nmax + 1)]
+        else:
+            lam = [2 * n + mp.mpf(alpha) + 1 for n in range(nmax + 1)]
+        return tuple(mp.e**(-t * ln) for ln in lam)
+
+
 def mp_heat_series(t, x, y, nmax=80, alpha=None, dps=40):
     """Spectral-series heat kernel oracle in high-precision arithmetic.
 
     With alpha=None this is the Hermite series sum_{n<=nmax}
     e^{-(n+1/2)t} h_n(x) h_n(y); otherwise the Laguerre series with
     eigenvalues 2n + alpha + 1.  High precision is required because the
-    partial sums cancel catastrophically for well-separated (x, y).
+    partial sums cancel catastrophically for well-separated (x, y).  The
+    per-point tables and the per-t weights are cached, so a grid of
+    (t, x, y) builds each recurrence once.
     """
     import mpmath as mp
+    hx = _mp_fn_table(x, nmax, alpha, dps)
+    hy = _mp_fn_table(y, nmax, alpha, dps)
+    weights = _mp_heat_weights(t, nmax, alpha, dps)
     with mp.workdps(dps):
-        t, x, y = mp.mpf(t), mp.mpf(x), mp.mpf(y)
-        if alpha is None:
-            hx = [mp.pi**mp.mpf("-0.25") * mp.e**(-x * x / 2)]
-            hy = [mp.pi**mp.mpf("-0.25") * mp.e**(-y * y / 2)]
-            if nmax >= 1:
-                hx.append(mp.sqrt(2) * x * hx[0])
-                hy.append(mp.sqrt(2) * y * hy[0])
-            for n in range(1, nmax):
-                cn = mp.sqrt(mp.mpf(2) / (n + 1))
-                dn = mp.sqrt(mp.mpf(n) / (n + 1))
-                hx.append(cn * x * hx[n] - dn * hx[n - 1])
-                hy.append(cn * y * hy[n] - dn * hy[n - 1])
-            lam = [n + mp.mpf("0.5") for n in range(nmax + 1)]
-        else:
-            a = mp.mpf(alpha)
-            seed_x = mp.sqrt(2 / mp.gamma(a + 1)) * x**(a + mp.mpf("0.5")) \
-                * mp.e**(-x * x / 2)
-            seed_y = mp.sqrt(2 / mp.gamma(a + 1)) * y**(a + mp.mpf("0.5")) \
-                * mp.e**(-y * y / 2)
-            hx, hy = [seed_x], [seed_y]
-            if nmax >= 1:
-                hx.append((1 + a - x * x) / mp.sqrt(1 + a) * hx[0])
-                hy.append((1 + a - y * y) / mp.sqrt(1 + a) * hy[0])
-            for n in range(1, nmax):
-                c2 = mp.sqrt(n * (n + a) / ((n + 1) * (n + 1 + a)))
-                hx.append(((2 * n + 1 + a - x * x) * hx[n]
-                           / mp.sqrt((n + 1) * (n + 1 + a))) - c2 * hx[n - 1])
-                hy.append(((2 * n + 1 + a - y * y) * hy[n]
-                           / mp.sqrt((n + 1) * (n + 1 + a))) - c2 * hy[n - 1])
-            lam = [2 * n + a + 1 for n in range(nmax + 1)]
         total = mp.mpf(0)
         for n in range(nmax + 1):
-            total += mp.e**(-t * lam[n]) * hx[n] * hy[n]
+            total += weights[n] * hx[n] * hy[n]
         return float(total)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from rieszlag.cli import main
 
@@ -115,3 +116,29 @@ class TestInputCSV:
                   "2", "--input-csv", str(src), "--out", str(out),
                   "--max-abs-diff", "5e-3"])
         assert rc == 0
+
+    @pytest.mark.parametrize("body", [
+        "",
+        "x,f\n0.5,1.0\n",
+        "x,f\n-1.0,0.0\n0.0,nan\n1.0,0.0\n",
+        "x,f\n-1.0,0.0\n0.0,1.0\n0.0,0.5\n1.0,0.0\n",
+    ], ids=["empty", "one-row", "non-finite", "repeated-x"])
+    def test_bad_input_rejected(self, tmp_path, body, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text(body)
+        rc = run(["riesz", "--family", "hermite", "--k", "1", "--input-csv",
+                  str(src), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert str(src) in capsys.readouterr().err
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["riesz", "--family", "hermite", "--k", "1", "--seed", "1"],
+        ["basis", "--family", "hermite", "--threads", "2"],
+    ])
+    def test_rejected_by_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

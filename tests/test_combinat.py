@@ -73,7 +73,7 @@ class TestLemmaN1:
         with pytest.raises(ValueError):
             cb.lemma_n1_check(3, 2, Fraction(0))
         with pytest.raises(ValueError):
-            cb.AlphaRational(Fraction(-3, 2))
+            cb.lemma_n1_check(2, 1, Fraction(-3, 2))
 
 
 class TestDerivativeIdentity:

@@ -25,15 +25,6 @@ class TestSpecTypes:
         spec = kn.KernelSpec("hermite-riesz", k=2)
         assert spec.l == 2
 
-    def test_substituted_time(self):
-        st = kn.SubstitutedTime.from_t(1.0)
-        assert st.t == pytest.approx(1.0, rel=1e-15)
-        assert st.s == pytest.approx(math.tanh(0.5), rel=1e-15)
-        with pytest.raises(ValueError):
-            kn.SubstitutedTime(1.0)
-        with pytest.raises(ValueError):
-            kn.SubstitutedTime.from_t(0.0)
-
 
 class TestHeatKernels:
     def test_symmetry(self):
@@ -44,9 +35,8 @@ class TestHeatKernels:
 
     def test_two_hermite_forms_agree(self):
         for t in (0.05, 0.4, 1.0, 3.0):
-            s = math.tanh(0.5 * t)
             a = float(kn.heat_kernel_hermite(t, 0.7, 1.1))
-            b = float(kn.heat_kernel_hermite_s(s, 0.7, 1.1))
+            b = float(kn.d_plus_x_pow_l_heat(0, t, 0.7, 1.1))
             assert a == pytest.approx(b, rel=1e-13)
 
     def test_hermite_mehler_vs_series(self):

@@ -8,14 +8,14 @@ from rieszlag import basis as bs
 from rieszlag import kernels as kn
 from rieszlag import operators as op
 from rieszlag.kernels import KernelSpec
-from rieszlag.specfun import AlphaParam, gauss_legendre_panels
+from rieszlag.specfun import gauss_legendre_panels
 from conftest import fd_derivative
 
 TAG_H = bs.BasisTag("hermite")
 
 
 def laguerre_tag(alpha):
-    return bs.BasisTag("laguerre-phi", AlphaParam(alpha))
+    return bs.BasisTag("laguerre", alpha)
 
 
 def unit(n, size):
