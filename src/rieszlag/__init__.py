@@ -15,8 +15,8 @@ from .combinat import (Rational, a_sum, bracket_coeff, e_coeff,
 from .kernels import (KernelSpec, d_alpha_pow_k_heat, d_plus_x_pow_l_heat,
                       frac_kernel, heat_kernel_hermite, heat_kernel_laguerre,
                       riesz_kernel_hermite, riesz_kernel_laguerre)
-from .operators import (PVResult, WeightedNorm, bump, hardy0, hardy_inf,
-                        heat_apply, negative_power, phi_limit, pv_apply,
+from .operators import (PVResult, bump, hardy0, hardy_inf, heat_apply,
+                        negative_power, phi_limit, pv_apply,
                         riesz_apply_laguerre_spectral, riesz_spectral_hermite,
                         weighted_norm, wk)
 from .specfun import (QuadratureRule, alpha_value, bessel_i, bessel_i_scaled,

@@ -279,38 +279,35 @@ def apply_H(f: SmoothFunction, x):
 # Quadrature defaults, expansion and synthesis
 # ---------------------------------------------------------------------------
 
-def hermite_rule(nmax: int, *, halfwidth: float | None = None,
-                 panel_width: float = 0.4, nodes: int = 14) -> QuadratureRule:
-    """Full-line rule resolving Hermite functions up to degree nmax."""
-    if halfwidth is None:
-        halfwidth = math.sqrt(2.0 * nmax + 1.0) + 5.0
-    panels = max(8, int(math.ceil(2.0 * halfwidth / panel_width)))
+def hermite_rule(nmax: int) -> QuadratureRule:
+    """Full-line rule resolving Hermite functions up to degree nmax:
+    14-node Gauss-Legendre panels of width at most 0.4 on
+    |x| <= sqrt(2 nmax + 1) + 5."""
+    halfwidth = math.sqrt(2.0 * nmax + 1.0) + 5.0
+    panels = max(8, int(math.ceil(2.0 * halfwidth / 0.4)))
     edges = np.linspace(-halfwidth, halfwidth, panels + 1)
-    x, w = gauss_legendre_panels(edges, nodes)
-    return QuadratureRule(x, w, "composite-gauss-legendre")
+    return QuadratureRule(*gauss_legendre_panels(edges, 14))
 
 
-def laguerre_rule(alpha, nmax: int, *, power: float | None = None,
-                  x_max: float | None = None, jacobi_nodes: int = 200,
-                  panel_width: float = 0.4, nodes: int = 14) -> QuadratureRule:
+def laguerre_rule(alpha, nmax: int, *,
+                  power: float | None = None) -> QuadratureRule:
     """Half-line rule for integrands with an x^power endpoint factor.
 
-    Splits at 1: a power-weighted rule on (0, 1) absorbs the x^(alpha+1/2)
-    behaviour of the Laguerre functions (power defaults to alpha + 1/2; use
-    2 alpha + 1 for products of two of them), then composite Gauss-Legendre
-    out to where e^(-x^2/2) is dead.
+    Splits at 1: a 200-node power-weighted rule on (0, 1) absorbs the
+    x^(alpha+1/2) behaviour of the Laguerre functions (power defaults to
+    alpha + 1/2; use 2 alpha + 1 for products of two of them), then 14-node
+    Gauss-Legendre panels of width at most 0.4 out to
+    sqrt(4 nmax + 2 |alpha| + 6) + 4, where e^(-x^2/2) is dead.
     """
     a = alpha_value(alpha)
     if power is None:
         power = a + 0.5
-    if x_max is None:
-        x_max = math.sqrt(4.0 * nmax + 2.0 * abs(a) + 6.0) + 4.0
-    xj, wj = gauss_jacobi_01(jacobi_nodes, power)
-    panels = max(8, int(math.ceil((x_max - 1.0) / panel_width)))
+    x_max = math.sqrt(4.0 * nmax + 2.0 * abs(a) + 6.0) + 4.0
+    xj, wj = gauss_jacobi_01(200, power)
+    panels = max(8, int(math.ceil((x_max - 1.0) / 0.4)))
     edges = np.linspace(1.0, x_max, panels + 1)
-    xg, wg = gauss_legendre_panels(edges, nodes)
-    return QuadratureRule(np.concatenate([xj, xg]), np.concatenate([wj, wg]),
-                          "endpoint-power-weighted")
+    xg, wg = gauss_legendre_panels(edges, 14)
+    return QuadratureRule(np.concatenate([xj, xg]), np.concatenate([wj, wg]))
 
 
 def _basis_table(tag: BasisTag, nmax: int, x) -> np.ndarray:
@@ -328,8 +325,8 @@ def _default_rule(tag: BasisTag, nmax: int,
         # panel width tied to the shortest basis wavelength ~ 2 pi / sqrt(2 nmax)
         width = min(0.4, (b - a) / 8.0, 9.0 / math.sqrt(2.0 * nmax + 1.0))
         panels = max(8, int(math.ceil((b - a) / width)))
-        x, w = gauss_legendre_panels(np.linspace(a, b, panels + 1), 14)
-        return QuadratureRule(x, w, "composite-gauss-legendre")
+        return QuadratureRule(
+            *gauss_legendre_panels(np.linspace(a, b, panels + 1), 14))
     if tag.kind == "hermite":
         return hermite_rule(nmax)
     return laguerre_rule(tag.alpha, nmax)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import combinat, kernels, operators, verify
-from .basis import BasisTag, analyze, synthesize
+from .basis import BasisTag, _basis_table, analyze, synthesize
 from .kernels import KernelSpec
 
 __all__ = ["main"]
@@ -56,7 +56,7 @@ def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _default_bump(family: str, args) -> operators.SmoothFunction | None:
+def _default_bump(family: str, args) -> operators.SmoothFunction:
     center = args.bump_center
     radius = args.bump_radius
     if center is None:
@@ -99,10 +99,11 @@ def _cubic_spline(xs: np.ndarray, ys: np.ndarray):
 
 
 def _load_sampled_function(path: str):
-    try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except IndexError:  # numpy's reaction to an empty file
-        raise ValueError(f"{path}: empty file, expected columns x,f") from None
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError(f"{path}: empty file, expected columns x,f")
+    data = np.genfromtxt(lines, delimiter=",", names=True)
     xs = np.atleast_1d(np.asarray(data["x"], dtype=float))
     ys = np.atleast_1d(np.asarray(data["f"], dtype=float))
     if xs.size < 2:
@@ -126,15 +127,11 @@ def _cmd_basis(args) -> int:
     tag = BasisTag(args.family,
                    args.alpha if args.family == "laguerre" else None)
     if args.mode == "samples":
-        if args.family == "hermite":
-            lo = -args.xmax if args.xmin is None else args.xmin
-            xs = np.linspace(lo, args.xmax, args.points)
-        else:
-            lo = 1e-3 if args.xmin is None else args.xmin
-            xs = np.linspace(lo, args.xmax, args.points)
-        from .basis import hermite_fn_table, phi_table
-        table = (hermite_fn_table(args.n, xs) if args.family == "hermite"
-                 else phi_table(args.n, tag.alpha, xs))
+        lo = args.xmin
+        if lo is None:
+            lo = -args.xmax if args.family == "hermite" else 1e-3
+        xs = np.linspace(lo, args.xmax, args.points)
+        table = _basis_table(tag, args.n, xs)
         rows = [(float(x), float(v)) for x, v in zip(xs, table[args.n])]
         _write_text(args.out, _csv(rows, ["x", "f"]))
         return 0
@@ -172,7 +169,7 @@ def _cmd_riesz(args) -> int:
         f = _load_sampled_function(args.input_csv)
     else:
         f = _default_bump(args.family, args)
-    alpha = None if args.family == "hermite" else float(args.alpha)
+    alpha = None if args.family == "hermite" else args.alpha
     a, b = f.support
     pad = 0.12 * (b - a)
     pts = np.linspace(a + pad, b - pad, args.points)
@@ -303,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--family", choices=["hermite", "laguerre"], required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", default="0.0",
+    p.add_argument("--alpha", type=float, default=0.0,
                    help="Laguerre type parameter; ignored for hermite")
     p.add_argument("--input-csv", default=None,
                    help="columns x,f; compactly supported samples")

@@ -165,7 +165,7 @@ def heat_kernel_laguerre(t: float, x, y, alpha):
 # k-fold first-order Laguerre derivative of the Laguerre heat kernel
 # ---------------------------------------------------------------------------
 
-def _dw_pair_sw(k: int, alpha: float, s, w, x, y, want_second: bool = True):
+def _dw_pair_sw(k: int, alpha: float, s, w, x, y):
     """Both independent evaluations of the k-fold derivative kernel.
 
     Route one is the explicit triple sum over (j, n, m) with Bessel orders
@@ -201,8 +201,6 @@ def _dw_pair_sw(k: int, alpha: float, s, w, x, y, want_second: bool = True):
                 acc_abs = acc_abs + term
     dw1 = pref * acc
     dw1_abs = pref * acc_abs
-    if not want_second:
-        return dw1, None, dw1_abs
 
     # route two
     dw2 = 0.0
@@ -222,8 +220,17 @@ def _dw_pair_sw(k: int, alpha: float, s, w, x, y, want_second: bool = True):
 _AGREEMENT_TOL = 1e-8
 
 
-def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
-    """Both evaluation routes of the k-fold derivative of W_t^alpha."""
+def _route_disagreement(v1, v2, vabs):
+    """Relative disagreement of the two routes and the floor it may reach:
+    1e-8 plus the cancellation floor 1e-12 * vabs / scale of the alternating
+    sums, vabs being the same sum taken over absolute values."""
+    scale = np.maximum(np.maximum(np.abs(v1), np.abs(v2)), 1e-300)
+    return np.abs(v1 - v2) / scale, _AGREEMENT_TOL + 1e-12 * vabs / scale
+
+
+def _dw_pair_at(k: int, t: float, x: float, y: float, alpha):
+    """Both routes of the k-fold derivative of W_t^alpha and the
+    absolute-value companion of route one, at one point."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if not t > 0.0:
@@ -232,7 +239,12 @@ def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
         raise ValueError("x and y must be > 0")
     a = alpha_value(alpha)
     s = math.tanh(0.5 * t)
-    dw1, dw2, _ = _dw_pair_sw(k, a, s, 1.0 - s, float(x), float(y))
+    return _dw_pair_sw(k, a, s, 1.0 - s, float(x), float(y))
+
+
+def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
+    """Both evaluation routes of the k-fold derivative of W_t^alpha."""
+    dw1, dw2, _ = _dw_pair_at(k, t, x, y, alpha)
     return float(dw1), float(dw2)
 
 
@@ -243,15 +255,9 @@ def d_alpha_pow_k_heat(k: int, t: float, x: float, y: float, alpha) -> float:
     relative (plus the cancellation floor of the alternating sums) raises
     :class:`KernelAgreementWarning`.  The triple-sum value is returned.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    a = alpha_value(alpha)
-    s = math.tanh(0.5 * t)
-    dw1, dw2, dwabs = _dw_pair_sw(k, a, s, 1.0 - s, float(x), float(y))
-    scale = max(abs(dw1), abs(dw2))
-    if scale > 0.0 and abs(dw1 - dw2) > (_AGREEMENT_TOL + 1e-12 * dwabs / scale) * scale:
+    dw1, dw2, dwabs = _dw_pair_at(k, t, x, y, alpha)
+    disagree, floor = _route_disagreement(dw1, dw2, dwabs)
+    if disagree > floor:
         warnings.warn(
             f"derivative-kernel routes disagree at (k={k}, t={t}, x={x}, "
             f"y={y}): {dw1!r} vs {dw2!r}", KernelAgreementWarning)
@@ -263,24 +269,23 @@ def d_alpha_pow_k_heat(k: int, t: float, x: float, y: float, alpha) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _s_quadrature(nodes: int = 8, lo_floor: float = 1e-18,
-                  hi_floor: float = 1e-26, ratio: float = 0.4):
+def _s_quadrature(nodes: int):
     """Panelled rule for integrals dt over (0, inf) in the s variable.
 
     Returns immutable arrays (s, w=1-s, t, weight) where weight includes
-    the Jacobian dt/ds = 2/(1-s^2).  Split at 1/2; panels shrink
-    geometrically toward s = 0 and (in the complement variable) toward
-    s = 1.
+    the Jacobian dt/ds = 2/(1-s^2).  Split at 1/2; panels shrink by a
+    factor 0.4 toward s = 0, down to 1e-18, and (in the complement
+    variable) toward s = 1, down to w = 1e-26.
     """
     def panels(floor):
-        n = int(math.ceil(math.log(floor / 0.5) / math.log(ratio)))
+        n = int(math.ceil(math.log(floor / 0.5) / math.log(0.4)))
         return gauss_legendre_panels(
-            0.5 * ratio ** np.arange(n, -1, -1, dtype=float), nodes)
+            0.5 * 0.4 ** np.arange(n, -1, -1, dtype=float), nodes)
 
-    s_lo, gl_lo = panels(lo_floor)
+    s_lo, gl_lo = panels(1e-18)
     w_lo = 1.0 - s_lo
 
-    w_hi, gl_hi = panels(hi_floor)
+    w_hi, gl_hi = panels(1e-26)
     w_hi = w_hi[::-1]
     gl_hi = gl_hi[::-1]
     s_hi = 1.0 - w_hi
@@ -305,19 +310,19 @@ def _hermite_time_integral(l: int, half_order: float, x: float, y,
     return (wt[:, None] * vals).sum(axis=0) / gamma(half_order)
 
 
-def _at_point(vec, x: float, y: float, nodes: int, rel_tol: float | None,
-              what: str, with_err: bool):
+def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str,
+              with_err: bool):
     """A scalar kernel as a one-point view on its vector path.
 
     ``vec(y, nodes)`` returns the kernel at the points y and the relative
     disagreement of its evaluation routes (0 for single-route kernels).  The
-    value is taken at nodes+4 time nodes; its error estimate is the change
-    from nodes, or the route disagreement if that is larger.  An estimate
-    above rel_tol * |value| raises (never, for rel_tol None).
+    value is taken at 12 time nodes; its error estimate is the change from
+    8, or the route disagreement if that is larger.  An estimate above
+    rel_tol * |value| raises (never, for rel_tol None).
     """
     y1 = np.array([float(y)])
-    coarse, agree = vec(y1, nodes)
-    val = float(vec(y1, nodes + 4)[0][0])
+    coarse, agree = vec(y1, 8)
+    val = float(vec(y1, 12)[0][0])
     err = max(abs(val - float(coarse[0])), agree * abs(val))
     if rel_tol is not None and err > max(rel_tol * abs(val), 1e-250):
         raise QuadratureConvergenceError(
@@ -329,8 +334,7 @@ def _at_point(vec, x: float, y: float, nodes: int, rel_tol: float | None,
 # Integrated kernels
 # ---------------------------------------------------------------------------
 
-def frac_kernel(gamma_: float, x: float, y: float, *, nodes: int = 8,
-                with_err: bool = False):
+def frac_kernel(gamma_: float, x: float, y: float, *, with_err: bool = False):
     """Fractional-power Hermite kernel K_gamma(x, y).
 
     Requires x != y when gamma <= 1 (the kernel is then singular on the
@@ -343,7 +347,7 @@ def frac_kernel(gamma_: float, x: float, y: float, *, nodes: int = 8,
     return _at_point(
         lambda ys, n: (_hermite_time_integral(0, 0.5 * gamma_, float(x), ys,
                                               n), 0.0),
-        x, y, nodes, 1e-5, "K_gamma", with_err)
+        x, y, 1e-5, "K_gamma", with_err)
 
 
 def riesz_kernel_hermite_vec(k: int, l: int, x: float, y, *, nodes: int = 8):
@@ -357,13 +361,13 @@ def riesz_kernel_hermite_vec(k: int, l: int, x: float, y, *, nodes: int = 8):
 
 
 def riesz_kernel_hermite(k: int, l: int, x: float, y: float, *,
-                         nodes: int = 8, with_err: bool = False):
+                         with_err: bool = False):
     """Kernel of the order-k Hermite Riesz transform family at (x, y);
     l = k gives the Riesz kernel itself."""
     return _at_point(
         lambda ys, n: (riesz_kernel_hermite_vec(k, l, float(x), ys, nodes=n),
                        0.0),
-        x, y, nodes, None, "Riesz kernel", with_err)
+        x, y, None, "Riesz kernel", with_err)
 
 
 def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8,
@@ -389,9 +393,7 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8,
     v1 = (wt * dw1).sum(axis=0)
     v2 = (wt * dw2).sum(axis=0)
     vabs = (wt * dwabs).sum(axis=0)
-    denom = np.maximum(np.maximum(np.abs(v1), np.abs(v2)), 1e-300)
-    disagree = np.abs(v1 - v2) / denom
-    floor = _AGREEMENT_TOL + 1e-12 * vabs / denom
+    disagree, floor = _route_disagreement(v1, v2, vabs)
     if np.any(disagree > floor):
         idx = int(np.argmax(disagree - floor))
         warnings.warn(
@@ -404,12 +406,12 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8,
 
 
 def riesz_kernel_laguerre(k: int, alpha, x: float, y: float, *,
-                          nodes: int = 8, with_err: bool = False):
+                          with_err: bool = False):
     """Order-k Laguerre Riesz kernel at a point, x != y."""
     return _at_point(
         lambda ys, n: riesz_kernel_laguerre_vec(k, alpha, float(x), ys,
                                                 nodes=n, return_agreement=True),
-        x, y, nodes, 1e-4, "Riesz kernel", with_err)
+        x, y, 1e-4, "Riesz kernel", with_err)
 
 
 def kernel_value(spec: KernelSpec, x: float, y: float,

@@ -23,7 +23,6 @@ from .specfun import (alpha_value, gamma, gauss_jacobi_01,
 
 __all__ = [
     "PVResult",
-    "WeightedNorm",
     "TruncationTailWarning",
     "wk",
     "bump",
@@ -89,21 +88,6 @@ class PVResult:
     def total(self) -> float:
         """Full transform value: constant correction plus the PV limit."""
         return self.wk_correction + self.extrapolated
-
-
-@dataclass(frozen=True)
-class WeightedNorm:
-    """An L^p(x^delta dx) norm value."""
-
-    p: float
-    delta: float
-    value: float
-
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError("p must be >= 1")
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError("norm value must be finite and nonnegative")
 
 
 def bump(center: float, radius: float) -> SmoothFunction:
@@ -277,9 +261,9 @@ def _eps_schedule(eps0: float, ratio: float, stages: int) -> np.ndarray:
     return eps0 * ratio ** np.arange(stages)
 
 
-def _pv_segments(x: float, eps: np.ndarray, support, seg_nodes: int):
-    """Quadrature segments outside |y - x| > eps[-1], aligned so that every
-    excision radius in the schedule is a segment boundary."""
+def _pv_segments(x: float, eps: np.ndarray, support):
+    """12-node Gauss-Legendre segments outside |y - x| > eps[-1], aligned so
+    that every excision radius in the schedule is a segment boundary."""
     a, b = float(support[0]), float(support[1])
     segs = []  # (strip_index or -1 for far field, nodes, weights)
     eps0 = eps[0]
@@ -288,7 +272,7 @@ def _pv_segments(x: float, eps: np.ndarray, support, seg_nodes: int):
         width = hi - lo
         floor = min(0.3, max(1e-9, eps0 / (3.0 * width)))
         edges = geometric_edges(lo, hi, toward=toward, floor=floor, ratio=0.5)
-        xs, ws = gauss_legendre_panels(edges, seg_nodes)
+        xs, ws = gauss_legendre_panels(edges, 12)
         segs.append((-1, xs, ws))
 
     if x - eps0 > a:
@@ -300,18 +284,17 @@ def _pv_segments(x: float, eps: np.ndarray, support, seg_nodes: int):
         for y0, y1 in ((max(a, x - hi), min(b, x - lo)),
                        (max(a, x + lo), min(b, x + hi))):
             if y1 > y0:
-                xs, ws = gauss_legendre_panels(np.linspace(y0, y1, 3),
-                                               seg_nodes)
+                xs, ws = gauss_legendre_panels(np.linspace(y0, y1, 3), 12)
                 segs.append((i, xs, ws))
     return segs
 
 
-def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray, support,
-                       seg_nodes: int = 12) -> np.ndarray:
+def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray,
+                       support) -> np.ndarray:
     """Integrals of kern_vec(y) f(y) over the support minus |y - x| <= eps_i,
     one per excision radius, from a single kernel evaluation on the
     segments of :func:`_pv_segments`."""
-    segs = _pv_segments(x, eps, support, seg_nodes)
+    segs = _pv_segments(x, eps, support)
     if not segs:
         raise ValueError(f"the support {tuple(support)} lies within the "
                          f"smallest excision radius {eps[-1]} of x={x}")
@@ -331,17 +314,15 @@ def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray, support,
 
 
 def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
-             ratio: float = 0.5, stages: int = 8, eps_schedule=None,
-             support=None, seg_nodes: int = 12) -> PVResult:
+             ratio: float = 0.5, stages: int = 8, support=None) -> PVResult:
     """Principal-value application of a Riesz kernel to a smooth compactly
     supported function at an interior point x.
 
-    The excised integrals over |y - x| > eps_i share one kernel evaluation
-    pass (quadrature panels are aligned to every excision boundary), the
-    limit is extrapolated polynomially in eps, and the even-order constant
-    correction w_k f(x) is reported separately.  ``eps_schedule`` (a
-    strictly decreasing positive vector) overrides the geometric default
-    eps0 * ratio^i.
+    The excised integrals over |y - x| > eps_i, eps_i = eps0 * ratio^i,
+    share one kernel evaluation pass (quadrature panels are aligned to
+    every excision boundary), the limit is extrapolated polynomially in
+    eps, and the even-order constant correction w_k f(x) is reported
+    separately.
     """
     if spec.family not in ("hermite-riesz", "laguerre-riesz"):
         raise ValueError("pv_apply expects a Riesz kernel spec")
@@ -353,14 +334,7 @@ def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
     if not a < x < b:
         raise ValueError(f"x={x} must lie strictly inside the support ({a}, {b})")
 
-    if eps_schedule is not None:
-        eps = np.asarray(eps_schedule, dtype=float)
-        if eps.ndim != 1 or len(eps) < 3 or not np.all(eps > 0) \
-                or not np.all(np.diff(eps) < 0):
-            raise ValueError("eps_schedule must be >= 3 strictly decreasing "
-                             "positive radii")
-    else:
-        eps = _eps_schedule(eps0, ratio, stages)
+    eps = _eps_schedule(eps0, ratio, stages)
     agreement = 0.0
 
     def kern(y):
@@ -371,7 +345,7 @@ def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
             spec.k, spec.alpha, x, y, return_agreement=True)
         return vals
 
-    values = _excised_integrals(kern, f, x, eps, (a, b), seg_nodes)
+    values = _excised_integrals(kern, f, x, eps, (a, b))
     limit, err = extrapolate_to_zero(eps, values)
     return PVResult(epsilons=eps, values=values, extrapolated=limit,
                     err_estimate=err, wk_correction=wk(spec.k) * float(f(x)),
@@ -382,13 +356,14 @@ def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
 # The boundary function Phi and its epsilon-limit
 # ---------------------------------------------------------------------------
 
-def phi_at(k: int, eps: float, *, nodes: int = 12) -> float:
+def phi_at(k: int, eps: float) -> float:
     """Value of the boundary function
 
         Phi(eps) = (1/Gamma(k/2)) int_0^(1/2) (2s)^(k/2-1)/sqrt(pi s)
                    d^{k-1}/dx^{k-1} [e^{-x^2/4s}] |_{x=eps} ds,
 
-    with the derivative expanded through the chain-rule coefficient table.
+    with the derivative expanded through the chain-rule coefficient table;
+    12-node Gauss-Legendre panels shrink by 0.4 toward s = 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -398,7 +373,7 @@ def phi_at(k: int, eps: float, *, nodes: int = 12) -> float:
     floor = min(floor, 1e-8)
     n_panels = int(math.ceil(math.log(floor / 0.5) / math.log(0.4)))
     edges = 0.5 * 0.4 ** np.arange(n_panels, -1, -1, dtype=float)
-    s, w = gauss_legendre_panels(edges, nodes)
+    s, w = gauss_legendre_panels(edges, 12)
     expo = np.exp(-eps * eps / (4.0 * s))
     base = (2.0 * s) ** (0.5 * k - 1.0) / np.sqrt(math.pi * s) * expo
     total = 0.0
@@ -485,12 +460,12 @@ def hardy_inf(eta: float, f, grid, support=None) -> np.ndarray:
     return out
 
 
-def weighted_norm(f, p: float, delta: float, interval=None, *,
-                  panels: int = 40, nodes: int = 12) -> WeightedNorm:
+def weighted_norm(f, p: float, delta: float, interval=None) -> float:
     """L^p(x^delta dx) norm of f over a working interval on (0, inf).
 
     For intervals reaching down to 0 the weight is absorbed by a
-    power-weighted endpoint rule.
+    power-weighted endpoint rule on (0, 1); the rest of the interval takes
+    40 equal 12-node Gauss-Legendre panels.
     """
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -508,9 +483,9 @@ def weighted_norm(f, p: float, delta: float, interval=None, *,
         total += float((cut * w) @ density(cut * u))
         a = cut
     if b > a:
-        xs, ws = gauss_legendre_panels(np.linspace(a, b, panels + 1), nodes)
+        xs, ws = gauss_legendre_panels(np.linspace(a, b, 41), 12)
         total += float(ws @ density(xs))
     value = total ** (1.0 / p)
     if not math.isfinite(value):
         raise ValueError("weighted norm did not come out finite")
-    return WeightedNorm(p=p, delta=delta, value=value)
+    return value

@@ -233,7 +233,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)

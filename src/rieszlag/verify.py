@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,17 +74,7 @@ class BoundCheckReport:
         return len(h) >= 2 and h[-1] < 2.0 * h[0]
 
     def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "k": self.k,
-            "alpha": self.alpha,
-            "sample_spec": self.sample_spec,
-            "sup_ratio": self.sup_ratio,
-            "argmax": list(self.argmax),
-            "refinement_history": list(self.refinement_history),
-            "stable": self.stable,
-            "empirical_only": self.empirical_only,
-        }
+        return {**asdict(self), "stable": self.stable}
 
 
 @dataclass(frozen=True)
@@ -102,17 +92,7 @@ class LpScanReport:
     empirical_only: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "alpha": self.alpha,
-            "p": self.p,
-            "delta": self.delta,
-            "ratios": list(self.ratios),
-            "max_ratio": self.max_ratio,
-            "in_range": self.in_range,
-            "seed": self.seed,
-            "empirical_only": self.empirical_only,
-        }
+        return asdict(self)
 
 
 def _parallel(fn, items, threads: int):
@@ -132,17 +112,18 @@ def _ratio_sample(statement: str, bounds, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def check_prop33(statement: str, k: int, alpha, *, x_range=(0.05, 20.0),
-                 nx: int = 8, ny: int = 6, levels: int = 2,
-                 ratio_bounds=None, threads: int = 1) -> BoundCheckReport:
+def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
+                 levels: int = 2, ratio_bounds=None,
+                 threads: int = 1) -> BoundCheckReport:
     """Scan one of the Laguerre-kernel estimates over its region.
 
     ``statement`` is one of prop33-i (y < x/2), prop33-ii-even / -ii-odd
     (y > 2x, bound depending on the parity of k), prop33-iii (comparison
-    against the Hermite kernel for x/2 < y < 2x).  The scan runs at
-    ``levels`` sample densities (doubling each time); the sup ratios per
-    level form the refinement history.
+    against the Hermite kernel for x/2 < y < 2x).  x runs over
+    [0.05, 20].  The scan runs at ``levels`` sample densities (doubling
+    each time); the sup ratios per level form the refinement history.
     """
+    x_range = (0.05, 20.0)
     if statement not in _REGION_DEFAULTS:
         raise ValueError(f"not a prop33 statement: {statement}")
     a = alpha_value(alpha)
@@ -200,10 +181,12 @@ def check_prop33(statement: str, k: int, alpha, *, x_range=(0.05, 20.0),
 
 
 def check_prop31(k: int, l: int, *, x_values=(-1.5, -0.4, 0.3, 1.0, 2.0),
-                 dist_range=(1e-3, 1.0), nd: int = 6, levels: int = 2,
+                 nd: int = 6, levels: int = 2,
                  threads: int = 1) -> BoundCheckReport:
     """Scan the Hermite derivative-kernel size table: bounded for
-    l <= k-2, |x-y|^(-1/2) for l = k-1, |x-y|^(-1) for l = k."""
+    l <= k-2, |x-y|^(-1/2) for l = k-1, |x-y|^(-1) for l = k, at
+    distances |x - y| in [1e-3, 1]."""
+    dist_range = (1e-3, 1.0)
     if not 0 <= l <= k or k < 1:
         raise ValueError(f"need k >= 1 and 0 <= l <= k, got k={k}, l={l}")
 
@@ -336,11 +319,12 @@ def _seeded_bump(seed: int, index: int):
 
 
 def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
-            seed: int = 0, nmax: int = 600, norm_interval=(0.0, 30.0),
+            seed: int = 0, nmax: int = 600,
             threads: int = 1) -> LpScanReport:
     """Weighted-norm ratios ||R f_i|| / ||f_i|| over a deterministic family
     of bump functions (member i depends only on (seed, i), so growing the
-    family keeps earlier members fixed)."""
+    family keeps earlier members fixed), with both norms taken over
+    (0, 30)."""
     if family_size < 1:
         raise ValueError("family_size must be >= 1")
     a = alpha_value(alpha)
@@ -356,9 +340,9 @@ def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
             return operators.riesz_apply_laguerre_spectral(
                 k, a, coeffs, x, tail_tol=math.inf)
 
-        num = operators.weighted_norm(image, p, delta, norm_interval)
-        den = operators.weighted_norm(g, p, delta, norm_interval)
-        return num.value / den.value
+        num = operators.weighted_norm(image, p, delta, (0.0, 30.0))
+        den = operators.weighted_norm(g, p, delta, (0.0, 30.0))
+        return num / den
 
     ratios = _parallel(ratio, range(family_size), threads)
     return LpScanReport(k=k, alpha=a, p=p, delta=delta,

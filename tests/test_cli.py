@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -49,11 +50,19 @@ class TestRiesz:
     def test_hermite_bump_abs_diff(self, tmp_path):
         out = tmp_path / "r.csv"
         rc = run(["riesz", "--family", "hermite", "--k", "2", "--alpha",
-                  "ignored", "--points", "3", "--out", str(out),
+                  "0.7", "--points", "3", "--out", str(out),
                   "--max-abs-diff", "1e-3"])
         assert rc == 0
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert float(np.max(data["abs_diff"])) < 1e-3
+
+    def test_alpha_is_a_number(self, capsys):
+        # --alpha parses as a float for every family, as in every subcommand
+        with pytest.raises(SystemExit) as exc:
+            run(["riesz", "--family", "hermite", "--k", "1", "--alpha",
+                 "ignored"])
+        assert exc.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
 
     def test_failure_exit_code(self, tmp_path):
         rc = run(["riesz", "--family", "hermite", "--k", "1", "--points",
@@ -126,10 +135,19 @@ class TestInputCSV:
     def test_bad_input_rejected(self, tmp_path, body, capsys):
         src = tmp_path / "bad.csv"
         src.write_text(body)
-        rc = run(["riesz", "--family", "hermite", "--k", "1", "--input-csv",
-                  str(src), "--out", str(tmp_path / "r.csv")])
+        # record warnings: on the command line they would print to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["riesz", "--family", "hermite", "--k", "1",
+                      "--input-csv", str(src),
+                      "--out", str(tmp_path / "r.csv")])
         assert rc == 2
-        assert str(src) in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert [str(w.message) for w in caught] == []
+        assert len(err) == 1 and err[0].startswith(f"invalid input: {src}: ")
+        if not body:
+            assert err == [f"invalid input: {src}: empty file, expected "
+                           "columns x,f"]
 
 
 class TestRemovedFlags:

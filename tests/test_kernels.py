@@ -153,6 +153,14 @@ class TestDerivativeKernel:
                     d1, d2 = kn.d_alpha_pow_k_heat_pair(k, t, x, y, alpha)
                     assert abs(d1 - d2) <= 1e-10 * max(abs(d1), abs(d2))
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nonpositive_points_rejected(self, k):
+        # both negative makes the Bessel argument positive, so only an
+        # explicit check keeps the scalar form from returning a value
+        for fn in (kn.d_alpha_pow_k_heat, kn.d_alpha_pow_k_heat_pair):
+            with pytest.raises(ValueError, match="x and y must be > 0"):
+                fn(k, 0.5, -1.0, -2.0, 0.5)
+
     def test_agreement_monitor_is_quiet_on_sane_points(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", kn.KernelAgreementWarning)

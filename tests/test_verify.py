@@ -126,11 +126,11 @@ class TestLpScan:
             return lambda x: op.riesz_apply_laguerre_spectral(
                 1, 0.0, co, x, tail_tol=np.inf)
 
-        r1 = (op.weighted_norm(image_of(c), 2.0, 0.0, (0.0, 30.0)).value
-              / op.weighted_norm(g, 2.0, 0.0, (0.0, 30.0)).value)
-        r3 = (op.weighted_norm(image_of(c3), 2.0, 0.0, (0.0, 30.0)).value
+        r1 = (op.weighted_norm(image_of(c), 2.0, 0.0, (0.0, 30.0))
+              / op.weighted_norm(g, 2.0, 0.0, (0.0, 30.0)))
+        r3 = (op.weighted_norm(image_of(c3), 2.0, 0.0, (0.0, 30.0))
               / op.weighted_norm(lambda x: 3.0 * g(x), 2.0, 0.0,
-                                 (0.0, 30.0)).value)
+                                 (0.0, 30.0)))
         assert r3 == pytest.approx(r1, rel=1e-13)
 
     def test_seeded_bumps_inside_working_interval(self):
