@@ -279,14 +279,19 @@ def apply_H(f: SmoothFunction, x):
 # Quadrature defaults, expansion and synthesis
 # ---------------------------------------------------------------------------
 
+def _capped_panels(a: float, b: float, width: float):
+    """14-node Gauss-Legendre nodes/weights on [a, b] over
+    max(8, ceil((b - a) / width)) equal panels."""
+    panels = max(8, int(math.ceil((b - a) / width)))
+    return gauss_legendre_panels(np.linspace(a, b, panels + 1), 14)
+
+
 def hermite_rule(nmax: int) -> QuadratureRule:
     """Full-line rule resolving Hermite functions up to degree nmax:
     14-node Gauss-Legendre panels of width at most 0.4 on
     |x| <= sqrt(2 nmax + 1) + 5."""
     halfwidth = math.sqrt(2.0 * nmax + 1.0) + 5.0
-    panels = max(8, int(math.ceil(2.0 * halfwidth / 0.4)))
-    edges = np.linspace(-halfwidth, halfwidth, panels + 1)
-    return QuadratureRule(*gauss_legendre_panels(edges, 14))
+    return QuadratureRule(*_capped_panels(-halfwidth, halfwidth, 0.4))
 
 
 def laguerre_rule(alpha, nmax: int, *,
@@ -304,9 +309,7 @@ def laguerre_rule(alpha, nmax: int, *,
         power = a + 0.5
     x_max = math.sqrt(4.0 * nmax + 2.0 * abs(a) + 6.0) + 4.0
     xj, wj = gauss_jacobi_01(200, power)
-    panels = max(8, int(math.ceil((x_max - 1.0) / 0.4)))
-    edges = np.linspace(1.0, x_max, panels + 1)
-    xg, wg = gauss_legendre_panels(edges, 14)
+    xg, wg = _capped_panels(1.0, x_max, 0.4)
     return QuadratureRule(np.concatenate([xj, xg]), np.concatenate([wj, wg]))
 
 
@@ -324,28 +327,24 @@ def _default_rule(tag: BasisTag, nmax: int,
             raise ValueError(f"degenerate support [{a}, {b}]")
         # panel width tied to the shortest basis wavelength ~ 2 pi / sqrt(2 nmax)
         width = min(0.4, (b - a) / 8.0, 9.0 / math.sqrt(2.0 * nmax + 1.0))
-        panels = max(8, int(math.ceil((b - a) / width)))
-        return QuadratureRule(
-            *gauss_legendre_panels(np.linspace(a, b, panels + 1), 14))
+        return QuadratureRule(*_capped_panels(a, b, width))
     if tag.kind == "hermite":
         return hermite_rule(nmax)
     return laguerre_rule(tag.alpha, nmax)
 
 
-def analyze(f, tag: BasisTag, nmax: int, *, support=None,
+def analyze(f, tag: BasisTag, nmax: int, *,
             rule: QuadratureRule | None = None) -> SpectralCoeffs:
     """Expand a function into the first nmax+1 basis coefficients.
 
-    ``support`` restricts the coefficient quadrature to a compact interval
-    (appropriate for bump-type inputs); otherwise a full-domain rule
-    resolving degree nmax is used.
+    A function with a ``support`` attribute has its coefficient quadrature
+    restricted to that compact interval (appropriate for bump-type inputs);
+    otherwise a full-domain rule resolving degree nmax is used.
     """
     if nmax < 0:
         raise ValueError("truncation must be >= 0")
     if rule is None:
-        if support is None:
-            support = getattr(f, "support", None)
-        rule = _default_rule(tag, nmax, support)
+        rule = _default_rule(tag, nmax, getattr(f, "support", None))
     table = _basis_table(tag, nmax, rule.nodes)
     fx = np.asarray(f(rule.nodes), dtype=float)
     return SpectralCoeffs(tag, table @ (rule.weights * fx))

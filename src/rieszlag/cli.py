@@ -190,8 +190,7 @@ def _cmd_riesz(args) -> int:
     rows = []
     worst = 0.0
     for x in pts:
-        pv = operators.pv_apply(spec, f, float(x), eps0=args.eps_start,
-                                ratio=args.eps_ratio, stages=args.stages)
+        pv = operators.pv_apply(spec, f, float(x), stages=args.stages)
         sval = spectral(float(x))
         diff = abs(sval - pv.total)
         worst = max(worst, diff)
@@ -245,8 +244,7 @@ def _cmd_lp_scan(args) -> int:
 
 
 def _cmd_phi_limit(args) -> int:
-    report = operators.phi_limit(args.k, eps0=args.eps_start,
-                                 ratio=args.eps_ratio, stages=args.stages)
+    report = operators.phi_limit(args.k)
     _write_text(args.out, _json_text(report))
     if abs(report["extrapolated"] - report["closed_form"]) > args.tol:
         return _fail({"check": "phi limit", "report": report})
@@ -305,9 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-csv", default=None,
                    help="columns x,f; compactly supported samples")
     p.add_argument("--points", type=int, default=5)
-    p.add_argument("--eps-start", type=float, default=0.1)
-    p.add_argument("--eps-ratio", type=float, default=0.5)
-    p.add_argument("--stages", type=int, default=10)
+    p.add_argument("--stages", type=int, default=10,
+                   help="number of excision radii 0.1 * 0.5^i (at least 3)")
     p.add_argument("--nmax", type=int, default=1200)
     p.add_argument("--bump-center", type=float, default=None)
     p.add_argument("--bump-radius", type=float, default=None)
@@ -350,9 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi-limit", help="boundary function epsilon-limit")
     common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps-start", type=float, default=0.1)
-    p.add_argument("--eps-ratio", type=float, default=0.5)
-    p.add_argument("--stages", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(handler=_cmd_phi_limit)
 
@@ -364,7 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OverflowError, FileNotFoundError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 from .specfun import alpha_value
 
 __all__ = [
-    "Rational",
     "e_coeff",
     "bracket_coeff",
     "a_sum",
@@ -21,9 +20,6 @@ __all__ = [
     "identity_2_3_check",
     "identities_report",
 ]
-
-# Exactness carrier for every identity check below.
-Rational = Fraction
 
 
 def e_coeff(N: int, l: int) -> Fraction:
@@ -145,17 +141,19 @@ def identity_2_3_check(N: int, q: int) -> Fraction:
     return max((abs(a - b) for a, b in zip(lhs, rhs)), default=Fraction(0))
 
 
+# Type parameters at which lemma N1 is checked.
+_REPORT_ALPHAS = (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(2),
+                  Fraction(9, 4))
+
+
 def identities_report(jmax_a: int = 15, jmax_n1: int = 12, nmax_23: int = 8,
-                      qmax_23: int = 8, alphas=None) -> list[dict]:
+                      qmax_23: int = 8) -> list[dict]:
     """Run the full exact identity suite and return JSON-ready entries.
 
     Each entry carries ``identity``, ``parameters``, ``status`` (either
     "exact-pass" or "fail") and a ``witness`` (the exact residual as a
-    string).
+    string).  Lemma N1 is checked at alpha = -1/2, 0, 1/3, 2 and 9/4.
     """
-    if alphas is None:
-        alphas = [Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(2),
-                  Fraction(9, 4)]
     entries = []
 
     def record(identity, parameters, residual):
@@ -176,7 +174,7 @@ def identities_report(jmax_a: int = 15, jmax_n1: int = 12, nmax_23: int = 8,
                    Fraction(a_sum(j, j) + j * a_sum(j - 1, j - 1)))
     for j in range(1, jmax_n1 + 1):
         for m in range(j // 2 + 1):
-            for a in alphas:
+            for a in _REPORT_ALPHAS:
                 record("lemma-N1", {"j": j, "m": m, "alpha": str(a)},
                        lemma_n1_check(j, m, a))
     for N in range(nmax_23 + 1):

@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import combinat
-from .specfun import (alpha_value, bessel_i_scaled, gamma,
-                      gauss_legendre_panels, hermite_poly)
+from .specfun import (alpha_value, bessel_i_scaled, gamma, hermite_poly,
+                      time_panels)
 
 __all__ = [
     "KernelSpec",
@@ -277,15 +277,10 @@ def _s_quadrature(nodes: int):
     factor 0.4 toward s = 0, down to 1e-18, and (in the complement
     variable) toward s = 1, down to w = 1e-26.
     """
-    def panels(floor):
-        n = int(math.ceil(math.log(floor / 0.5) / math.log(0.4)))
-        return gauss_legendre_panels(
-            0.5 * 0.4 ** np.arange(n, -1, -1, dtype=float), nodes)
-
-    s_lo, gl_lo = panels(1e-18)
+    s_lo, gl_lo = time_panels(1e-18, nodes)
     w_lo = 1.0 - s_lo
 
-    w_hi, gl_hi = panels(1e-26)
+    w_hi, gl_hi = time_panels(1e-26, nodes)
     w_hi = w_hi[::-1]
     gl_hi = gl_hi[::-1]
     s_hi = 1.0 - w_hi

@@ -19,7 +19,7 @@ from . import kernels
 from .basis import SmoothFunction, SpectralCoeffs, phi_table
 from .kernels import KernelSpec
 from .specfun import (alpha_value, gamma, gauss_jacobi_01,
-                      gauss_legendre_panels, geometric_edges)
+                      gauss_legendre_panels, geometric_edges, time_panels)
 
 __all__ = [
     "PVResult",
@@ -255,10 +255,11 @@ def extrapolate_to_zero(eps, values):
     return float(diag[-1]), float(abs(diag[-1] - diag[-2]))
 
 
-def _eps_schedule(eps0: float, ratio: float, stages: int) -> np.ndarray:
-    if not (eps0 > 0 and 0 < ratio < 1 and stages >= 3):
-        raise ValueError("need eps0 > 0, ratio in (0,1), stages >= 3")
-    return eps0 * ratio ** np.arange(stages)
+def _eps_schedule(stages: int) -> np.ndarray:
+    """The excision radii 0.1 * 0.5^i, i = 0, ..., stages - 1."""
+    if stages < 3:
+        raise ValueError(f"need stages >= 3, got {stages}")
+    return 0.1 * 0.5 ** np.arange(stages)
 
 
 def _pv_segments(x: float, eps: np.ndarray, support):
@@ -313,12 +314,12 @@ def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray,
     return far_total + np.concatenate([[0.0], np.cumsum(strip_total)])
 
 
-def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
-             ratio: float = 0.5, stages: int = 8, support=None) -> PVResult:
+def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8,
+             support=None) -> PVResult:
     """Principal-value application of a Riesz kernel to a smooth compactly
     supported function at an interior point x.
 
-    The excised integrals over |y - x| > eps_i, eps_i = eps0 * ratio^i,
+    The excised integrals over |y - x| > eps_i, eps_i = 0.1 * 0.5^i,
     share one kernel evaluation pass (quadrature panels are aligned to
     every excision boundary), the limit is extrapolated polynomially in
     eps, and the even-order constant correction w_k f(x) is reported
@@ -334,7 +335,7 @@ def pv_apply(spec: KernelSpec, f, x: float, *, eps0: float = 0.1,
     if not a < x < b:
         raise ValueError(f"x={x} must lie strictly inside the support ({a}, {b})")
 
-    eps = _eps_schedule(eps0, ratio, stages)
+    eps = _eps_schedule(stages)
     agreement = 0.0
 
     def kern(y):
@@ -370,10 +371,7 @@ def phi_at(k: int, eps: float) -> float:
     if eps == 0.0:
         raise ValueError("Phi is evaluated off 0; extrapolate for the limit")
     floor = max(eps * eps / 4000.0, 1e-300)
-    floor = min(floor, 1e-8)
-    n_panels = int(math.ceil(math.log(floor / 0.5) / math.log(0.4)))
-    edges = 0.5 * 0.4 ** np.arange(n_panels, -1, -1, dtype=float)
-    s, w = gauss_legendre_panels(edges, 12)
+    s, w = time_panels(min(floor, 1e-8), 12)
     expo = np.exp(-eps * eps / (4.0 * s))
     base = (2.0 * s) ** (0.5 * k - 1.0) / np.sqrt(math.pi * s) * expo
     total = 0.0
@@ -385,9 +383,9 @@ def phi_at(k: int, eps: float) -> float:
     return total / gamma(0.5 * k)
 
 
-def phi_limit(k: int, *, eps0: float = 0.1, ratio: float = 0.5,
-              stages: int = 8) -> dict:
-    """Extrapolated limit of Phi(eps) as eps -> 0+ for even k.
+def phi_limit(k: int) -> dict:
+    """Extrapolated limit of Phi(eps) as eps -> 0+ for even k, sampled at
+    the eight radii eps_i = 0.1 * 0.5^i.
 
     Returns a report dict with the schedule, the sampled values, the
     extrapolated limit and the closed-form value (-1)^(k/2) 2^(k/2-1),
@@ -395,7 +393,7 @@ def phi_limit(k: int, *, eps0: float = 0.1, ratio: float = 0.5,
     """
     if k < 2 or k % 2:
         raise ValueError("the limit is taken for even k >= 2")
-    eps = _eps_schedule(eps0, ratio, stages)
+    eps = _eps_schedule(8)
     vals = np.array([phi_at(k, e) for e in eps])
     limit, err = extrapolate_to_zero(eps, vals)
     return {

@@ -2,8 +2,8 @@
 
 Gamma/log-Gamma (Lanczos), the modified Bessel function I_nu (power series
 plus large-argument asymptotics, with an exponentially scaled variant),
-Laguerre and Hermite polynomials by their three-term recurrences, and
-construction of the quadrature rules that host every integral evaluation.
+Hermite polynomials by their three-term recurrence, and construction of
+the quadrature rules that host every integral evaluation.
 
 All functions are pure and accept scalars or numpy arrays where that is
 meaningful; coefficient tables are immutable after construction.
@@ -24,9 +24,9 @@ __all__ = [
     "log_gamma",
     "bessel_i",
     "bessel_i_scaled",
-    "laguerre_poly",
     "hermite_poly",
     "gauss_legendre_panels",
+    "time_panels",
     "gauss_jacobi_01",
     "geometric_edges",
 ]
@@ -188,23 +188,8 @@ def bessel_i(nu: float, z):
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal polynomials (recurrences)
+# Hermite polynomials (recurrence)
 # ---------------------------------------------------------------------------
-
-def laguerre_poly(n: int, alpha, x):
-    """Laguerre polynomial L_n^alpha(x) by the stable three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    a = alpha_value(alpha)
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 1.0 + a - x
-    for m in range(1, n):
-        p, p_prev = (((2 * m + 1 + a - x) * p - (m + a) * p_prev) / (m + 1), p)
-    return p if p.ndim else float(p)
-
 
 def hermite_poly(n: int, x):
     """Hermite polynomial H_n(x) (physicists' normalization)."""
@@ -255,7 +240,7 @@ def _gl_base(n: int):
     return x, w
 
 
-def gauss_legendre_panels(edges, nodes: int = 16):
+def gauss_legendre_panels(edges, nodes: int):
     """Composite Gauss-Legendre nodes/weights over consecutive panel edges."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
@@ -266,6 +251,15 @@ def gauss_legendre_panels(edges, nodes: int = 16):
     x = (0.5 * (b - a) * xb[None, :] + 0.5 * (b + a)).ravel()
     w = (0.5 * (b - a) * wb[None, :]).ravel()
     return x, w
+
+
+def time_panels(floor: float, nodes: int):
+    """Composite Gauss-Legendre nodes/weights over the edges 0.5 * 0.4^j,
+    j = n, ..., 1, 0, where 0.5 * 0.4^n is the first one at or below
+    floor: time-integral panels refined toward the endpoint 0."""
+    n = int(math.ceil(math.log(floor / 0.5) / math.log(0.4)))
+    edges = 0.5 * 0.4 ** np.arange(n, -1, -1, dtype=float)
+    return gauss_legendre_panels(edges, nodes)
 
 
 def geometric_edges(a: float, b: float, *, toward: str, ratio: float = 0.5,

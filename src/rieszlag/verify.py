@@ -102,6 +102,29 @@ def _parallel(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
+def _refined_sup(level_scan, levels: int, threads: int):
+    """Sup, argmax and per-level history of a scan refined ``levels`` times.
+
+    ``level_scan(mult)`` gives the points of the level at sample density
+    ``mult`` (1, 2, 4, ...) and a row function mapping a point x to the
+    ratios |kernel| / bound at the sampled y and those y; the rows of a
+    level run in the thread pool.
+    """
+    history = []
+    argmax = (math.nan, math.nan)
+    sup = 0.0
+    for level in range(levels):
+        xs, row = level_scan(2 ** level)
+        sup = 0.0
+        for x, (r, y) in zip(xs, _parallel(row, xs, threads)):
+            j = int(np.argmax(r))
+            if r[j] > sup:
+                sup = float(r[j])
+                argmax = (float(x), float(y[j]))
+        history.append(sup)
+    return sup, argmax, history
+
+
 def _ratio_sample(statement: str, bounds, n: int) -> np.ndarray:
     lo, hi = bounds
     if statement == "prop33-iii":
@@ -150,12 +173,7 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
             return x ** (a + 1.5) / y ** (a + 2.5)
         return (1.0 + np.sqrt(x / np.abs(x - y))) / x
 
-    history = []
-    argmax = (math.nan, math.nan)
-    sup = 0.0
-    for level in range(levels):
-        mult = 2 ** level
-        xs = np.geomspace(x_range[0], x_range[1], nx * mult)
+    def level_scan(mult):
         ratios = _ratio_sample(statement, bounds, ny * mult)
 
         def row(x):
@@ -163,16 +181,11 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
             kern = kernels.riesz_kernel_laguerre_vec(k, a, float(x), y)
             if statement == "prop33-iii":
                 kern = kern - kernels.riesz_kernel_hermite_vec(k, k, float(x), y)
-            return np.abs(kern) / bound_fn(x, y)
+            return np.abs(kern) / bound_fn(x, y), y
 
-        rows = _parallel(row, xs, threads)
-        sup = 0.0
-        for x, r in zip(xs, rows):
-            j = int(np.argmax(r))
-            if r[j] > sup:
-                sup = float(r[j])
-                argmax = (float(x), float(x * ratios[j]))
-        history.append(sup)
+        return np.geomspace(x_range[0], x_range[1], nx * mult), row
+
+    sup, argmax, history = _refined_sup(level_scan, levels, threads)
     return BoundCheckReport(
         statement=statement, k=k, alpha=a,
         sample_spec={"x_range": list(x_range), "nx": nx, "ny": ny,
@@ -197,11 +210,8 @@ def check_prop31(k: int, l: int, *, x_values=(-1.5, -0.4, 0.3, 1.0, 2.0),
             return d ** -0.5
         return 1.0 / d
 
-    history = []
-    argmax = (math.nan, math.nan)
-    sup = 0.0
-    for level in range(levels):
-        dists = np.geomspace(dist_range[0], dist_range[1], nd * 2 ** level)
+    def level_scan(mult):
+        dists = np.geomspace(dist_range[0], dist_range[1], nd * mult)
 
         def row(x):
             y = np.concatenate([x - dists, x + dists])
@@ -209,13 +219,9 @@ def check_prop31(k: int, l: int, *, x_values=(-1.5, -0.4, 0.3, 1.0, 2.0),
             b = bound(np.concatenate([dists, dists]))
             return np.abs(kern) / b, y
 
-        sup = 0.0
-        for x, (r, y) in zip(x_values, _parallel(row, x_values, threads)):
-            j = int(np.argmax(r))
-            if r[j] > sup:
-                sup = float(r[j])
-                argmax = (float(x), float(y[j]))
-        history.append(sup)
+        return x_values, row
+
+    sup, argmax, history = _refined_sup(level_scan, levels, threads)
     return BoundCheckReport(
         statement="prop31-l-table", k=k, alpha=None,
         sample_spec={"l": l, "x_values": list(x_values),
@@ -230,17 +236,17 @@ def _excised_sup(kern_vec, f, x: float, eps: np.ndarray, support) -> float:
         kern_vec, f, x, eps, support)).max())
 
 
-def check_maximal_domination(k: int, alpha, f, grid, *, eps0: float = 0.1,
-                             ratio: float = 0.5, stages: int = 8,
+def check_maximal_domination(k: int, alpha, f, grid, *,
                              threads: int = 1) -> dict:
     """Check the pointwise domination of the truncated-integral sup by the
     two Hardy terms, the local Hermite part and the near-diagonal
-    averaging operator, with a single fitted constant."""
+    averaging operator, with a single fitted constant.  The sup runs over
+    the eight excision radii 0.1 * 0.5^i."""
     a = alpha_value(alpha)
     delta_k = 1.0 if k % 2 else 0.0
     sup_a, sup_b = operators._support_of(f, None)
     grid = np.asarray(grid, dtype=float)
-    eps = operators._eps_schedule(eps0, ratio, stages)
+    eps = operators._eps_schedule(8)
 
     h0 = operators.hardy0(a + 0.5, lambda y: np.abs(f(y)), grid,
                           support=(sup_a, sup_b))

@@ -1,27 +1,14 @@
-"""Shared test oracles: exact-rational polynomial evaluations and
+"""Shared test oracles: exact-rational Hermite polynomial values and
 Richardson-extrapolated finite differences, independent of the library's
 own evaluation paths."""
 
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-
-
-def exact_laguerre(n: int, alpha: Fraction, x: Fraction) -> Fraction:
-    """L_n^alpha(x) from the explicit binomial sum, exact in rationals."""
-    total = Fraction(0)
-    for i in range(n + 1):
-        binom = Fraction(1)
-        for j in range(1, n - i + 1):
-            binom *= alpha + i + j
-        binom /= math.factorial(n - i)
-        total += Fraction(-1) ** i * binom * x**i / math.factorial(i)
-    return total
 
 
 def exact_hermite(n: int, x: Fraction) -> Fraction:

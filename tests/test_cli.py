@@ -149,11 +149,25 @@ class TestInputCSV:
             assert err == [f"invalid input: {src}: empty file, expected "
                            "columns x,f"]
 
+    def test_directory_rejected(self, tmp_path, capsys):
+        rc = run(["riesz", "--family", "hermite", "--k", "1",
+                  "--input-csv", str(tmp_path),
+                  "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid input: ")
+        assert str(tmp_path) in err[0]
+
 
 class TestRemovedFlags:
     @pytest.mark.parametrize("argv", [
         ["riesz", "--family", "hermite", "--k", "1", "--seed", "1"],
         ["basis", "--family", "hermite", "--threads", "2"],
+        ["riesz", "--family", "hermite", "--k", "1", "--eps-start", "0.1"],
+        ["riesz", "--family", "hermite", "--k", "1", "--eps-ratio", "0.5"],
+        ["phi-limit", "--k", "2", "--eps-start", "0.1"],
+        ["phi-limit", "--k", "2", "--eps-ratio", "0.5"],
+        ["phi-limit", "--k", "2", "--stages", "8"],
     ])
     def test_rejected_by_argparse(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

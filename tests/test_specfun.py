@@ -7,7 +7,7 @@ import scipy.special as sps
 
 from rieszlag import specfun as sf
 from rieszlag.basis import hermite_rule, laguerre_rule
-from conftest import exact_hermite, exact_laguerre
+from conftest import exact_hermite
 
 
 class TestGamma:
@@ -117,24 +117,10 @@ class TestBesselI:
 
 
 class TestPolynomials:
-    def test_laguerre_trivial(self):
-        assert sf.laguerre_poly(0, 3.2, 17.0) == 1.0
-        assert sf.laguerre_poly(1, 0.5, 2.0) == pytest.approx(-0.5, abs=1e-15)
-        assert sf.laguerre_poly(2, 0.0, 1.0) == pytest.approx(-0.5, abs=1e-15)
-
     def test_hermite_trivial(self):
         assert sf.hermite_poly(0, 3.0) == 1.0
         assert sf.hermite_poly(1, 3.0) == 6.0
         assert sf.hermite_poly(3, 1.0) == pytest.approx(-4.0)
-
-    @pytest.mark.parametrize("x", [Fraction(-2), Fraction(1, 3), Fraction(5)])
-    def test_laguerre_against_exact_oracle(self, x):
-        for alpha in [Fraction(-1, 2), Fraction(0), Fraction(5, 4)]:
-            for n in range(13):
-                exact = exact_laguerre(n, alpha, x)
-                got = sf.laguerre_poly(n, float(alpha), float(x))
-                assert got == pytest.approx(float(exact),
-                                            rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("x", [Fraction(-2), Fraction(1, 3), Fraction(5)])
     def test_hermite_against_exact_oracle(self, x):
@@ -144,8 +130,6 @@ class TestPolynomials:
             assert got == pytest.approx(float(exact), rel=1e-10, abs=1e-12)
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            sf.laguerre_poly(2, -1.0, 1.0)
         with pytest.raises(ValueError):
             sf.alpha_value(float("nan"))
 
@@ -174,9 +158,9 @@ class TestQuadrature:
 
     def test_degenerate_interval(self):
         with pytest.raises(ValueError):
-            sf.gauss_legendre_panels([1.0, 1.0])
+            sf.gauss_legendre_panels([1.0, 1.0], 16)
         with pytest.raises(ValueError):
-            sf.gauss_legendre_panels([2.0, 1.0])
+            sf.gauss_legendre_panels([2.0, 1.0], 16)
 
     def test_jacobi_moments(self):
         x, w = sf.gauss_jacobi_01(32, 2.4)
