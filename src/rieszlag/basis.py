@@ -1,10 +1,12 @@
 """Orthonormal Hermite and Laguerre function systems.
 
-Provides pointwise evaluation (via normalized three-term recurrences that
-keep every iterate O(1) up to degree ~200), exact first and second
-derivatives, the first- and second-order differential operators acting on
-smooth functions, and expansion/synthesis between point values and
-spectral coefficients.
+Provides the tables of point values h_0..h_N and phi_0^alpha..phi_N^alpha
+by normalized three-term recurrences, the default quadrature rules, and
+expansion/synthesis between point values and spectral coefficients.
+
+The recurrences start from the seed e^(-x^2/2), which underflows to 0 at
+|x| >~ 38.6; from there on every degree evaluates to exactly 0, however
+large the true value.
 """
 
 from __future__ import annotations
@@ -20,19 +22,8 @@ from .specfun import (QuadratureRule, alpha_value, gauss_jacobi_01,
 __all__ = [
     "BasisTag",
     "SpectralCoeffs",
-    "SmoothFunction",
-    "hermite_fn",
     "hermite_fn_table",
-    "hermite_fn_deriv",
-    "hermite_fn_deriv2",
-    "phi_fn",
     "phi_table",
-    "phi_fn_deriv",
-    "phi_fn_deriv2",
-    "apply_D_alpha",
-    "apply_D_alpha_star",
-    "apply_L_alpha",
-    "apply_H",
     "analyze",
     "synthesize",
     "hermite_rule",
@@ -93,7 +84,7 @@ class SpectralCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# Hermite functions h_n
+# Tables of Hermite functions h_n and Laguerre functions phi_n^alpha
 # ---------------------------------------------------------------------------
 
 def hermite_fn_table(nmax: int, x) -> np.ndarray:
@@ -115,39 +106,6 @@ def hermite_fn_table(nmax: int, x) -> np.ndarray:
                       - math.sqrt(n / (n + 1.0)) * out[n - 1])
     return out
 
-
-def hermite_fn(n: int, x):
-    """Hermite function h_n(x) = (sqrt(pi) 2^n n!)^(-1/2) e^(-x^2/2) H_n(x)."""
-    vals = hermite_fn_table(n, x)[n]
-    return vals if np.ndim(x) else float(vals[0])
-
-
-def hermite_fn_deriv(n: int, x):
-    """Exact derivative h_n'(x) = -x h_n(x) + sqrt(2n) h_{n-1}(x)."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    tab = hermite_fn_table(n, xa)
-    d = -xa * tab[n]
-    if n >= 1:
-        d = d + math.sqrt(2.0 * n) * tab[n - 1]
-    return d if np.ndim(x) else float(d[0])
-
-
-def hermite_fn_deriv2(n: int, x):
-    """Second derivative via the first-derivative recurrence (not via the
-    eigenvalue relation, so eigen-equation tests stay independent)."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    tab = hermite_fn_table(n, xa)
-    d2 = (xa * xa - 1.0) * tab[n]
-    if n >= 1:
-        d2 = d2 - 2.0 * xa * math.sqrt(2.0 * n) * tab[n - 1]
-    if n >= 2:
-        d2 = d2 + math.sqrt(4.0 * n * (n - 1)) * tab[n - 2]
-    return d2 if np.ndim(x) else float(d2[0])
-
-
-# ---------------------------------------------------------------------------
-# Laguerre functions phi_n^alpha
-# ---------------------------------------------------------------------------
 
 def phi_table(nmax: int, alpha, x) -> np.ndarray:
     """Values phi_0^alpha(x)..phi_nmax^alpha(x); shape (nmax+1, len(x)).
@@ -174,105 +132,6 @@ def phi_table(nmax: int, alpha, x) -> np.ndarray:
         c2 = math.sqrt(n * (n + a) / ((n + 1.0) * (n + 1.0 + a)))
         out[n + 1] = c1 * out[n] - c2 * out[n - 1]
     return out
-
-
-def phi_fn(n: int, alpha, x):
-    """Laguerre function phi_n^alpha(x), x > 0."""
-    vals = phi_table(n, alpha, x)[n]
-    return vals if np.ndim(x) else float(vals[0])
-
-
-def phi_fn_deriv(n: int, alpha, x):
-    """Exact derivative via the product rule and the Laguerre-polynomial
-    derivative recurrence:
-
-        (phi_n^alpha)'(x) = ((alpha+1/2)/x - x) phi_n^alpha(x)
-                            - 2 sqrt(n) phi_{n-1}^{alpha+1}(x).
-    """
-    a = alpha_value(alpha)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    d = ((a + 0.5) / xa - xa) * phi_table(n, a, xa)[n]
-    if n >= 1:
-        d = d - 2.0 * math.sqrt(n) * phi_table(n - 1, a + 1.0, xa)[n - 1]
-    return d if np.ndim(x) else float(d[0])
-
-
-def phi_fn_deriv2(n: int, alpha, x):
-    """Second derivative by differentiating the first-derivative formula."""
-    a = alpha_value(alpha)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    g = (a + 0.5) / xa - xa
-    gp = -(a + 0.5) / (xa * xa) - 1.0
-    d2 = gp * phi_table(n, a, xa)[n] + g * np.atleast_1d(phi_fn_deriv(n, a, xa))
-    if n >= 1:
-        d2 = d2 - 2.0 * math.sqrt(n) * np.atleast_1d(
-            phi_fn_deriv(n - 1, a + 1.0, xa))
-    return d2 if np.ndim(x) else float(d2[0])
-
-
-# ---------------------------------------------------------------------------
-# Smooth function handles and differential operators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SmoothFunction:
-    """A function handle carrying analytic derivatives.
-
-    ``deriv2`` may be omitted when only first-order operators are applied.
-    """
-
-    value: object
-    deriv: object
-    deriv2: object = None
-    support: tuple[float, float] | None = None
-
-    def __call__(self, x):
-        return self.value(x)
-
-    @classmethod
-    def hermite(cls, n: int) -> "SmoothFunction":
-        return cls(value=lambda x: hermite_fn(n, x),
-                   deriv=lambda x: hermite_fn_deriv(n, x),
-                   deriv2=lambda x: hermite_fn_deriv2(n, x))
-
-    @classmethod
-    def laguerre_phi(cls, n: int, alpha) -> "SmoothFunction":
-        a = alpha_value(alpha)
-        return cls(value=lambda x: phi_fn(n, a, x),
-                   deriv=lambda x: phi_fn_deriv(n, a, x),
-                   deriv2=lambda x: phi_fn_deriv2(n, a, x))
-
-
-def apply_D_alpha(f: SmoothFunction, alpha, x):
-    """First-order factor (-(alpha+1/2)/x + x + d/dx) applied to f at x."""
-    a = alpha_value(alpha)
-    x = np.asarray(x, dtype=float)
-    return (-(a + 0.5) / x + x) * f.value(x) + f.deriv(x)
-
-
-def apply_D_alpha_star(f: SmoothFunction, alpha, x):
-    """Formal adjoint (-(alpha+1/2)/x + x - d/dx) applied to f at x.
-
-    Only the derivative changes sign under the L^2((0,inf), dx) adjoint;
-    the multiplication part is self-adjoint.
-    """
-    a = alpha_value(alpha)
-    x = np.asarray(x, dtype=float)
-    return (-(a + 0.5) / x + x) * f.value(x) - f.deriv(x)
-
-
-def apply_L_alpha(f: SmoothFunction, alpha, x):
-    """Laguerre operator (1/2)(-f'' + x^2 f + (alpha^2 - 1/4) f / x^2)."""
-    a = alpha_value(alpha)
-    x = np.asarray(x, dtype=float)
-    return 0.5 * (-f.deriv2(x) + x * x * f.value(x)
-                  + (a * a - 0.25) * f.value(x) / (x * x))
-
-
-def apply_H(f: SmoothFunction, x):
-    """Hermite operator (1/2)(-f'' + x^2 f)."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * (-f.deriv2(x) + x * x * f.value(x))
 
 
 # ---------------------------------------------------------------------------

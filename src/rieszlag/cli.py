@@ -56,7 +56,7 @@ def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _default_bump(family: str, args) -> operators.SmoothFunction:
+def _default_bump(family: str, args):
     center = args.bump_center
     radius = args.bump_radius
     if center is None:
@@ -147,14 +147,17 @@ def _cmd_kernel_table(args) -> int:
                       alpha=args.alpha if "laguerre" in args.family else None)
     xs = _float_list(args.x)
     ys = _float_list(args.y)
+    # the parameter the family uses; the Riesz families use neither
+    t_or_gamma = {"hermite-heat": args.t, "laguerre-heat": args.t,
+                  "hermite-frac": spec.gamma}.get(spec.family, "")
     rows = []
     for x in xs:
         for y in ys:
             value, est = kernels.kernel_value(spec, x, y, t=args.t)
             rows.append((spec.family, spec.k, spec.l if spec.l is not None else "",
                          spec.alpha if spec.alpha is not None else "",
-                         args.t if args.t is not None else spec.gamma or "",
-                         float(x), float(y), float(value), float(est)))
+                         t_or_gamma, float(x), float(y), float(value),
+                         float(est)))
     header = ["family", "k", "l", "alpha", "t_or_gamma", "x", "y", "value",
               "est_err"]
     if args.format == "json":

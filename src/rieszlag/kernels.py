@@ -32,8 +32,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "heat_kernel_hermite",
     "heat_kernel_laguerre",
-    "d_plus_x_pow_l_heat",
-    "d_alpha_pow_k_heat",
     "d_alpha_pow_k_heat_pair",
     "frac_kernel",
     "riesz_kernel_hermite",
@@ -129,16 +127,6 @@ def _dplusx_heat_sw(l: int, s, w, x, y):
     return val * (-1.0) ** l * lam ** (0.5 * l) * hermite_poly(l, arg)
 
 
-def d_plus_x_pow_l_heat(l: int, t: float, x, y):
-    """Raising-operator derivative (d/dx + x)^l W_t(x, y), exact closed form."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    s = math.tanh(0.5 * t)
-    return _dplusx_heat_sw(l, s, 1.0 - s, x, y)
-
-
 def heat_kernel_laguerre(t: float, x, y, alpha):
     """Laguerre heat kernel W_t^alpha(x, y) via its Mehler closed form.
 
@@ -228,40 +216,18 @@ def _route_disagreement(v1, v2, vabs):
     return np.abs(v1 - v2) / scale, _AGREEMENT_TOL + 1e-12 * vabs / scale
 
 
-def _dw_pair_at(k: int, t: float, x: float, y: float, alpha):
-    """Both routes of the k-fold derivative of W_t^alpha and the
-    absolute-value companion of route one, at one point."""
+def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
+    """Both evaluation routes of the k-fold first-order Laguerre derivative
+    of the Laguerre heat kernel W_t^alpha at one point (x, y)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     if not (x > 0 and y > 0):
         raise ValueError("x and y must be > 0")
-    a = alpha_value(alpha)
     s = math.tanh(0.5 * t)
-    return _dw_pair_sw(k, a, s, 1.0 - s, float(x), float(y))
-
-
-def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
-    """Both evaluation routes of the k-fold derivative of W_t^alpha."""
-    dw1, dw2, _ = _dw_pair_at(k, t, x, y, alpha)
+    dw1, dw2, _ = _dw_pair_sw(k, alpha_value(alpha), s, 1.0 - s, x, y)
     return float(dw1), float(dw2)
-
-
-def d_alpha_pow_k_heat(k: int, t: float, x: float, y: float, alpha) -> float:
-    """k-fold first-order Laguerre derivative of the Laguerre heat kernel.
-
-    Both independent routes are evaluated; disagreement beyond 1e-8
-    relative (plus the cancellation floor of the alternating sums) raises
-    :class:`KernelAgreementWarning`.  The triple-sum value is returned.
-    """
-    dw1, dw2, dwabs = _dw_pair_at(k, t, x, y, alpha)
-    disagree, floor = _route_disagreement(dw1, dw2, dwabs)
-    if disagree > floor:
-        warnings.warn(
-            f"derivative-kernel routes disagree at (k={k}, t={t}, x={x}, "
-            f"y={y}): {dw1!r} vs {dw2!r}", KernelAgreementWarning)
-    return float(dw1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Operators acting on functions and expansions.
 
-Heat semigroups and negative powers as diagonal multipliers on spectral
-coefficients, the order-k Riesz transforms by their spectral formulas, the
-principal-value route with its even-order constant correction, the
-epsilon-limit of the auxiliary boundary function, Hardy-type averaging
-operators, and weighted L^p norms.
+Negative powers as diagonal multipliers on spectral coefficients, the
+order-k Riesz transforms by their spectral formulas, the principal-value
+route with its even-order constant correction, the epsilon-limit of the
+auxiliary boundary function, Hardy-type averaging operators, and weighted
+L^p norms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import SmoothFunction, SpectralCoeffs, phi_table
+from .basis import SpectralCoeffs, phi_table
 from .kernels import KernelSpec
 from .specfun import (alpha_value, gamma, gauss_jacobi_01,
                       gauss_legendre_panels, geometric_edges, time_panels)
@@ -26,7 +26,6 @@ __all__ = [
     "TruncationTailWarning",
     "wk",
     "bump",
-    "heat_apply",
     "negative_power",
     "riesz_spectral_hermite",
     "riesz_apply_laguerre_spectral",
@@ -90,52 +89,28 @@ class PVResult:
         return self.wk_correction + self.extrapolated
 
 
-def bump(center: float, radius: float) -> SmoothFunction:
+def bump(center: float, radius: float):
     """Smooth compactly supported test function
-    exp(1 - 1/(1 - u^2)), u = (x - center)/radius, with exact derivatives."""
+    exp(1 - 1/(1 - u^2)), u = (x - center)/radius, whose ``support``
+    attribute is (center - radius, center + radius)."""
     if not radius > 0:
         raise ValueError("radius must be > 0")
     c, r = float(center), float(radius)
 
-    def parts(x):
-        x = np.asarray(x, dtype=float)
-        u = (x - c) / r
+    def value(x):
+        u = (np.asarray(x, dtype=float) - c) / r
         inside = np.abs(u) < 1.0
         q = np.where(inside, 1.0 - u * u, 1.0)
         val = np.where(inside, np.exp(1.0 - 1.0 / q), 0.0)
-        return u, q, val, inside
-
-    def value(x):
-        _, _, val, _ = parts(x)
         return val if np.ndim(x) else float(val)
 
-    def deriv(x):
-        u, q, val, inside = parts(x)
-        d = np.where(inside, -2.0 * u / (q * q) / r, 0.0) * val
-        return d if np.ndim(x) else float(d)
-
-    def deriv2(x):
-        u, q, val, inside = parts(x)
-        u2 = u * u
-        factor = (4.0 * u2 / q**4 - 2.0 / (q * q) - 8.0 * u2 / q**3) / (r * r)
-        d2 = np.where(inside, factor, 0.0) * val
-        return d2 if np.ndim(x) else float(d2)
-
-    return SmoothFunction(value=value, deriv=deriv, deriv2=deriv2,
-                          support=(c - r, c + r))
+    value.support = (c - r, c + r)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Diagonal operators on spectral coefficients
 # ---------------------------------------------------------------------------
-
-def heat_apply(t: float, coeffs: SpectralCoeffs) -> SpectralCoeffs:
-    """Heat semigroup on coefficients: c_n -> e^{-t lambda_n} c_n."""
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    lam = coeffs.basis.eigenvalue(np.arange(len(coeffs.coeffs)))
-    return SpectralCoeffs(coeffs.basis, np.exp(-t * lam) * coeffs.coeffs)
-
 
 def negative_power(beta: float, coeffs: SpectralCoeffs) -> SpectralCoeffs:
     """Negative operator power on coefficients: c_n -> c_n / lambda_n^beta."""

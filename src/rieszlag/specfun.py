@@ -1,7 +1,7 @@
 """Special functions and quadrature rules used across the toolkit.
 
-Gamma/log-Gamma (Lanczos), the modified Bessel function I_nu (power series
-plus large-argument asymptotics, with an exponentially scaled variant),
+Gamma/log-Gamma (Lanczos), the exponentially scaled modified Bessel
+function e^{-z} I_nu(z) (power series plus large-argument asymptotics),
 Hermite polynomials by their three-term recurrence, and construction of
 the quadrature rules that host every integral evaluation.
 
@@ -22,7 +22,6 @@ __all__ = [
     "alpha_value",
     "gamma",
     "log_gamma",
-    "bessel_i",
     "bessel_i_scaled",
     "hermite_poly",
     "gauss_legendre_panels",
@@ -95,11 +94,8 @@ def log_gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel function I_nu
+# Exponentially scaled modified Bessel function e^{-z} I_nu(z)
 # ---------------------------------------------------------------------------
-
-_MAX_EXP = 709.0  # log of the largest representable double, minus headroom
-
 
 def _series_switch(nu: float) -> float:
     # Power series below, large-argument asymptotics above.  The asymptotic
@@ -169,22 +165,6 @@ def bessel_i_scaled(nu: float, z):
     if hi.any():
         out[hi] = _bessel_asymptotic_scaled(nu, arr[hi])
     return float(out[0]) if scalar else out
-
-
-def bessel_i(nu: float, z):
-    """Modified Bessel function I_nu(z) for nu > -1, z > 0.
-
-    Raises OverflowError once I_nu(z) exceeds the double exponent range;
-    callers in that regime must use :func:`bessel_i_scaled`.
-    """
-    scaled = bessel_i_scaled(nu, z)
-    arr = np.atleast_1d(np.asarray(z, dtype=float))
-    log_val = arr + np.log(np.atleast_1d(scaled))
-    if np.any(log_val > _MAX_EXP):
-        raise OverflowError(
-            f"I_{nu}(z) overflows for z={arr[log_val > _MAX_EXP][0]}; "
-            "use bessel_i_scaled")
-    return scaled * np.exp(np.asarray(z, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,16 @@ def _parallel(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
+def _check_sampling(levels: int, **counts) -> None:
+    """Reject scans that cannot pass: the stability check compares at least
+    two levels, and an empty sample axis has no sup."""
+    if levels < 2:
+        raise ValueError(f"levels must be >= 2, got {levels}")
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def _refined_sup(level_scan, levels: int, threads: int):
     """Sup, argmax and per-level history of a scan refined ``levels`` times.
 
@@ -163,6 +173,7 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
         raise ValueError(
             f"degenerate or out-of-region y/x bounds {bounds} for {statement}"
             f" (region {lim})")
+    _check_sampling(levels, nx=nx, ny=ny)
 
     def bound_fn(x, y):
         if statement == "prop33-i":
@@ -202,6 +213,7 @@ def check_prop31(k: int, l: int, *, x_values=(-1.5, -0.4, 0.3, 1.0, 2.0),
     dist_range = (1e-3, 1.0)
     if not 0 <= l <= k or k < 1:
         raise ValueError(f"need k >= 1 and 0 <= l <= k, got k={k}, l={l}")
+    _check_sampling(levels, nd=nd)
 
     def bound(d):
         if l <= k - 2:

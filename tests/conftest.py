@@ -1,14 +1,17 @@
-"""Shared test oracles: exact-rational Hermite polynomial values and
-Richardson-extrapolated finite differences, independent of the library's
-own evaluation paths."""
+"""Shared test oracles: exact-rational Hermite polynomial values,
+Richardson-extrapolated finite differences, high-precision heat-kernel
+series and basis-function derivatives by the ladder relations."""
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from rieszlag.basis import hermite_fn_table, phi_table
 
 
 def exact_hermite(n: int, x: Fraction) -> Fraction:
@@ -47,6 +50,38 @@ def fd_derivative(f, x: float, order: int, h: float = 0.05,
             r = (hs[i] / hs[i + m]) ** 2
             table[i] = (r * table[i + 1] - table[i]) / (r - 1.0)
     return table[0]
+
+
+def basis_jet(n: int, x, alpha=None):
+    """h_n (alpha None) or phi_n^alpha at x with its first and second
+    derivatives by the ladder relations f' = g f + c f_low, namely
+    h_n' = -x h_n + sqrt(2n) h_{n-1} and (phi_n^a)' = ((a + 1/2)/x - x)
+    phi_n^a - 2 sqrt(n) phi_{n-1}^(a+1), differentiated once more for f''
+    (not through the eigenvalue relation, which the tests check)."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+
+    def value(m, a):
+        if m < 0:
+            return np.zeros_like(xa)
+        return (hermite_fn_table(m, xa) if a is None
+                else phi_table(m, a, xa))[m]
+
+    def ladder(m, a):  # g, g', c and the type of f_low
+        if a is None:
+            return -xa, -1.0, math.sqrt(2.0 * m), None
+        return ((a + 0.5) / xa - xa, -(a + 0.5) / xa**2 - 1.0,
+                -2.0 * math.sqrt(m), a + 1.0)
+
+    def deriv(m, a):
+        if m < 0:
+            return np.zeros_like(xa)
+        g, _, c, low = ladder(m, a)
+        return g * value(m, a) + c * value(m - 1, low)
+
+    g, gp, c, low = ladder(n, alpha)
+    jet = (value(n, alpha), deriv(n, alpha),
+           gp * value(n, alpha) + g * deriv(n, alpha) + c * deriv(n - 1, low))
+    return jet if np.ndim(x) else tuple(float(v[0]) for v in jet)
 
 
 @pytest.fixture(scope="session")

@@ -5,30 +5,31 @@ import pytest
 
 from rieszlag import basis as bs
 from rieszlag import operators as op
-from conftest import fd_derivative
+from conftest import basis_jet, fd_derivative
 
 GRID = np.linspace(0.2, 4.0, 9)
 
 
 class TestPointValues:
     def test_phi_zero(self):
-        assert bs.phi_fn(0, 0.0, 1.0) == pytest.approx(
+        assert bs.phi_table(0, 0.0, 1.0)[0] == pytest.approx(
             math.sqrt(2.0) * math.exp(-0.5), rel=1e-14)
 
     def test_phi_one_sign_change(self):
         # phi_1^alpha is proportional to (alpha + 1 - x^2); root at sqrt(alpha+1)
         a = -0.5
         root = math.sqrt(a + 1.0)
-        assert bs.phi_fn(1, a, 0.9 * root) > 0
-        assert bs.phi_fn(1, a, 1.1 * root) < 0
+        assert bs.phi_table(1, a, 0.9 * root)[1] > 0
+        assert bs.phi_table(1, a, 1.1 * root)[1] < 0
 
     def test_hermite_values(self):
-        assert bs.hermite_fn(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
-        assert bs.hermite_fn(1, 0.0) == 0.0
+        assert bs.hermite_fn_table(0, 0.0)[0] == pytest.approx(math.pi**-0.25,
+                                                               rel=1e-15)
+        assert bs.hermite_fn_table(1, 0.0)[1] == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            bs.phi_fn(0, 0.0, -1.0)
+            bs.phi_table(0, 0.0, -1.0)
 
 
 class TestOrthonormality:
@@ -59,109 +60,100 @@ class TestOrthonormality:
 
 class TestDerivatives:
     def test_hermite_deriv_ground(self):
-        assert bs.hermite_fn_deriv(0, 1.0) == pytest.approx(
+        assert basis_jet(0, 1.0)[1] == pytest.approx(
             -math.pi**-0.25 * math.exp(-0.5), rel=1e-14)
 
     def test_phi_deriv_ground_formula(self):
         a, x = 1.3, 0.8
-        expected = ((a + 0.5) / x - x) * bs.phi_fn(0, a, x)
-        assert bs.phi_fn_deriv(0, a, x) == pytest.approx(expected, rel=1e-14)
+        value, deriv, _ = basis_jet(0, x, a)
+        assert deriv == pytest.approx(((a + 0.5) / x - x) * value, rel=1e-14)
 
     def test_phi_deriv_vs_finite_difference(self):
         a = 1.3
-        got = bs.phi_fn_deriv(4, a, 0.8)
-        ref = fd_derivative(lambda x: bs.phi_fn(4, a, x), 0.8, 1)
-        assert got == pytest.approx(ref, rel=1e-7)
+        ref = fd_derivative(lambda x: basis_jet(4, x, a)[0], 0.8, 1)
+        assert basis_jet(4, 0.8, a)[1] == pytest.approx(ref, rel=1e-7)
 
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_hermite_deriv_vs_finite_difference(self, n):
-        got = bs.hermite_fn_deriv(n, 0.6)
-        ref = fd_derivative(lambda x: bs.hermite_fn(n, x), 0.6, 1)
-        assert got == pytest.approx(ref, rel=1e-8)
+        ref = fd_derivative(lambda x: basis_jet(n, x)[0], 0.6, 1)
+        assert basis_jet(n, 0.6)[1] == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("n", [0, 2, 5])
     def test_second_derivatives_vs_finite_difference(self, n):
-        a = 0.7
-        got = bs.phi_fn_deriv2(n, a, 1.1)
-        ref = fd_derivative(lambda x: bs.phi_fn(n, a, x), 1.1, 2)
-        assert got == pytest.approx(ref, rel=1e-6)
-        got = bs.hermite_fn_deriv2(n, 1.1)
-        ref = fd_derivative(lambda x: bs.hermite_fn(n, x), 1.1, 2)
-        assert got == pytest.approx(ref, rel=1e-6)
+        for alpha in (0.7, None):
+            ref = fd_derivative(lambda x: basis_jet(n, x, alpha)[0], 1.1, 2)
+            assert basis_jet(n, 1.1, alpha)[2] == pytest.approx(ref, rel=1e-6)
+
+
+def d_alpha(jet, a, x, sign=1.0):
+    """First-order factor -(alpha+1/2)/x + x + d/dx applied to a jet
+    (value, derivative, ...) at x; sign -1 gives its adjoint D_alpha*."""
+    return (-(a + 0.5) / x + x) * jet[0] + sign * jet[1]
 
 
 class TestOperators:
     def test_D_alpha_annihilates_ground_state(self):
         for a in (-0.5, 0.0, 1.3):
-            f = bs.SmoothFunction.laguerre_phi(0, a)
-            assert np.abs(bs.apply_D_alpha(f, a, GRID)).max() < 1e-14
+            assert np.abs(d_alpha(basis_jet(0, GRID, a), a, GRID)).max() < 1e-14
 
     def test_D_alpha_matches_fd_oracle(self):
         a = 0.5
-        f = bs.SmoothFunction.laguerre_phi(1, a)
         for x in (0.6, 1.2, 2.3):
-            fd = fd_derivative(lambda u: bs.phi_fn(1, a, u), x, 1)
-            oracle = (-(a + 0.5) / x + x) * bs.phi_fn(1, a, x) + fd
-            assert bs.apply_D_alpha(f, a, x) == pytest.approx(oracle, rel=1e-7)
+            jet = basis_jet(1, x, a)
+            fd = fd_derivative(lambda u: basis_jet(1, u, a)[0], x, 1)
+            oracle = (-(a + 0.5) / x + x) * jet[0] + fd
+            assert d_alpha(jet, a, x) == pytest.approx(oracle, rel=1e-7)
 
     def test_D_alpha_linearity(self):
         a = 0.5
-        f = bs.SmoothFunction.laguerre_phi(1, a)
-        g = bs.SmoothFunction.laguerre_phi(3, a)
-        combo = bs.SmoothFunction(
-            value=lambda x: 2.0 * f.value(x) - 0.7 * g.value(x),
-            deriv=lambda x: 2.0 * f.deriv(x) - 0.7 * g.deriv(x))
-        got = bs.apply_D_alpha(combo, a, 1.0)
-        expected = (2.0 * bs.apply_D_alpha(f, a, 1.0)
-                    - 0.7 * bs.apply_D_alpha(g, a, 1.0))
-        assert got == pytest.approx(expected, rel=1e-15)
+        f, g = basis_jet(1, 1.0, a), basis_jet(3, 1.0, a)
+        combo = [2.0 * fi - 0.7 * gi for fi, gi in zip(f, g)]
+        expected = 2.0 * d_alpha(f, a, 1.0) - 0.7 * d_alpha(g, a, 1.0)
+        assert d_alpha(combo, a, 1.0) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.3])
     @pytest.mark.parametrize("n", [0, 1, 4, 10])
     def test_laguerre_eigen_relation(self, alpha, n):
-        f = bs.SmoothFunction.laguerre_phi(n, alpha)
-        lhs = bs.apply_L_alpha(f, alpha, GRID)
-        rhs = (2 * n + alpha + 1) * f(GRID)
+        # L_alpha f = (1/2)(-f'' + x^2 f + (alpha^2 - 1/4) f / x^2)
+        f, _, f2 = basis_jet(n, GRID, alpha)
+        lhs = 0.5 * (-f2 + GRID**2 * f + (alpha**2 - 0.25) * f / GRID**2)
+        rhs = (2 * n + alpha + 1) * f
         assert np.abs(lhs - rhs).max() <= 1e-8 * np.abs(rhs).max()
 
     @pytest.mark.parametrize("n", [0, 1, 5, 10])
     def test_hermite_eigen_relation(self, n):
-        f = bs.SmoothFunction.hermite(n)
-        lhs = bs.apply_H(f, GRID)
-        rhs = (n + 0.5) * f(GRID)
+        # H f = (1/2)(-f'' + x^2 f)
+        f, _, f2 = basis_jet(n, GRID)
+        lhs = 0.5 * (-f2 + GRID**2 * f)
+        rhs = (n + 0.5) * f
         assert np.abs(lhs - rhs).max() <= 1e-8 * np.abs(rhs).max()
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7])
     @pytest.mark.parametrize("n", [0, 1, 3, 7])
     def test_factorization(self, alpha, n):
         # (1/2) D* (D f) + (alpha + 1) f reproduces the full operator
-        a = alpha
-        f = bs.SmoothFunction.laguerre_phi(n, a)
-        df = bs.SmoothFunction(
-            value=lambda x: bs.apply_D_alpha(f, a, x),
-            deriv=lambda x: ((-(a + 0.5) / x + x) * f.deriv(x)
-                             + (1.0 + (a + 0.5) / x**2) * f.value(x)
-                             + f.deriv2(x)))
-        lhs = 0.5 * bs.apply_D_alpha_star(df, a, GRID) + (a + 1) * f(GRID)
-        rhs = bs.apply_L_alpha(f, a, GRID)
+        a, x = alpha, GRID
+        f, f1, f2 = basis_jet(n, x, a)
+        df = (d_alpha((f, f1), a, x),
+              (-(a + 0.5) / x + x) * f1 + (1.0 + (a + 0.5) / x**2) * f + f2)
+        lhs = 0.5 * d_alpha(df, a, x, -1.0) + (a + 1) * f
+        rhs = 0.5 * (-f2 + x * x * f + (a * a - 0.25) * f / (x * x))
         assert np.abs(lhs - rhs).max() <= 1e-6 * np.abs(rhs).max()
 
     def test_adjointness(self):
         a = 0.7
         rule = bs.laguerre_rule(a, 12, power=2 * a + 1)
-        f = bs.SmoothFunction.laguerre_phi(3, a)
-        g = bs.SmoothFunction.laguerre_phi(5, a)
-        lhs = float(rule.weights @ (bs.apply_D_alpha(f, a, rule.nodes)
-                                    * g(rule.nodes)))
-        rhs = float(rule.weights @ (f(rule.nodes)
-                                    * bs.apply_D_alpha_star(g, a, rule.nodes)))
+        x = rule.nodes
+        f, g = basis_jet(3, x, a), basis_jet(5, x, a)
+        lhs = float(rule.weights @ (d_alpha(f, a, x) * g[0]))
+        rhs = float(rule.weights @ (f[0] * d_alpha(g, a, x, -1.0)))
         assert abs(lhs - rhs) < 1e-8
 
 
 class TestAnalyzeSynthesize:
     def test_hermite_unit_vector(self):
         tag = bs.BasisTag("hermite")
-        c = bs.analyze(lambda x: bs.hermite_fn(3, x), tag, 10)
+        c = bs.analyze(lambda x: bs.hermite_fn_table(3, x)[3], tag, 10)
         expected = np.zeros(11)
         expected[3] = 1.0
         assert np.abs(c.coeffs - expected).max() < 1e-10
@@ -171,7 +163,7 @@ class TestAnalyzeSynthesize:
         tag = bs.BasisTag("laguerre", alpha)
         rule = bs.laguerre_rule(alpha, 40, power=2 * alpha + 1)
         for m in (0, 7, 40):
-            c = bs.analyze(lambda x, m=m: bs.phi_fn(m, alpha, x), tag, 40,
+            c = bs.analyze(lambda x, m=m: bs.phi_table(m, alpha, x)[m], tag, 40,
                            rule=rule)
             expected = np.zeros(41)
             expected[m] = 1.0

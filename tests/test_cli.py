@@ -37,6 +37,18 @@ class TestKernelTable:
                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["--family", "hermite-heat", "--t", "0.5", "--gamma", "3"], "0.5"),
+        (["--family", "hermite-frac", "--gamma", "2", "--t", "0.5"], "2.0"),
+        (["--family", "hermite-riesz", "--k", "1", "--t", "0.5"], ""),
+        (["--family", "laguerre-riesz", "--k", "1", "--gamma", "3"], ""),
+    ])
+    def test_t_or_gamma_is_the_parameter_used(self, tmp_path, argv, expected):
+        out = tmp_path / "kt.csv"
+        assert run(["kernel-table", *argv, "--x", "1", "--y", "2",
+                    "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == expected
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "kt.json"
         assert run(["kernel-table", "--family", "hermite-frac", "--gamma",
@@ -79,6 +91,20 @@ class TestScans:
                     "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["stable"] is True
+
+    @pytest.mark.parametrize("argv,name", [
+        (["prop31-l-table", "--levels", "1"], "levels"),
+        (["prop31-l-table", "--levels", "0"], "levels"),
+        (["prop33-i", "--nx", "0"], "nx"),
+        (["prop33-i", "--ny", "0"], "ny"),
+    ])
+    def test_unpassable_sampling_rejected(self, tmp_path, capsys, argv, name):
+        # a single level has no refinement to compare, an empty axis no sup
+        assert run(["scan-bounds", "--k", "1", "--statement", *argv,
+                    "--out", str(tmp_path / "sb.json")]) == 2
+        low = 2 if name == "levels" else 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {name} must be >= {low}, got {argv[-1]}"]
 
     def test_lp_scan_and_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

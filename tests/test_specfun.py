@@ -10,6 +10,10 @@ from rieszlag.basis import hermite_rule, laguerre_rule
 from conftest import exact_hermite
 
 
+def bessel_i(nu, z):
+    return sf.bessel_i_scaled(nu, z) * math.exp(z)
+
+
 class TestGamma:
     def test_against_stdlib(self):
         for x in [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 25.3, 49.5]:
@@ -30,14 +34,14 @@ class TestGamma:
 class TestBesselI:
     def test_series_constant_term(self):
         # nu = 0, z -> 0+ tends to 1
-        assert sf.bessel_i(0.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
+        assert bessel_i(0.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_order_exact_series(self):
         # power-series oracle summed in exact rationals (30 terms):
         # I_{1/2}(1) * sqrt(pi/2) = sinh(1) = sum 1/(2m+1)!
         sinh1 = float(sum(Fraction(1, math.factorial(2 * m + 1))
                           for m in range(31)))
-        got = sf.bessel_i(0.5, 1.0) * math.sqrt(math.pi / 2.0)
+        got = bessel_i(0.5, 1.0) * math.sqrt(math.pi / 2.0)
         assert abs(got - sinh1) < 1e-12
 
     def test_large_argument_expansion_leading(self):
@@ -60,10 +64,6 @@ class TestBesselI:
         v = sf.bessel_i_scaled(2.0, 700.0)
         assert math.isfinite(v) and v > 0
 
-    def test_overflow_signal(self):
-        with pytest.raises(OverflowError):
-            sf.bessel_i(2.0, 720.0)
-
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.3, 0.5, 1.3, 4.0])
     @pytest.mark.parametrize("z", [1e-4, 0.1, 1.0, 12.0, 29.5, 30.5, 100.0,
                                    400.0, 700.0])
@@ -83,16 +83,16 @@ class TestBesselI:
         # d/dz (z^-nu I_nu) = z^-nu I_{nu+1}, via central differences
         nu = 0.7
         h = 1e-5 * max(1.0, z)
-        lhs = ((z + h) ** -nu * sf.bessel_i(nu, z + h)
-               - (z - h) ** -nu * sf.bessel_i(nu, z - h)) / (2 * h)
-        rhs = z**-nu * sf.bessel_i(nu + 1, z)
+        lhs = ((z + h) ** -nu * bessel_i(nu, z + h)
+               - (z - h) ** -nu * bessel_i(nu, z - h)) / (2 * h)
+        rhs = z**-nu * bessel_i(nu + 1, z)
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_small_z_power_behavior(self):
         # z^-nu I_nu(z) tends to 1/(2^nu Gamma(nu+1))
         nu = 1.3
-        r6 = 1e-6**-nu * sf.bessel_i(nu, 1e-6)
-        r8 = 1e-8**-nu * sf.bessel_i(nu, 1e-8)
+        r6 = 1e-6**-nu * bessel_i(nu, 1e-6)
+        r8 = 1e-8**-nu * bessel_i(nu, 1e-8)
         assert abs(r6 / r8 - 1.0) < 1e-6
         assert r8 == pytest.approx(1.0 / (2**nu * sf.gamma(nu + 1)), rel=1e-6)
 

@@ -37,7 +37,7 @@ class TestProp33Scans:
             vf.check_prop33("prop33-ii-odd", 1, 0.5, ratio_bounds=(4.0, 3.0))
 
     def test_report_roundtrip(self):
-        rep = vf.check_prop33("prop33-i", 1, 0.0, nx=4, ny=3, levels=1)
+        rep = vf.check_prop33("prop33-i", 1, 0.0, nx=4, ny=3, levels=2)
         d = rep.to_dict()
         assert d["statement"] == "prop33-i"
         assert d["empirical_only"] is True
@@ -59,12 +59,16 @@ class TestProp31Scan:
     def test_validation(self):
         with pytest.raises(ValueError):
             vf.check_prop31(1, 2)
+        with pytest.raises(ValueError, match="nd must be >= 1"):
+            vf.check_prop31(1, 1, nd=0)
 
 
 class TestMaximalDomination:
     def test_zero_input(self):
-        zero = bs.SmoothFunction(value=lambda x: np.zeros_like(
-            np.asarray(x, dtype=float)), deriv=None, support=(1.0, 2.0))
+        def zero(x):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        zero.support = (1.0, 2.0)
         rep = vf.check_maximal_domination(1, 0.5, zero, [0.5, 1.5, 4.0])
         assert rep["fitted_C"] == 0.0
         assert max(rep["lhs"]) == 0.0
