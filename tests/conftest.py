@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rieszlag.basis import hermite_fn_table, phi_table
+from rieszlag.specfun import bessel_i_scaled
 
 
 def exact_hermite(n: int, x: Fraction) -> Fraction:
@@ -50,6 +51,11 @@ def fd_derivative(f, x: float, order: int, h: float = 0.05,
             r = (hs[i] / hs[i + m]) ** 2
             table[i] = (r * table[i + 1] - table[i]) / (r - 1.0)
     return table[0]
+
+
+def bessel_i(nu, z):
+    """I_nu(z) = e^z * bessel_i_scaled(nu, z); overflows past z ~ 709."""
+    return bessel_i_scaled(nu, z) * math.exp(z)
 
 
 def basis_jet(n: int, x, alpha=None):

@@ -7,11 +7,7 @@ import scipy.special as sps
 
 from rieszlag import specfun as sf
 from rieszlag.basis import hermite_rule, laguerre_rule
-from conftest import exact_hermite
-
-
-def bessel_i(nu, z):
-    return sf.bessel_i_scaled(nu, z) * math.exp(z)
+from conftest import bessel_i, exact_hermite
 
 
 class TestGamma:
