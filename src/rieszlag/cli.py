@@ -4,8 +4,7 @@ Subcommands cover basis dumps, kernel tables, the spectral/principal-value
 Riesz comparison, the exact identity suite, kernel bound scans, weighted
 norm-ratio scans, and the boundary-function limit.  Grid and curve data go
 to CSV, structured reports to JSON; diagnostics go to stderr.  Identical
-configurations (including the seed) produce byte-identical artifacts at
-any thread count.
+configurations (including the seed) produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 an enabled assertion failed (a JSON witness is
 printed to stderr), 2 invalid input.
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -187,7 +185,7 @@ def _cmd_riesz(args) -> int:
     else:
         def spectral(x):
             return float(operators.riesz_apply_laguerre_spectral(
-                args.k, alpha, coeffs, x, tail_tol=np.inf))
+                args.k, coeffs, x, tail_tol=np.inf))
 
         spec = KernelSpec("laguerre-riesz", k=args.k, alpha=alpha)
     rows = []
@@ -219,15 +217,19 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_scan_bounds(args) -> int:
-    if args.statement == "prop31-l-table":
-        report = verify.check_prop31(args.k, args.l if args.l is not None
-                                     else args.k, levels=args.levels,
-                                     threads=args.threads)
+    prop31 = args.statement == "prop31-l-table"
+    # a flag that only the other statement family computes with is an error
+    for name in ("alpha", "nx", "ny") if prop31 else ("l",):
+        if getattr(args, name) is not None:
+            raise ValueError(f"{args.statement} does not take --{name}")
+    if prop31:
+        report = verify.check_prop31(args.k, args.k if args.l is None
+                                     else args.l, levels=args.levels)
     else:
-        report = verify.check_prop33(args.statement, args.k, args.alpha,
-                                     nx=args.nx, ny=args.ny,
-                                     levels=args.levels,
-                                     threads=args.threads)
+        report = verify.check_prop33(
+            args.statement, args.k, 0.0 if args.alpha is None else args.alpha,
+            nx=8 if args.nx is None else args.nx,
+            ny=6 if args.ny is None else args.ny, levels=args.levels)
     _write_text(args.out, _json_text(report.to_dict()))
     if not report.stable:
         return _fail({"check": "bound scan stability",
@@ -237,8 +239,7 @@ def _cmd_scan_bounds(args) -> int:
 
 def _cmd_lp_scan(args) -> int:
     report = verify.lp_scan(args.k, args.alpha, args.p, args.delta,
-                            args.family_size, seed=args.seed,
-                            threads=args.threads)
+                            args.family_size, seed=args.seed)
     _write_text(args.out, _json_text(report.to_dict()))
     if report.in_range and not all(np.isfinite(report.ratios)):
         return _fail({"check": "lp scan finiteness",
@@ -266,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
     def threads(p):
-        p.add_argument("--threads", type=int,
-                       default=max(1, os.cpu_count() or 1))
+        p.add_argument("--threads", type=int, default=1,
+                       help="no effect; the scans run on one thread")
 
     p = sub.add_parser("basis", help="dump basis function samples or bump coefficients")
     common(p)
@@ -329,10 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statement", choices=list(verify.STATEMENTS),
                    required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--l", type=int, default=None)
-    p.add_argument("--nx", type=int, default=8)
-    p.add_argument("--ny", type=int, default=6)
+    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--ny", type=int, default=None)
     p.add_argument("--levels", type=int, default=2)
     p.set_defaults(handler=_cmd_scan_bounds)
 

@@ -18,8 +18,8 @@ import numpy as np
 from . import kernels
 from .basis import SpectralCoeffs, phi_table
 from .kernels import KernelSpec
-from .specfun import (alpha_value, gamma, gauss_jacobi_01,
-                      gauss_legendre_panels, geometric_edges, time_panels)
+from .specfun import (gamma, gauss_jacobi_01, gauss_legendre_panels,
+                      geometric_edges, time_panels)
 
 __all__ = [
     "PVResult",
@@ -178,16 +178,17 @@ def _dalpha_terms(coeff_vec: np.ndarray, k: int) -> dict:
     return terms
 
 
-def riesz_apply_laguerre_spectral(k: int, alpha, f: SpectralCoeffs, x, *,
+def riesz_apply_laguerre_spectral(k: int, f: SpectralCoeffs, x, *,
                                   tail_tol: float = 1e-9):
     """Order-k Laguerre Riesz transform through the spectral route:
     negative power k/2 followed by k successive analytic applications of
-    the first-order factor, evaluated pointwise."""
+    the first-order factor, evaluated pointwise.  The type parameter
+    alpha is that of the expansion's basis."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    a = alpha_value(alpha)
-    if f.basis.kind != "laguerre" or f.basis.alpha != a:
-        raise ValueError("expansion basis must be laguerre with this alpha")
+    if f.basis.kind != "laguerre":
+        raise ValueError("expansion basis must be laguerre")
+    a = f.basis.alpha
     if f.tail_bound > tail_tol:
         warnings.warn(
             f"expansion tail {f.tail_bound:.2e} exceeds {tail_tol:.0e}; "

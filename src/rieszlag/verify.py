@@ -11,7 +11,6 @@ report carries an explicit empirical-only marker.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,17 +33,11 @@ __all__ = [
 STATEMENTS = ("prop33-i", "prop33-ii-even", "prop33-ii-odd", "prop33-iii",
               "prop31-l-table")
 
-_REGION_DEFAULTS = {
+_RATIO_BOUNDS = {
     "prop33-i": (0.02, 0.45),
     "prop33-ii-even": (2.2, 8.0),
     "prop33-ii-odd": (2.2, 8.0),
     "prop33-iii": (0.55, 1.9),
-}
-_REGION_LIMITS = {
-    "prop33-i": (0.0, 0.5),
-    "prop33-ii-even": (2.0, math.inf),
-    "prop33-ii-odd": (2.0, math.inf),
-    "prop33-iii": (0.5, 2.0),
 }
 
 
@@ -95,13 +88,6 @@ class LpScanReport:
         return asdict(self)
 
 
-def _parallel(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _check_sampling(levels: int, **counts) -> None:
     """Reject scans that cannot pass: the stability check compares at least
     two levels, and an empty sample axis has no sup."""
@@ -112,13 +98,13 @@ def _check_sampling(levels: int, **counts) -> None:
             raise ValueError(f"{name} must be >= 1, got {n}")
 
 
-def _refined_sup(level_scan, levels: int, threads: int):
+def _refined_sup(level_scan, levels: int):
     """Sup, argmax and per-level history of a scan refined ``levels`` times.
 
     ``level_scan(mult)`` gives the points of the level at sample density
     ``mult`` (1, 2, 4, ...) and a row function mapping a point x to the
     ratios |kernel| / bound at the sampled y and those y; the rows of a
-    level run in the thread pool.
+    level run in order of x.
     """
     history = []
     argmax = (math.nan, math.nan)
@@ -126,7 +112,7 @@ def _refined_sup(level_scan, levels: int, threads: int):
     for level in range(levels):
         xs, row = level_scan(2 ** level)
         sup = 0.0
-        for x, (r, y) in zip(xs, _parallel(row, xs, threads)):
+        for x, (r, y) in zip(xs, map(row, xs)):
             j = int(np.argmax(r))
             if r[j] > sup:
                 sup = float(r[j])
@@ -135,8 +121,8 @@ def _refined_sup(level_scan, levels: int, threads: int):
     return sup, argmax, history
 
 
-def _ratio_sample(statement: str, bounds, n: int) -> np.ndarray:
-    lo, hi = bounds
+def _ratio_sample(statement: str, n: int) -> np.ndarray:
+    lo, hi = _RATIO_BOUNDS[statement]
     if statement == "prop33-iii":
         # stay off the diagonal: split the band around y = x
         nn = max(2, n // 2)
@@ -146,8 +132,7 @@ def _ratio_sample(statement: str, bounds, n: int) -> np.ndarray:
 
 
 def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
-                 levels: int = 2, ratio_bounds=None,
-                 threads: int = 1) -> BoundCheckReport:
+                 levels: int = 2) -> BoundCheckReport:
     """Scan one of the Laguerre-kernel estimates over its region.
 
     ``statement`` is one of prop33-i (y < x/2), prop33-ii-even / -ii-odd
@@ -157,7 +142,7 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
     each time); the sup ratios per level form the refinement history.
     """
     x_range = (0.05, 20.0)
-    if statement not in _REGION_DEFAULTS:
+    if statement not in _RATIO_BOUNDS:
         raise ValueError(f"not a prop33 statement: {statement}")
     a = alpha_value(alpha)
     if k < 1:
@@ -166,13 +151,6 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
         # the improved far-field decay holds for odd orders only; the
         # "even" bound below is valid (if weaker) for every order
         raise ValueError("prop33-ii-odd applies to odd k")
-    bounds = tuple(ratio_bounds) if ratio_bounds is not None \
-        else _REGION_DEFAULTS[statement]
-    lim = _REGION_LIMITS[statement]
-    if not (lim[0] < bounds[0] < bounds[1] < lim[1]):
-        raise ValueError(
-            f"degenerate or out-of-region y/x bounds {bounds} for {statement}"
-            f" (region {lim})")
     _check_sampling(levels, nx=nx, ny=ny)
 
     def bound_fn(x, y):
@@ -185,7 +163,7 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
         return (1.0 + np.sqrt(x / np.abs(x - y))) / x
 
     def level_scan(mult):
-        ratios = _ratio_sample(statement, bounds, ny * mult)
+        ratios = _ratio_sample(statement, ny * mult)
 
         def row(x):
             y = x * ratios
@@ -196,17 +174,17 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
 
         return np.geomspace(x_range[0], x_range[1], nx * mult), row
 
-    sup, argmax, history = _refined_sup(level_scan, levels, threads)
+    sup, argmax, history = _refined_sup(level_scan, levels)
     return BoundCheckReport(
         statement=statement, k=k, alpha=a,
         sample_spec={"x_range": list(x_range), "nx": nx, "ny": ny,
-                     "ratio_bounds": list(bounds), "levels": levels},
+                     "ratio_bounds": list(_RATIO_BOUNDS[statement]),
+                     "levels": levels},
         sup_ratio=sup, argmax=argmax, refinement_history=history)
 
 
 def check_prop31(k: int, l: int, *, x_values=(-1.5, -0.4, 0.3, 1.0, 2.0),
-                 nd: int = 6, levels: int = 2,
-                 threads: int = 1) -> BoundCheckReport:
+                 nd: int = 6, levels: int = 2) -> BoundCheckReport:
     """Scan the Hermite derivative-kernel size table: bounded for
     l <= k-2, |x-y|^(-1/2) for l = k-1, |x-y|^(-1) for l = k, at
     distances |x - y| in [1e-3, 1]."""
@@ -233,7 +211,7 @@ def check_prop31(k: int, l: int, *, x_values=(-1.5, -0.4, 0.3, 1.0, 2.0),
 
         return x_values, row
 
-    sup, argmax, history = _refined_sup(level_scan, levels, threads)
+    sup, argmax, history = _refined_sup(level_scan, levels)
     return BoundCheckReport(
         statement="prop31-l-table", k=k, alpha=None,
         sample_spec={"l": l, "x_values": list(x_values),
@@ -248,8 +226,7 @@ def _excised_sup(kern_vec, f, x: float, eps: np.ndarray, support) -> float:
         kern_vec, f, x, eps, support)).max())
 
 
-def check_maximal_domination(k: int, alpha, f, grid, *,
-                             threads: int = 1) -> dict:
+def check_maximal_domination(k: int, alpha, f, grid) -> dict:
     """Check the pointwise domination of the truncated-integral sup by the
     two Hardy terms, the local Hermite part and the near-diagonal
     averaging operator, with a single fitted constant.  The sup runs over
@@ -284,7 +261,7 @@ def check_maximal_domination(k: int, alpha, f, grid, *,
                                * (1.0 + np.sqrt(x / np.abs(x - xs)))))
         return lhs, local, near
 
-    rows = _parallel(at_point, range(len(grid)), threads)
+    rows = [at_point(i) for i in range(len(grid))]
     lhs = np.array([r[0] for r in rows])
     local = np.array([r[1] for r in rows])
     near = np.array([r[2] for r in rows])
@@ -337,8 +314,7 @@ def _seeded_bump(seed: int, index: int):
 
 
 def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
-            seed: int = 0, nmax: int = 600,
-            threads: int = 1) -> LpScanReport:
+            seed: int = 0, nmax: int = 600) -> LpScanReport:
     """Weighted-norm ratios ||R f_i|| / ||f_i|| over a deterministic family
     of bump functions (member i depends only on (seed, i), so growing the
     family keeps earlier members fixed), with both norms taken over
@@ -356,13 +332,13 @@ def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
 
         def image(x):
             return operators.riesz_apply_laguerre_spectral(
-                k, a, coeffs, x, tail_tol=math.inf)
+                k, coeffs, x, tail_tol=math.inf)
 
         num = operators.weighted_norm(image, p, delta, (0.0, 30.0))
         den = operators.weighted_norm(g, p, delta, (0.0, 30.0))
         return num / den
 
-    ratios = _parallel(ratio, range(family_size), threads)
+    ratios = [ratio(i) for i in range(family_size)]
     return LpScanReport(k=k, alpha=a, p=p, delta=delta,
                         ratios=[float(r) for r in ratios],
                         max_ratio=float(max(ratios)), in_range=in_range,

@@ -156,7 +156,7 @@ def test_criterion_6_laguerre_pv_equals_spectral():
             for k in (1, 2):
                 for x in (0.7, 1.0, 1.3, 1.6, 1.9):
                     spectral = op.riesz_apply_laguerre_spectral(
-                        k, alpha, coeffs, x, tail_tol=1e-3)
+                        k, coeffs, x, tail_tol=1e-3)
                     pv = op.pv_apply(
                         KernelSpec("laguerre-riesz", k=k, alpha=alpha), f, x,
                         stages=10)

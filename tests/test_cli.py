@@ -1,4 +1,5 @@
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -105,6 +106,39 @@ class TestScans:
         low = 2 if name == "levels" else 1
         assert capsys.readouterr().err.splitlines() == [
             f"invalid input: {name} must be >= {low}, got {argv[-1]}"]
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["prop31-l-table", "--k", "1", "--nx", "0", "--ny", "0",
+          "--alpha", "7"], "--alpha"),
+        (["prop31-l-table", "--k", "2", "--alpha", "0.5"], "--alpha"),
+        (["prop33-i", "--k", "1", "--l", "5"], "--l"),
+    ])
+    def test_foreign_flags_rejected(self, tmp_path, capsys, argv, flag):
+        # a flag the chosen statement never computes with is not ignored
+        assert run(["scan-bounds", "--statement", *argv,
+                    "--out", str(tmp_path / "sb.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {argv[0]} does not take {flag}"]
+
+    def test_scans_start_no_thread(self, tmp_path, monkeypatch):
+        jobs = [["lp-scan", "--k", "1", "--family-size", "3", "--seed", "5"],
+                ["scan-bounds", "--statement", "prop33-iii", "--k", "2",
+                 "--alpha", "0.5", "--nx", "4", "--ny", "3"],
+                ["scan-bounds", "--statement", "prop31-l-table", "--k", "2",
+                 "--l", "1"]]
+        one = []
+        for i, job in enumerate(jobs):
+            one.append(tmp_path / f"one{i}.json")
+            assert run(job + ["--out", str(one[-1]), "--threads", "1"]) == 0
+
+        def refuse(self):
+            raise RuntimeError("the scans must run on the calling thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for i, job in enumerate(jobs):
+            four = tmp_path / f"four{i}.json"
+            assert run(job + ["--out", str(four), "--threads", "4"]) == 0
+            assert four.read_bytes() == one[i].read_bytes()
 
     def test_lp_scan_and_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

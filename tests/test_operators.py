@@ -103,7 +103,7 @@ class TestSpectralRiesz:
     def test_laguerre_ground_state_annihilated(self):
         a = 0.5
         c = bs.SpectralCoeffs(laguerre_tag(a), unit(0, 4))
-        vals = op.riesz_apply_laguerre_spectral(1, a, c,
+        vals = op.riesz_apply_laguerre_spectral(1, c,
                                                 np.array([0.5, 1.0, 2.0]))
         assert np.abs(vals).max() < 1e-14
 
@@ -114,10 +114,9 @@ class TestSpectralRiesz:
         c2 = bs.SpectralCoeffs(tag, unit(4, 6))
         combo = bs.SpectralCoeffs(tag, 1.5 * c1.coeffs + 0.25 * c2.coeffs)
         inf = float("inf")  # single basis vectors, no truncation question
-        lhs = op.riesz_apply_laguerre_spectral(2, a, combo, 1.2, tail_tol=inf)
-        rhs = (1.5 * op.riesz_apply_laguerre_spectral(2, a, c1, 1.2,
-                                                      tail_tol=inf)
-               + 0.25 * op.riesz_apply_laguerre_spectral(2, a, c2, 1.2,
+        lhs = op.riesz_apply_laguerre_spectral(2, combo, 1.2, tail_tol=inf)
+        rhs = (1.5 * op.riesz_apply_laguerre_spectral(2, c1, 1.2, tail_tol=inf)
+               + 0.25 * op.riesz_apply_laguerre_spectral(2, c2, 1.2,
                                                          tail_tol=inf))
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
@@ -134,7 +133,7 @@ class TestSpectralRiesz:
         a = 0.0
         c = bs.SpectralCoeffs(laguerre_tag(a), np.ones(5))
         with pytest.warns(op.TruncationTailWarning):
-            op.riesz_apply_laguerre_spectral(1, a, c, 1.0)
+            op.riesz_apply_laguerre_spectral(1, c, 1.0)
 
 
 class TestPVApply:
@@ -180,8 +179,7 @@ class TestPVApply:
         f = op.bump(1.25, 0.75)
         c = bs.analyze(f, laguerre_tag(alpha), 800)
         x = 1.4
-        spectral = op.riesz_apply_laguerre_spectral(2, alpha, c, x,
-                                                    tail_tol=1e-3)
+        spectral = op.riesz_apply_laguerre_spectral(2, c, x, tail_tol=1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", kn.KernelAgreementWarning)
             res = op.pv_apply(KernelSpec("laguerre-riesz", k=2, alpha=alpha),
@@ -194,7 +192,7 @@ class TestPVApply:
         a, k, x = 0.5, 3, 1.3
         f = op.bump(1.25, 0.75)
         c = bs.analyze(f, laguerre_tag(a), 800)
-        spectral = op.riesz_apply_laguerre_spectral(k, a, c, x, tail_tol=1e-3)
+        spectral = op.riesz_apply_laguerre_spectral(k, c, x, tail_tol=1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", kn.KernelAgreementWarning)
             res = op.pv_apply(KernelSpec("laguerre-riesz", k=k, alpha=a), f,

@@ -30,23 +30,11 @@ class TestProp33Scans:
         with pytest.raises(ValueError):
             vf.check_prop33("prop33-ii-odd", 2, 0.0)
 
-    def test_degenerate_region_rejected(self):
-        with pytest.raises(ValueError):
-            vf.check_prop33("prop33-i", 1, 0.5, ratio_bounds=(0.6, 0.9))
-        with pytest.raises(ValueError):
-            vf.check_prop33("prop33-ii-odd", 1, 0.5, ratio_bounds=(4.0, 3.0))
-
     def test_report_roundtrip(self):
         rep = vf.check_prop33("prop33-i", 1, 0.0, nx=4, ny=3, levels=2)
         d = rep.to_dict()
         assert d["statement"] == "prop33-i"
         assert d["empirical_only"] is True
-
-    def test_threads_do_not_change_result(self):
-        a = vf.check_prop33("prop33-i", 1, 0.5, nx=4, ny=3, threads=1)
-        b = vf.check_prop33("prop33-i", 1, 0.5, nx=4, ny=3, threads=4)
-        assert a.sup_ratio == b.sup_ratio
-        assert a.argmax == b.argmax
 
 
 class TestProp31Scan:
@@ -128,7 +116,7 @@ class TestLpScan:
 
         def image_of(co):
             return lambda x: op.riesz_apply_laguerre_spectral(
-                1, 0.0, co, x, tail_tol=np.inf)
+                1, co, x, tail_tol=np.inf)
 
         r1 = (op.weighted_norm(image_of(c), 2.0, 0.0, (0.0, 30.0))
               / op.weighted_norm(g, 2.0, 0.0, (0.0, 30.0)))
