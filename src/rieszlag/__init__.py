@@ -16,8 +16,8 @@ from .kernels import (KernelSpec, frac_kernel, heat_kernel_hermite,
 from .operators import (PVResult, bump, hardy0, hardy_inf, negative_power,
                         phi_limit, pv_apply, riesz_apply_laguerre_spectral,
                         riesz_spectral_hermite, weighted_norm, wk)
-from .specfun import (QuadratureRule, alpha_value, bessel_i_scaled, gamma,
-                      hermite_poly, log_gamma)
+from .specfun import (alpha_value, bessel_i_scaled, gamma, hermite_poly,
+                      log_gamma)
 from .verify import (BoundCheckReport, LpScanReport, check_maximal_domination,
                      check_prop31, check_prop33, lp_scan)
 

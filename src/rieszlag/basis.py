@@ -1,8 +1,9 @@
 """Orthonormal Hermite and Laguerre function systems.
 
 Provides the tables of point values h_0..h_N and phi_0^alpha..phi_N^alpha
-by normalized three-term recurrences, the default quadrature rules, and
-expansion/synthesis between point values and spectral coefficients.
+by normalized three-term recurrences, and expansion/synthesis between
+point values and spectral coefficients.  Expansion takes compactly
+supported functions only: it integrates over ``f.support``.
 
 The recurrences start from the seed e^(-x^2/2), which underflows to 0 at
 |x| >~ 38.6; from there on every degree evaluates to exactly 0, however
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (QuadratureRule, alpha_value, gauss_jacobi_01,
-                      gauss_legendre_panels, log_gamma)
+# gauss_jacobi_01 has no use here; it stays imported because the benchmark
+# tracer (bench/spans.py) wraps basis.gauss_jacobi_01 by name
+from .specfun import (alpha_value, gauss_jacobi_01, gauss_legendre_panels,
+                      log_gamma)
 
 __all__ = [
     "BasisTag",
@@ -26,8 +29,6 @@ __all__ = [
     "phi_table",
     "analyze",
     "synthesize",
-    "hermite_rule",
-    "laguerre_rule",
 ]
 
 
@@ -135,42 +136,8 @@ def phi_table(nmax: int, alpha, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature defaults, expansion and synthesis
+# Expansion and synthesis
 # ---------------------------------------------------------------------------
-
-def _capped_panels(a: float, b: float, width: float):
-    """14-node Gauss-Legendre nodes/weights on [a, b] over
-    max(8, ceil((b - a) / width)) equal panels."""
-    panels = max(8, int(math.ceil((b - a) / width)))
-    return gauss_legendre_panels(np.linspace(a, b, panels + 1), 14)
-
-
-def hermite_rule(nmax: int) -> QuadratureRule:
-    """Full-line rule resolving Hermite functions up to degree nmax:
-    14-node Gauss-Legendre panels of width at most 0.4 on
-    |x| <= sqrt(2 nmax + 1) + 5."""
-    halfwidth = math.sqrt(2.0 * nmax + 1.0) + 5.0
-    return QuadratureRule(*_capped_panels(-halfwidth, halfwidth, 0.4))
-
-
-def laguerre_rule(alpha, nmax: int, *,
-                  power: float | None = None) -> QuadratureRule:
-    """Half-line rule for integrands with an x^power endpoint factor.
-
-    Splits at 1: a 200-node power-weighted rule on (0, 1) absorbs the
-    x^(alpha+1/2) behaviour of the Laguerre functions (power defaults to
-    alpha + 1/2; use 2 alpha + 1 for products of two of them), then 14-node
-    Gauss-Legendre panels of width at most 0.4 out to
-    sqrt(4 nmax + 2 |alpha| + 6) + 4, where e^(-x^2/2) is dead.
-    """
-    a = alpha_value(alpha)
-    if power is None:
-        power = a + 0.5
-    x_max = math.sqrt(4.0 * nmax + 2.0 * abs(a) + 6.0) + 4.0
-    xj, wj = gauss_jacobi_01(200, power)
-    xg, wg = _capped_panels(1.0, x_max, 0.4)
-    return QuadratureRule(np.concatenate([xj, xg]), np.concatenate([wj, wg]))
-
 
 def _basis_table(tag: BasisTag, nmax: int, x) -> np.ndarray:
     if tag.kind == "hermite":
@@ -178,35 +145,31 @@ def _basis_table(tag: BasisTag, nmax: int, x) -> np.ndarray:
     return phi_table(nmax, tag.alpha, x)
 
 
-def _default_rule(tag: BasisTag, nmax: int,
-                  support: tuple[float, float] | None) -> QuadratureRule:
-    if support is not None:
-        a, b = float(support[0]), float(support[1])
-        if not a < b:
-            raise ValueError(f"degenerate support [{a}, {b}]")
-        # panel width tied to the shortest basis wavelength ~ 2 pi / sqrt(2 nmax)
-        width = min(0.4, (b - a) / 8.0, 9.0 / math.sqrt(2.0 * nmax + 1.0))
-        return QuadratureRule(*_capped_panels(a, b, width))
-    if tag.kind == "hermite":
-        return hermite_rule(nmax)
-    return laguerre_rule(tag.alpha, nmax)
+def analyze(f, tag: BasisTag, nmax: int) -> SpectralCoeffs:
+    """Expand a compactly supported function into the first nmax+1 basis
+    coefficients.
 
-
-def analyze(f, tag: BasisTag, nmax: int, *,
-            rule: QuadratureRule | None = None) -> SpectralCoeffs:
-    """Expand a function into the first nmax+1 basis coefficients.
-
-    A function with a ``support`` attribute has its coefficient quadrature
-    restricted to that compact interval (appropriate for bump-type inputs);
-    otherwise a full-domain rule resolving degree nmax is used.
+    ``f.support = (a, b)`` is the interval outside which f is 0; a function
+    without that attribute raises.  The coefficient integrals use 14-node
+    Gauss-Legendre panels on [a, b], at least 8 of them, each no wider
+    than min(0.4, (b - a)/8, 9/sqrt(2 nmax + 1)).
     """
     if nmax < 0:
         raise ValueError("truncation must be >= 0")
-    if rule is None:
-        rule = _default_rule(tag, nmax, getattr(f, "support", None))
-    table = _basis_table(tag, nmax, rule.nodes)
-    fx = np.asarray(f(rule.nodes), dtype=float)
-    return SpectralCoeffs(tag, table @ (rule.weights * fx))
+    support = getattr(f, "support", None)
+    if support is None:
+        raise ValueError("analyze integrates over f.support; f has no "
+                         "support attribute")
+    a, b = float(support[0]), float(support[1])
+    if not a < b:
+        raise ValueError(f"degenerate support [{a}, {b}]")
+    # panel width tied to the shortest basis wavelength ~ 2 pi / sqrt(2 nmax)
+    width = min(0.4, (b - a) / 8.0, 9.0 / math.sqrt(2.0 * nmax + 1.0))
+    panels = max(8, int(math.ceil((b - a) / width)))
+    nodes, weights = gauss_legendre_panels(np.linspace(a, b, panels + 1), 14)
+    table = _basis_table(tag, nmax, nodes)
+    fx = np.asarray(f(nodes), dtype=float)
+    return SpectralCoeffs(tag, table @ (weights * fx))
 
 
 def synthesize(coeffs: SpectralCoeffs, x):

@@ -166,6 +166,8 @@ def _cmd_kernel_table(args) -> int:
 
 
 def _cmd_riesz(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"points must be >= 1, got {args.points}")
     if args.input_csv:
         f = _load_sampled_function(args.input_csv)
     else:

@@ -181,4 +181,6 @@ def identities_report(jmax_a: int = 15, jmax_n1: int = 12, nmax_23: int = 8,
         for q in range(qmax_23 + 1):
             record("derivative-of-g(x^2)", {"N": N, "q": q},
                    identity_2_3_check(N, q))
+    if not entries:
+        raise ValueError("the identity report has no entries")
     return entries

@@ -71,6 +71,10 @@ class KernelSpec:
         if self.family in ("hermite-riesz", "laguerre-riesz"):
             if self.k < 1:
                 raise ValueError("Riesz kernels require k >= 1")
+        elif self.k != 0:
+            raise ValueError(f"{self.family} takes no k, got k={self.k}")
+        if self.l is not None and self.family != "hermite-riesz":
+            raise ValueError(f"{self.family} takes no l, got l={self.l}")
         if self.family == "hermite-riesz":
             l = self.k if self.l is None else self.l
             if not 0 <= l <= self.k:

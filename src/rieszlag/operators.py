@@ -290,10 +290,10 @@ def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray,
     return far_total + np.concatenate([[0.0], np.cumsum(strip_total)])
 
 
-def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8,
-             support=None) -> PVResult:
-    """Principal-value application of a Riesz kernel to a smooth compactly
-    supported function at an interior point x.
+def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8) -> PVResult:
+    """Principal-value application of a Riesz kernel to a smooth function
+    at an interior point x of its ``support`` attribute, outside which f
+    is 0.
 
     The excised integrals over |y - x| > eps_i, eps_i = 0.1 * 0.5^i,
     share one kernel evaluation pass (quadrature panels are aligned to
@@ -305,7 +305,7 @@ def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8,
         raise ValueError("pv_apply expects a Riesz kernel spec")
     if spec.family == "hermite-riesz" and spec.l != spec.k:
         raise ValueError("principal value is defined for the full kernel l = k")
-    a, b = _support_of(f, support)
+    a, b = _support_of(f)
     if spec.family == "laguerre-riesz" and a <= 0:
         raise ValueError("Laguerre support must lie inside (0, inf)")
     if not a < x < b:
@@ -386,11 +386,11 @@ def phi_limit(k: int) -> dict:
 # Hardy operators and weighted norms
 # ---------------------------------------------------------------------------
 
-def _support_of(f, support):
+def _support_of(f, support=None):
     if support is None:
         support = getattr(f, "support", None)
     if support is None:
-        raise ValueError("pass support=(a, b); f is treated as 0 outside")
+        raise ValueError("f has no support attribute (a, b)")
     return float(support[0]), float(support[1])
 
 

@@ -12,13 +12,11 @@ meaningful; coefficient tables are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "alpha_value",
     "gamma",
     "log_gamma",
@@ -188,29 +186,6 @@ def hermite_poly(n: int, x):
 # ---------------------------------------------------------------------------
 # Quadrature rules
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a one-dimensional quadrature rule.
-
-    Invariants: strictly increasing nodes, positive weights, equal lengths.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        if not np.all(weights > 0.0):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
 
 @lru_cache(maxsize=64)
 def _gl_base(n: int):

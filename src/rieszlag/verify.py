@@ -233,7 +233,7 @@ def check_maximal_domination(k: int, alpha, f, grid) -> dict:
     the eight excision radii 0.1 * 0.5^i."""
     a = alpha_value(alpha)
     delta_k = 1.0 if k % 2 else 0.0
-    sup_a, sup_b = operators._support_of(f, None)
+    sup_a, sup_b = operators._support_of(f)
     grid = np.asarray(grid, dtype=float)
     eps = operators._eps_schedule(8)
 

@@ -1,6 +1,7 @@
 """Shared test oracles: exact-rational Hermite polynomial values,
 Richardson-extrapolated finite differences, high-precision heat-kernel
-series and basis-function derivatives by the ladder relations."""
+series, basis-function derivatives by the ladder relations, and
+full-domain quadrature nodes for integrals of basis functions."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from rieszlag.basis import hermite_fn_table, phi_table
-from rieszlag.specfun import bessel_i_scaled
+from rieszlag.specfun import (bessel_i_scaled, gauss_jacobi_01,
+                              gauss_legendre_panels)
 
 
 def exact_hermite(n: int, x: Fraction) -> Fraction:
@@ -88,6 +90,28 @@ def basis_jet(n: int, x, alpha=None):
     jet = (value(n, alpha), deriv(n, alpha),
            gp * value(n, alpha) + g * deriv(n, alpha) + c * deriv(n - 1, low))
     return jet if np.ndim(x) else tuple(float(v[0]) for v in jet)
+
+
+def full_domain_rule(nmax: int, alpha=None, *, power=None):
+    """Nodes and weights resolving h_0..h_nmax on the whole line (alpha
+    None) or phi_0^alpha..phi_nmax^alpha on the half line.
+
+    Hermite: 14-node Gauss-Legendre panels of width at most 0.4 on
+    |x| <= sqrt(2 nmax + 1) + 5.  Laguerre: a 200-node rule on (0, 1) for
+    integrands with an x^power endpoint factor (2 alpha + 1 for products of
+    two Laguerre functions), then the same panels out to
+    sqrt(4 nmax + 2 |alpha| + 6) + 4, where e^(-x^2/2) is dead.
+    """
+    def panels(a, b):
+        count = max(8, int(math.ceil((b - a) / 0.4)))
+        return gauss_legendre_panels(np.linspace(a, b, count + 1), 14)
+
+    if alpha is None:
+        half = math.sqrt(2.0 * nmax + 1.0) + 5.0
+        return panels(-half, half)
+    xj, wj = gauss_jacobi_01(200, power)
+    xg, wg = panels(1.0, math.sqrt(4.0 * nmax + 2.0 * abs(alpha) + 6.0) + 4.0)
+    return np.concatenate([xj, xg]), np.concatenate([wj, wg])
 
 
 @pytest.fixture(scope="session")

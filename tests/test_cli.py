@@ -21,6 +21,14 @@ class TestIdentities:
         assert entries and all(e["status"] == "exact-pass" for e in entries)
         assert {"identity", "parameters", "status", "witness"} <= set(entries[0])
 
+    def test_empty_report_rejected(self, tmp_path, capsys):
+        # a report that checks nothing must not pass
+        assert run(["identities", "--jmax", "0", "--jmax-n1", "0",
+                    "--nmax", "-1", "--qmax", "3",
+                    "--out", str(tmp_path / "id.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: the identity report has no entries"]
+
 
 class TestKernelTable:
     def test_csv_header_and_rows(self, tmp_path):
@@ -50,6 +58,19 @@ class TestKernelTable:
                     "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].split(",")[4] == expected
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "hermite-heat", "--k", "5", "--l", "2", "--t", "0.5"],
+         "hermite-heat takes no k, got k=5"),
+        (["--family", "laguerre-riesz", "--k", "1", "--l", "7", "--alpha",
+          "0.5"], "laguerre-riesz takes no l, got l=7"),
+    ])
+    def test_unused_k_or_l_rejected(self, tmp_path, capsys, argv, message):
+        # the table must not record a parameter the kernel never used
+        assert run(["kernel-table", *argv, "--x", "1", "--y", "1.5",
+                    "--out", str(tmp_path / "kt.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {message}"]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "kt.json"
         assert run(["kernel-table", "--family", "hermite-frac", "--gamma",
@@ -76,6 +97,15 @@ class TestRiesz:
                  "ignored"])
         assert exc.value.code == 2
         assert "invalid float value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_no_points_rejected(self, tmp_path, capsys, points):
+        # a comparison at no point must not pass its --max-abs-diff check
+        assert run(["riesz", "--family", "laguerre", "--k", "3", "--alpha",
+                    "2", "--points", points, "--max-abs-diff", "1e-12",
+                    "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: points must be >= 1, got {points}"]
 
     def test_failure_exit_code(self, tmp_path):
         rc = run(["riesz", "--family", "hermite", "--k", "1", "--points",

@@ -7,7 +7,8 @@ import pytest
 from rieszlag import basis as bs
 from rieszlag import kernels as kn
 from rieszlag.specfun import gauss_legendre_panels, geometric_edges
-from conftest import bessel_i, fd_derivative, mp_heat_series
+from conftest import (bessel_i, fd_derivative, full_domain_rule,
+                      mp_heat_series)
 
 
 def dplusx_heat(l, t, x, y):
@@ -29,6 +30,21 @@ class TestSpecTypes:
             kn.KernelSpec("laguerre-riesz", k=1)
         spec = kn.KernelSpec("hermite-riesz", k=2)
         assert spec.l == 2
+
+    @pytest.mark.parametrize("family,kwargs,name", [
+        ("hermite-heat", {"k": 5, "l": 2}, "k"),
+        ("laguerre-heat", {"k": 1, "alpha": 0.5}, "k"),
+        ("hermite-frac", {"k": 3, "gamma": 2.0}, "k"),
+        ("hermite-heat", {"l": 0}, "l"),
+        ("laguerre-heat", {"l": 1, "alpha": 0.5}, "l"),
+        ("hermite-frac", {"l": 1, "gamma": 2.0}, "l"),
+        ("laguerre-riesz", {"k": 1, "l": 7, "alpha": 0.5}, "l"),
+        ("laguerre-riesz", {"k": 2, "l": 2, "alpha": 0.5}, "l"),
+    ])
+    def test_unused_parameters_rejected(self, family, kwargs, name):
+        # a spec records only what its kernel computes with
+        with pytest.raises(ValueError, match=f"{family} takes no {name}"):
+            kn.KernelSpec(family, **kwargs)
 
 
 class TestHeatKernels:
@@ -78,10 +94,9 @@ class TestHeatKernels:
 
     def test_laguerre_semigroup(self):
         t, s_, x, y, a = 0.3, 0.5, 1.0, 2.0, 0.7
-        rule = bs.laguerre_rule(a, 40, power=2 * a + 1)
-        lhs = float(rule.weights @ (
-            kn.heat_kernel_laguerre(t, x, rule.nodes, a)
-            * kn.heat_kernel_laguerre(s_, rule.nodes, y, a)))
+        nodes, weights = full_domain_rule(40, a, power=2 * a + 1)
+        lhs = float(weights @ (kn.heat_kernel_laguerre(t, x, nodes, a)
+                               * kn.heat_kernel_laguerre(s_, nodes, y, a)))
         rhs = float(kn.heat_kernel_laguerre(t + s_, x, y, a))
         assert lhs == pytest.approx(rhs, rel=1e-7)
 

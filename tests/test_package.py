@@ -1,5 +1,6 @@
 """Every exported name resolves and has a caller: each module's ``__all__``
-and every name the package ``__init__`` imports."""
+and every name the package ``__init__`` imports.  Every module-level import
+in a package module other than ``__init__`` is used there."""
 
 import ast
 import importlib
@@ -16,6 +17,12 @@ UNCALLED_ALLOWED = {
     "verify.check_maximal_domination":
         "the paper's maximal-operator domination argument is part of the "
         "verification spine, though no CLI command calls it",
+}
+
+# Module-level imports with no use in their module that stay on purpose,
+# each with its reason.
+UNUSED_IMPORT_ALLOWED = {
+    "basis.gauss_jacobi_01": "bench/spans.py wraps it",
 }
 
 
@@ -58,6 +65,28 @@ def test_every_export_has_a_caller():
                 and not any(name == attr and (stem, owner) != (mod, attr)
                             for stem, name, owner in refs)]
     assert sorted(uncalled) == sorted(UNCALLED_ALLOWED), ", ".join(uncalled)
+
+
+def test_every_import_is_used():
+    # __init__ imports to re-export; every other module imports to use
+    unused = []
+    for path in sorted(Path(rieszlag.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0]
+                             for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported
+                   if name not in used]
+    assert sorted(unused) == sorted(UNUSED_IMPORT_ALLOWED), ", ".join(unused)
 
 
 def test_benchmark_tracer_installs(monkeypatch):
