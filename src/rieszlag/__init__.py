@@ -10,9 +10,8 @@ numerically with stated tolerances where it is analytic.
 from .basis import BasisTag, SpectralCoeffs, analyze, synthesize
 from .combinat import (a_sum, bracket_coeff, e_coeff, identity_2_3_check,
                        lemma_n1_check)
-from .kernels import (KernelSpec, frac_kernel, heat_kernel_hermite,
-                      heat_kernel_laguerre, riesz_kernel_hermite,
-                      riesz_kernel_laguerre)
+from .kernels import (KernelSpec, heat_kernel_hermite, heat_kernel_laguerre,
+                      kernel_value)
 from .operators import (PVResult, bump, hardy0, hardy_inf, negative_power,
                         phi_limit, pv_apply, riesz_apply_laguerre_spectral,
                         riesz_spectral_hermite, weighted_norm, wk)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,8 +51,23 @@ def _fail(witness: dict) -> int:
     return 1
 
 
-def _float_list(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _float_list(text: str, name: str) -> list:
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be a non-empty list of finite numbers, "
+                         f"got {text!r}")
+    return values
+
+
+def _check_points(points: int) -> None:
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
+
+
+def _check_tolerance(name: str, value) -> None:
+    # a NaN or infinite tolerance would pass every comparison
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _default_bump(family: str, args):
@@ -125,6 +141,11 @@ def _cmd_basis(args) -> int:
     tag = BasisTag(args.family,
                    args.alpha if args.family == "laguerre" else None)
     if args.mode == "samples":
+        _check_points(args.points)
+        for name in ("xmin", "xmax"):
+            value = getattr(args, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         lo = args.xmin
         if lo is None:
             lo = -args.xmax if args.family == "hermite" else 1e-3
@@ -143,11 +164,10 @@ def _cmd_basis(args) -> int:
 def _cmd_kernel_table(args) -> int:
     spec = KernelSpec(args.family, k=args.k, l=args.l, gamma=args.gamma,
                       alpha=args.alpha if "laguerre" in args.family else None)
-    xs = _float_list(args.x)
-    ys = _float_list(args.y)
-    # the parameter the family uses; the Riesz families use neither
-    t_or_gamma = {"hermite-heat": args.t, "laguerre-heat": args.t,
-                  "hermite-frac": spec.gamma}.get(spec.family, "")
+    xs = _float_list(args.x, "x")
+    ys = _float_list(args.y, "y")
+    # only the parameter the family uses can be given (Riesz: neither)
+    t_or_gamma = next((v for v in (args.t, args.gamma) if v is not None), "")
     rows = []
     for x in xs:
         for y in ys:
@@ -166,8 +186,8 @@ def _cmd_kernel_table(args) -> int:
 
 
 def _cmd_riesz(args) -> int:
-    if args.points < 1:
-        raise ValueError(f"points must be >= 1, got {args.points}")
+    _check_points(args.points)
+    _check_tolerance("max-abs-diff", args.max_abs_diff)
     if args.input_csv:
         f = _load_sampled_function(args.input_csv)
     else:
@@ -228,10 +248,11 @@ def _cmd_scan_bounds(args) -> int:
         report = verify.check_prop31(args.k, args.k if args.l is None
                                      else args.l, levels=args.levels)
     else:
+        sampling = {name: getattr(args, name) for name in ("nx", "ny")
+                    if getattr(args, name) is not None}
         report = verify.check_prop33(
             args.statement, args.k, 0.0 if args.alpha is None else args.alpha,
-            nx=8 if args.nx is None else args.nx,
-            ny=6 if args.ny is None else args.ny, levels=args.levels)
+            levels=args.levels, **sampling)
     _write_text(args.out, _json_text(report.to_dict()))
     if not report.stable:
         return _fail({"check": "bound scan stability",
@@ -250,6 +271,7 @@ def _cmd_lp_scan(args) -> int:
 
 
 def _cmd_phi_limit(args) -> int:
+    _check_tolerance("tol", args.tol)
     report = operators.phi_limit(args.k)
     _write_text(args.out, _json_text(report))
     if abs(report["extrapolated"] - report["closed_form"]) > args.tol:

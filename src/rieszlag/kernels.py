@@ -6,6 +6,10 @@ Laguerre derivative of the Laguerre heat kernel (evaluated two independent
 ways that are cross-checked in production), and their time integrals: the
 fractional-power kernel K_gamma and the Riesz kernels.
 
+``kernel_value(KernelSpec(...), x, y, t)`` evaluates any family at a point;
+for the integrated families that is a one-point view on their evaluators
+vectorized in y, ``riesz_kernel_*_vec`` for the Riesz kernels.
+
 Time integrals are computed after the substitution t = log((1+s)/(1-s)):
 s in (0, 1) with panels refined geometrically toward both endpoints and a
 split at s = 1/2.  Near s = 1 the complement w = 1 - s is the integration
@@ -33,9 +37,6 @@ __all__ = [
     "heat_kernel_hermite",
     "heat_kernel_laguerre",
     "d_alpha_pow_k_heat_pair",
-    "frac_kernel",
-    "riesz_kernel_hermite",
-    "riesz_kernel_laguerre",
     "kernel_value",
 ]
 
@@ -68,6 +69,9 @@ class KernelSpec:
         if self.family == "hermite-frac":
             if self.gamma is None or not self.gamma > 0:
                 raise ValueError("hermite-frac requires gamma > 0")
+        elif self.gamma is not None:
+            raise ValueError(
+                f"{self.family} takes no gamma, got gamma={self.gamma}")
         if self.family in ("hermite-riesz", "laguerre-riesz"):
             if self.k < 1:
                 raise ValueError("Riesz kernels require k >= 1")
@@ -275,16 +279,13 @@ def _hermite_time_integral(l: int, half_order: float, x: float, y,
     return (wt[:, None] * vals).sum(axis=0) / gamma(half_order)
 
 
-def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str,
-              with_err: bool):
-    """A scalar kernel as a one-point view on its vector path.
-
-    ``vec(y, nodes)`` returns the kernel at the points y and the relative
-    disagreement of its evaluation routes (0 for single-route kernels).  The
-    value is taken at 12 time nodes; its error estimate is the change from
-    8, or the route disagreement if that is larger.  An estimate above
-    rel_tol * |value| raises (never, for rel_tol None).
-    """
+def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str):
+    """(value, est_err) of a scalar kernel, a one-point view on its vector
+    path ``vec(y, nodes)``, which returns the kernel at the points y and the
+    relative disagreement of its routes (0 for single-route kernels).  The
+    value is taken at 12 time nodes; est_err is the change from 8, or the
+    route disagreement if larger.  est_err above rel_tol * |value| raises
+    (never, for rel_tol None)."""
     y1 = np.array([float(y)])
     coarse, agree = vec(y1, 8)
     val = float(vec(y1, 12)[0][0])
@@ -292,28 +293,12 @@ def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str,
     if rel_tol is not None and err > max(rel_tol * abs(val), 1e-250):
         raise QuadratureConvergenceError(
             f"{what} quadrature stalled at ({x}, {y}): est err {err}")
-    return (val, err) if with_err else val
+    return val, err
 
 
 # ---------------------------------------------------------------------------
 # Integrated kernels
 # ---------------------------------------------------------------------------
-
-def frac_kernel(gamma_: float, x: float, y: float, *, with_err: bool = False):
-    """Fractional-power Hermite kernel K_gamma(x, y).
-
-    Requires x != y when gamma <= 1 (the kernel is then singular on the
-    diagonal but integrable off it).
-    """
-    if not gamma_ > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma_}")
-    if gamma_ <= 1.0 and x == y:
-        raise ValueError("K_gamma on the diagonal requires gamma > 1")
-    return _at_point(
-        lambda ys, n: (_hermite_time_integral(0, 0.5 * gamma_, float(x), ys,
-                                              n), 0.0),
-        x, y, 1e-5, "K_gamma", with_err)
-
 
 def riesz_kernel_hermite_vec(k: int, l: int, x: float, y, *, nodes: int = 8):
     """Hermite Riesz-type kernel with l raising derivatives, vectorized in y."""
@@ -325,19 +310,9 @@ def riesz_kernel_hermite_vec(k: int, l: int, x: float, y, *, nodes: int = 8):
     return _hermite_time_integral(l, 0.5 * k, x, y, nodes)
 
 
-def riesz_kernel_hermite(k: int, l: int, x: float, y: float, *,
-                         with_err: bool = False):
-    """Kernel of the order-k Hermite Riesz transform family at (x, y);
-    l = k gives the Riesz kernel itself."""
-    return _at_point(
-        lambda ys, n: (riesz_kernel_hermite_vec(k, l, float(x), ys, nodes=n),
-                       0.0),
-        x, y, None, "Riesz kernel", with_err)
-
-
-def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8,
-                              return_agreement: bool = False):
-    """Laguerre Riesz kernel vectorized in y.
+def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8):
+    """Laguerre Riesz kernel vectorized in y, with the largest relative
+    disagreement of its two routes: returns (values, agreement).
 
     Both derivative-kernel routes are integrated and compared in
     production.  The warning threshold allows for the cancellation floor of
@@ -365,37 +340,36 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8,
             f"Riesz kernel routes disagree ({disagree[idx]:.2e} relative, "
             f"conditioning floor {floor[idx]:.2e}) at (k={k}, alpha={a}, "
             f"x={x}, y={y.ravel()[idx]})", KernelAgreementWarning)
-    if return_agreement:
-        return v1, float(disagree.max()) if disagree.size else 0.0
-    return v1
-
-
-def riesz_kernel_laguerre(k: int, alpha, x: float, y: float, *,
-                          with_err: bool = False):
-    """Order-k Laguerre Riesz kernel at a point, x != y."""
-    return _at_point(
-        lambda ys, n: riesz_kernel_laguerre_vec(k, alpha, float(x), ys,
-                                                nodes=n, return_agreement=True),
-        x, y, 1e-4, "Riesz kernel", with_err)
+    return v1, float(disagree.max()) if disagree.size else 0.0
 
 
 def kernel_value(spec: KernelSpec, x: float, y: float,
                  t: float | None = None):
-    """Evaluate the kernel described by ``spec`` at (x, y).
+    """(value, est_err) of the kernel described by ``spec`` at (x, y).
 
-    Heat families need ``t``; integrated families ignore it.  Returns
-    (value, est_err).
-    """
-    if spec.family == "hermite-heat":
+    Heat families need ``t``, the others reject it; K_gamma with gamma <= 1
+    rejects the diagonal x == y."""
+    if spec.family in ("hermite-heat", "laguerre-heat"):
         if t is None:
             raise ValueError("heat kernels need t")
-        return float(heat_kernel_hermite(t, x, y)), 0.0
-    if spec.family == "laguerre-heat":
-        if t is None:
-            raise ValueError("heat kernels need t")
+        if spec.family == "hermite-heat":
+            return float(heat_kernel_hermite(t, x, y)), 0.0
         return float(heat_kernel_laguerre(t, x, y, spec.alpha)), 0.0
+    if t is not None:
+        raise ValueError(f"{spec.family} takes no t, got t={t}")
     if spec.family == "hermite-frac":
-        return frac_kernel(spec.gamma, x, y, with_err=True)
+        if spec.gamma <= 1.0 and x == y:
+            raise ValueError("K_gamma on the diagonal requires gamma > 1")
+        return _at_point(
+            lambda ys, n: (_hermite_time_integral(0, 0.5 * spec.gamma,
+                                                  float(x), ys, n), 0.0),
+            x, y, 1e-5, "K_gamma")
     if spec.family == "hermite-riesz":
-        return riesz_kernel_hermite(spec.k, spec.l, x, y, with_err=True)
-    return riesz_kernel_laguerre(spec.k, spec.alpha, x, y, with_err=True)
+        return _at_point(
+            lambda ys, n: (riesz_kernel_hermite_vec(spec.k, spec.l, float(x),
+                                                    ys, nodes=n), 0.0),
+            x, y, None, "Riesz kernel")
+    return _at_point(
+        lambda ys, n: riesz_kernel_laguerre_vec(spec.k, spec.alpha, float(x),
+                                                ys, nodes=n),
+        x, y, 1e-4, "Riesz kernel")

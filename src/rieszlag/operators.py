@@ -319,7 +319,7 @@ def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8) -> PVResult:
         if spec.family == "hermite-riesz":
             return kernels.riesz_kernel_hermite_vec(spec.k, spec.k, x, y)
         vals, agreement = kernels.riesz_kernel_laguerre_vec(
-            spec.k, spec.alpha, x, y, return_agreement=True)
+            spec.k, spec.alpha, x, y)
         return vals
 
     values = _excised_integrals(kern, f, x, eps, (a, b))
@@ -394,11 +394,12 @@ def _support_of(f, support=None):
     return float(support[0]), float(support[1])
 
 
-def hardy0(eta: float, f, grid, support=None) -> np.ndarray:
-    """Averaging operator x^(-eta-1) * int_0^x y^eta f(y) dy on a grid."""
+def hardy0(eta: float, f, grid) -> np.ndarray:
+    """Averaging operator x^(-eta-1) * int_0^x y^eta f(y) dy on a grid, for
+    f vanishing outside its ``support`` attribute."""
     if not eta > -1.0:
         raise ValueError(f"eta must be > -1, got {eta}")
-    a, b = _support_of(f, support)
+    a, b = _support_of(f)
     grid = np.asarray(grid, dtype=float)
     out = np.zeros_like(grid)
     for i, x in enumerate(grid):
@@ -408,19 +409,19 @@ def hardy0(eta: float, f, grid, support=None) -> np.ndarray:
         if a <= 0.0:
             xs, ws = gauss_jacobi_01(160, eta)
             xs, ws = hi * xs, hi * ws
-            vals = xs**eta * np.asarray(f(xs), dtype=float)
         else:
             xs, ws = gauss_legendre_panels(np.linspace(a, hi, 9), 12)
-            vals = xs**eta * np.asarray(f(xs), dtype=float)
+        vals = xs**eta * np.asarray(f(xs), dtype=float)
         out[i] = x ** (-eta - 1.0) * float(ws @ vals)
     return out
 
 
-def hardy_inf(eta: float, f, grid, support=None) -> np.ndarray:
-    """Averaging operator x^eta * int_x^inf y^(-eta-1) f(y) dy on a grid."""
+def hardy_inf(eta: float, f, grid) -> np.ndarray:
+    """Averaging operator x^eta * int_x^inf y^(-eta-1) f(y) dy on a grid, for
+    f vanishing outside its ``support`` attribute."""
     if not eta > -1.0:
         raise ValueError(f"eta must be > -1, got {eta}")
-    a, b = _support_of(f, support)
+    a, b = _support_of(f)
     grid = np.asarray(grid, dtype=float)
     out = np.zeros_like(grid)
     for i, x in enumerate(grid):

@@ -167,7 +167,7 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
 
         def row(x):
             y = x * ratios
-            kern = kernels.riesz_kernel_laguerre_vec(k, a, float(x), y)
+            kern = kernels.riesz_kernel_laguerre_vec(k, a, float(x), y)[0]
             if statement == "prop33-iii":
                 kern = kern - kernels.riesz_kernel_hermite_vec(k, k, float(x), y)
             return np.abs(kern) / bound_fn(x, y), y
@@ -237,15 +237,17 @@ def check_maximal_domination(k: int, alpha, f, grid) -> dict:
     grid = np.asarray(grid, dtype=float)
     eps = operators._eps_schedule(8)
 
-    h0 = operators.hardy0(a + 0.5, lambda y: np.abs(f(y)), grid,
-                          support=(sup_a, sup_b))
-    hinf = operators.hardy_inf(a + 0.5 + delta_k, lambda y: np.abs(f(y)),
-                               grid, support=(sup_a, sup_b))
+    def abs_f(y):
+        return np.abs(f(y))
+
+    abs_f.support = (sup_a, sup_b)
+    h0 = operators.hardy0(a + 0.5, abs_f, grid)
+    hinf = operators.hardy_inf(a + 0.5 + delta_k, abs_f, grid)
 
     def at_point(i):
         x = float(grid[i])
         lhs = _excised_sup(
-            lambda y: kernels.riesz_kernel_laguerre_vec(k, a, x, y),
+            lambda y: kernels.riesz_kernel_laguerre_vec(k, a, x, y)[0],
             f, x, eps, (sup_a, sup_b))
         loc_lo, loc_hi = max(0.5 * x, sup_a), min(2.0 * x, sup_b)
         local = 0.0

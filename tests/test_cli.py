@@ -47,10 +47,10 @@ class TestKernelTable:
         assert rc == 2
 
     @pytest.mark.parametrize("argv,expected", [
-        (["--family", "hermite-heat", "--t", "0.5", "--gamma", "3"], "0.5"),
-        (["--family", "hermite-frac", "--gamma", "2", "--t", "0.5"], "2.0"),
-        (["--family", "hermite-riesz", "--k", "1", "--t", "0.5"], ""),
-        (["--family", "laguerre-riesz", "--k", "1", "--gamma", "3"], ""),
+        (["--family", "hermite-heat", "--t", "0.5"], "0.5"),
+        (["--family", "hermite-frac", "--gamma", "2"], "2.0"),
+        (["--family", "hermite-riesz", "--k", "1"], ""),
+        (["--family", "laguerre-riesz", "--k", "1"], ""),
     ])
     def test_t_or_gamma_is_the_parameter_used(self, tmp_path, argv, expected):
         out = tmp_path / "kt.csv"
@@ -70,6 +70,42 @@ class TestKernelTable:
                     "--out", str(tmp_path / "kt.csv")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"invalid input: {message}"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "hermite-riesz", "--k", "1", "--t", "5"],
+         "hermite-riesz takes no t, got t=5.0"),
+        (["--family", "hermite-heat", "--t", "0.5", "--gamma", "3"],
+         "hermite-heat takes no gamma, got gamma=3.0"),
+        (["--family", "laguerre-riesz", "--k", "1", "--gamma", "3"],
+         "laguerre-riesz takes no gamma, got gamma=3.0"),
+        (["--family", "hermite-frac", "--gamma", "2", "--t", "0.5"],
+         "hermite-frac takes no t, got t=0.5"),
+    ])
+    def test_unused_t_or_gamma_rejected(self, tmp_path, capsys, argv,
+                                        message):
+        assert run(["kernel-table", *argv, "--x", "1", "--y", "2",
+                    "--out", str(tmp_path / "kt.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {message}"]
+
+    @pytest.mark.parametrize("argv,name,text", [
+        (["--family", "hermite-heat", "--t", "0.5", "--x", "", "--y", "1"],
+         "x", ""),
+        (["--family", "hermite-heat", "--t", "0.5", "--x", "1", "--y", ","],
+         "y", ","),
+        (["--family", "hermite-heat", "--t", "0.5", "--x", "nan", "--y", "1"],
+         "x", "nan"),
+        (["--family", "hermite-frac", "--gamma", "2", "--x", "inf", "--y",
+          "1"], "x", "inf"),
+    ], ids=["empty", "comma", "nan", "inf"])
+    def test_empty_or_non_finite_grid_rejected(self, tmp_path, capsys, argv,
+                                               name, text):
+        out = tmp_path / "kt.csv"
+        assert run(["kernel-table", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {name} must be a non-empty list of finite "
+            f"numbers, got {text!r}"]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "kt.json"
@@ -106,6 +142,18 @@ class TestRiesz:
                     "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"invalid input: points must be >= 1, got {points}"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_unusable_tolerance_rejected(self, tmp_path, capsys, tol):
+        # a NaN tolerance would pass any abs_diff, a negative one none
+        out = tmp_path / "r.csv"
+        assert run(["riesz", "--family", "hermite", "--k", "1", "--points",
+                    "2", "--stages", "6", "--max-abs-diff", tol,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: max-abs-diff must be finite and >= 0, "
+            f"got {float(tol)}"]
 
     def test_failure_exit_code(self, tmp_path):
         rc = run(["riesz", "--family", "hermite", "--k", "1", "--points",
@@ -184,6 +232,16 @@ class TestScans:
         rep = json.loads(out.read_text())
         assert abs(rep["extrapolated"] - rep["closed_form"]) < 1e-4
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_phi_limit_unusable_tolerance_rejected(self, tmp_path, capsys,
+                                                   tol):
+        out = tmp_path / "phi.json"
+        assert run(["phi-limit", "--k", "2", "--tol", tol,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: tol must be finite and >= 0, got {float(tol)}"]
+
 
 class TestBasisDump:
     def test_samples(self, tmp_path):
@@ -193,6 +251,20 @@ class TestBasisDump:
                     "--out", str(out)]) == 0
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert len(data["x"]) == 50
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--points", "0"], "points must be >= 1, got 0"),
+        (["--points", "-3"], "points must be >= 1, got -3"),
+        (["--xmax", "nan", "--points", "2"], "xmax must be finite, got nan"),
+        (["--xmin=-inf", "--points", "2"], "xmin must be finite, got -inf"),
+    ])
+    def test_bad_sample_grid_rejected(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "b.csv"
+        assert run(["basis", "--family", "hermite", *argv,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {message}"]
 
     def test_coeffs(self, tmp_path):
         out = tmp_path / "c.csv"

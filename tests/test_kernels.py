@@ -16,6 +16,10 @@ def dplusx_heat(l, t, x, y):
     return kn._dplusx_heat_sw(l, s, 1.0 - s, x, y)
 
 
+def kernel(family, x, y, **params):
+    return kn.kernel_value(kn.KernelSpec(family, **params), x, y)[0]
+
+
 class TestSpecTypes:
     def test_kernel_spec_validation(self):
         with pytest.raises(ValueError):
@@ -40,6 +44,10 @@ class TestSpecTypes:
         ("hermite-frac", {"l": 1, "gamma": 2.0}, "l"),
         ("laguerre-riesz", {"k": 1, "l": 7, "alpha": 0.5}, "l"),
         ("laguerre-riesz", {"k": 2, "l": 2, "alpha": 0.5}, "l"),
+        ("hermite-heat", {"gamma": 3.0}, "gamma"),
+        ("laguerre-heat", {"gamma": 3.0, "alpha": 0.5}, "gamma"),
+        ("hermite-riesz", {"k": 1, "gamma": 3.0}, "gamma"),
+        ("laguerre-riesz", {"k": 1, "gamma": 3.0, "alpha": 0.5}, "gamma"),
     ])
     def test_unused_parameters_rejected(self, family, kwargs, name):
         # a spec records only what its kernel computes with
@@ -185,6 +193,12 @@ class TestDerivativeKernel:
             warnings.simplefilter("error", kn.KernelAgreementWarning)
             kn.riesz_kernel_laguerre_vec(2, 0.5, 1.0, np.array([1.3]))
 
+    def test_vector_form_returns_values_and_agreement(self):
+        vals, agreement = kn.riesz_kernel_laguerre_vec(1, 0.5, 1.0,
+                                                       np.array([0.5, 2.0]))
+        assert isinstance(vals, np.ndarray) and vals.shape == (2,)
+        assert isinstance(agreement, float) and 0.0 <= agreement < 1e-8
+
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_bessel_argument_derivative_formula(self, j):
         # d^j/dx^j [(cx)^-a I_a(cx)] expanded through the chain-rule table
@@ -205,8 +219,8 @@ class TestDerivativeKernel:
 
 class TestFracKernel:
     def test_symmetry(self):
-        assert kn.frac_kernel(2.0, 0.4, 1.3) == pytest.approx(
-            kn.frac_kernel(2.0, 1.3, 0.4), rel=1e-12)
+        assert kernel("hermite-frac", 0.4, 1.3, gamma=2.0) == pytest.approx(
+            kernel("hermite-frac", 1.3, 0.4, gamma=2.0), rel=1e-12)
 
     def test_negative_half_power_on_ground_state(self):
         # integral of K_1(x, .) against h_0 equals sqrt(2) h_0(x)
@@ -217,65 +231,66 @@ class TestFracKernel:
             segs.append(gauss_legendre_panels(edges, 12))
         ys = np.concatenate([s[0] for s in segs])
         ws = np.concatenate([s[1] for s in segs])
-        kern = np.array([kn.frac_kernel(1.0, x0, float(y)) for y in ys])
+        kern = np.array([kernel("hermite-frac", x0, float(y), gamma=1.0)
+                         for y in ys])
         val = float(ws @ (kern * bs.hermite_fn_table(0, ys)[0]))
         assert val == pytest.approx(math.sqrt(2.0) * bs.hermite_fn_table(0, x0)[0],
                                     rel=1e-6)
 
     def test_diagonal_finite_above_one(self):
-        assert math.isfinite(kn.frac_kernel(3.0, 1.0, 1.0))
+        assert math.isfinite(kernel("hermite-frac", 1.0, 1.0, gamma=3.0))
 
     def test_diagonal_rejected_at_low_gamma(self):
         with pytest.raises(ValueError):
-            kn.frac_kernel(1.0, 1.0, 1.0)
+            kernel("hermite-frac", 1.0, 1.0, gamma=1.0)
         with pytest.raises(ValueError):
-            kn.frac_kernel(0.0, 1.0, 2.0)
+            kernel("hermite-frac", 1.0, 2.0, gamma=0.0)
 
 
 class TestRieszKernels:
     def test_hermite_low_order_derivative_finite_on_diagonal(self):
-        assert math.isfinite(kn.riesz_kernel_hermite(2, 0, 1.0, 1.0))
+        assert math.isfinite(kernel("hermite-riesz", 1.0, 1.0, k=2, l=0))
 
     def test_hermite_diagonal_rejected(self):
         with pytest.raises(ValueError):
-            kn.riesz_kernel_hermite(1, 1, 1.0, 1.0)
+            kernel("hermite-riesz", 1.0, 1.0, k=1, l=1)
         with pytest.raises(ValueError):
-            kn.riesz_kernel_hermite(2, 1, 1.0, 1.0)
+            kernel("hermite-riesz", 1.0, 1.0, k=2, l=1)
 
     def test_hermite_first_order_inverse_distance_bound(self):
-        vals = [abs(kn.riesz_kernel_hermite(1, 1, 1.0, 1.0 + d)) * d
+        vals = [abs(kernel("hermite-riesz", 1.0, 1.0 + d, k=1, l=1)) * d
                 for d in (1e-2, 1e-3, 1e-4)]
         assert max(vals) < 2.0 * min(vals) + 1.0  # bounded, no blow-up
         assert all(v < 2.0 for v in vals)
 
     def test_hermite_first_order_sign_flip(self):
-        left = kn.riesz_kernel_hermite(1, 1, 1.0, 0.95)
-        right = kn.riesz_kernel_hermite(1, 1, 1.0, 1.05)
+        left = kernel("hermite-riesz", 1.0, 0.95, k=1, l=1)
+        right = kernel("hermite-riesz", 1.0, 1.05, k=1, l=1)
         assert left * right < 0
 
     def test_laguerre_far_field_decay_below(self):
         # 0 < y < x/2 regime
         k, a, x, y = 1, 0.5, 2.0, 0.5
-        val = kn.riesz_kernel_laguerre(k, a, x, y)
+        val = kernel("laguerre-riesz", x, y, k=k, alpha=a)
         bound = y ** (a + 0.5) / x ** (a + 1.5)
         assert abs(val) <= 10.0 * bound
 
     def test_laguerre_far_field_decay_above_odd(self):
         k, a, x, y = 1, 0.5, 0.5, 2.0
-        val = kn.riesz_kernel_laguerre(k, a, x, y)
+        val = kernel("laguerre-riesz", x, y, k=k, alpha=a)
         bound = x ** (a + 1.5) / y ** (a + 2.5)
         assert abs(val) <= 10.0 * bound
 
     def test_near_diagonal_hermite_comparison(self):
         k, a, x, y = 2, 0.0, 1.0, 1.01
-        diff = abs(kn.riesz_kernel_laguerre(k, a, x, y)
-                   - kn.riesz_kernel_hermite(k, k, x, y))
+        diff = abs(kernel("laguerre-riesz", x, y, k=k, alpha=a)
+                   - kernel("hermite-riesz", x, y, k=k, l=k))
         bound = (1.0 + math.sqrt(x / abs(x - y))) / x
         assert diff <= 10.0 * bound
 
     def test_laguerre_diagonal_rejected(self):
         with pytest.raises(ValueError):
-            kn.riesz_kernel_laguerre(1, 0.5, 1.0, 1.0)
+            kernel("laguerre-riesz", 1.0, 1.0, k=1, alpha=0.5)
 
     def test_kernel_value_dispatch(self):
         val, err = kn.kernel_value(kn.KernelSpec("hermite-heat"), 0.3, 0.7,
@@ -284,3 +299,12 @@ class TestRieszKernels:
                                                                  0.7)))
         with pytest.raises(ValueError):
             kn.kernel_value(kn.KernelSpec("hermite-heat"), 0.3, 0.7)
+
+    @pytest.mark.parametrize("spec", [
+        kn.KernelSpec("hermite-frac", gamma=2.0),
+        kn.KernelSpec("hermite-riesz", k=1),
+        kn.KernelSpec("laguerre-riesz", k=1, alpha=0.5),
+    ], ids=lambda spec: spec.family)
+    def test_t_rejected_for_integrated_families(self, spec):
+        with pytest.raises(ValueError, match=f"{spec.family} takes no t"):
+            kn.kernel_value(spec, 1.0, 2.0, t=0.5)

@@ -312,20 +312,25 @@ class TestPhiLimit:
 
 class TestHardy:
     def test_constant_below_one(self):
-        f = lambda y: np.ones_like(np.asarray(y, dtype=float))
+        def f(y):
+            return np.ones_like(np.asarray(y, dtype=float))
+
+        f.support = (0, 1)
         grid = np.array([0.25, 0.5, 0.9])
-        np.testing.assert_allclose(op.hardy0(0.0, f, grid, support=(0, 1)),
-                                   1.0, rtol=1e-12)
-        np.testing.assert_allclose(op.hardy_inf(0.0, f, grid, support=(0, 1)),
+        np.testing.assert_allclose(op.hardy0(0.0, f, grid), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(op.hardy_inf(0.0, f, grid),
                                    np.log(1.0 / grid), rtol=1e-9)
 
     def test_power_law(self):
         eta, aexp = 0.7, 0.3
-        f = lambda y: np.asarray(y, dtype=float) ** aexp
+
+        def f(y):
+            return np.asarray(y, dtype=float) ** aexp
+
+        f.support = (0, 1)
         grid = np.array([0.2, 0.6, 0.95])
-        np.testing.assert_allclose(
-            op.hardy0(eta, f, grid, support=(0, 1)),
-            grid**aexp / (eta + aexp + 1.0), rtol=1e-9)
+        np.testing.assert_allclose(op.hardy0(eta, f, grid),
+                                   grid**aexp / (eta + aexp + 1.0), rtol=1e-9)
 
     def test_positivity(self):
         f = op.bump(1.5, 0.5)
@@ -334,8 +339,9 @@ class TestHardy:
         assert np.all(op.hardy_inf(0.3, f, grid) >= 0)
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            op.hardy0(-1.0, lambda y: y, [1.0], support=(0, 1))
+        f = op.bump(0.5, 0.5)
+        with pytest.raises(ValueError, match="eta must be > -1"):
+            op.hardy0(-1.0, f, [1.0])
 
 
 class TestWeightedNorm:

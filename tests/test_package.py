@@ -110,5 +110,16 @@ def test_benchmark_tracer_installs(monkeypatch):
         specfun.gauss_jacobi_01(160, 0.0)
     finally:
         tracer.uninstall()
-    assert tracer.layer_metrics()["kernels.laguerre_vec.calls"] == 1
+    metrics = tracer.layer_metrics()
+    assert metrics["kernels.laguerre_vec.calls"] == 1
+    assert metrics["kernels.laguerre_vec.y_points"] == 1
     assert [getattr(mod, name) for mod, name in wrapped] == before
+
+
+def test_scalar_kernel_wrappers_removed():
+    # kernel_value(KernelSpec(...), x, y) is the one way to name a kernel
+    from rieszlag import kernels
+    for name in ("frac_kernel", "riesz_kernel_hermite",
+                 "riesz_kernel_laguerre"):
+        assert not hasattr(rieszlag, name), name
+        assert not hasattr(kernels, name), name
