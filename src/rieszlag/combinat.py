@@ -146,8 +146,8 @@ _REPORT_ALPHAS = (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(2),
                   Fraction(9, 4))
 
 
-def identities_report(jmax_a: int = 15, jmax_n1: int = 12, nmax_23: int = 8,
-                      qmax_23: int = 8) -> list[dict]:
+def identities_report(jmax_a: int, jmax_n1: int, nmax_23: int,
+                      qmax_23: int) -> list[dict]:
     """Run the full exact identity suite and return JSON-ready entries.
 
     Each entry carries ``identity``, ``parameters``, ``status`` (either
@@ -169,9 +169,8 @@ def identities_report(jmax_a: int = 15, jmax_n1: int = 12, nmax_23: int = 8,
             record("A[j,s]=0 for s<j", {"j": j, "s": s}, Fraction(a_sum(j, s)))
         record("A[j,j]=(-1)^j j!", {"j": j},
                Fraction(a_sum(j, j) - (-1) ** j * math.factorial(j)))
-        if j >= 1:
-            record("A[j,j]=-j*A[j-1,j-1]", {"j": j},
-                   Fraction(a_sum(j, j) + j * a_sum(j - 1, j - 1)))
+        record("A[j,j]=-j*A[j-1,j-1]", {"j": j},
+               Fraction(a_sum(j, j) + j * a_sum(j - 1, j - 1)))
     for j in range(1, jmax_n1 + 1):
         for m in range(j // 2 + 1):
             for a in _REPORT_ALPHAS:

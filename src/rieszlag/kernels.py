@@ -233,8 +233,9 @@ def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
         raise ValueError(f"t must be > 0, got {t}")
     if not (x > 0 and y > 0):
         raise ValueError("x and y must be > 0")
-    s = math.tanh(0.5 * t)
-    dw1, dw2, _ = _dw_pair_sw(k, alpha_value(alpha), s, 1.0 - s, x, y)
+    em = math.exp(-t)  # s = tanh(t/2) and w = 1 - s, free of cancellation
+    s, w = -math.expm1(-t) / (1.0 + em), 2.0 * em / (1.0 + em)
+    dw1, dw2, _ = _dw_pair_sw(k, alpha_value(alpha), s, w, x, y)
     return float(dw1), float(dw2)
 
 

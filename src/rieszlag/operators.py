@@ -245,24 +245,23 @@ def _pv_segments(x: float, eps: np.ndarray, support):
     segs = []  # (strip_index or -1 for far field, nodes, weights)
     eps0 = eps[0]
 
-    def far(lo, hi, toward):
-        width = hi - lo
-        floor = min(0.3, max(1e-9, eps0 / (3.0 * width)))
-        edges = geometric_edges(lo, hi, toward=toward, floor=floor, ratio=0.5)
-        xs, ws = gauss_legendre_panels(edges, 12)
-        segs.append((-1, xs, ws))
+    def add(index, edges):
+        # a piece a few ulps wide, where x +- eps_i meets a support end,
+        # has no distinct edges; it holds a few ulps times max |K f|
+        if np.all(np.diff(edges) > 0):
+            segs.append((index, *gauss_legendre_panels(edges, 12)))
 
-    if x - eps0 > a:
-        far(a, x - eps0, "right")
-    if x + eps0 < b:
-        far(x + eps0, b, "left")
+    for lo, hi, toward in ((a, x - eps0, "right"), (x + eps0, b, "left")):
+        if hi > lo:
+            floor = min(0.3, max(1e-9, eps0 / (3.0 * (hi - lo))))
+            add(-1, geometric_edges(lo, hi, toward=toward, floor=floor,
+                                    ratio=0.5))
     for i in range(len(eps) - 1):
         hi, lo = eps[i], eps[i + 1]
         for y0, y1 in ((max(a, x - hi), min(b, x - lo)),
                        (max(a, x + lo), min(b, x + hi))):
             if y1 > y0:
-                xs, ws = gauss_legendre_panels(np.linspace(y0, y1, 3), 12)
-                segs.append((i, xs, ws))
+                add(i, np.linspace(y0, y1, 3))
     return segs
 
 
@@ -386,9 +385,8 @@ def phi_limit(k: int) -> dict:
 # Hardy operators and weighted norms
 # ---------------------------------------------------------------------------
 
-def _support_of(f, support=None):
-    if support is None:
-        support = getattr(f, "support", None)
+def _support_of(f):
+    support = getattr(f, "support", None)
     if support is None:
         raise ValueError("f has no support attribute (a, b)")
     return float(support[0]), float(support[1])
@@ -435,8 +433,9 @@ def hardy_inf(eta: float, f, grid) -> np.ndarray:
     return out
 
 
-def weighted_norm(f, p: float, delta: float, interval=None) -> float:
-    """L^p(x^delta dx) norm of f over a working interval on (0, inf).
+def weighted_norm(f, p: float, delta: float, interval) -> float:
+    """L^p(x^delta dx) norm of f over ``interval`` = (a, b), 0 <= a, for a
+    finite p >= 1 (p = inf would read 1.0 for every f) and a finite delta.
 
     For intervals reaching down to 0 the weight is absorbed by a
     power-weighted endpoint rule on (0, 1); the rest of the interval takes
@@ -444,7 +443,9 @@ def weighted_norm(f, p: float, delta: float, interval=None) -> float:
     """
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    a, b = _support_of(f, interval)
+    if not (math.isfinite(p) and math.isfinite(delta)):
+        raise ValueError(f"need finite p and delta, got p={p}, delta={delta}")
+    a, b = float(interval[0]), float(interval[1])
     if a < 0.0:
         raise ValueError("weighted norms live on (0, inf)")
 

@@ -183,15 +183,16 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
         sup_ratio=sup, argmax=argmax, refinement_history=history)
 
 
-def check_prop31(k: int, l: int, *, x_values=(-1.5, -0.4, 0.3, 1.0, 2.0),
-                 nd: int = 6, levels: int = 2) -> BoundCheckReport:
+def check_prop31(k: int, l: int, *, levels: int = 2) -> BoundCheckReport:
     """Scan the Hermite derivative-kernel size table: bounded for
-    l <= k-2, |x-y|^(-1/2) for l = k-1, |x-y|^(-1) for l = k, at
-    distances |x - y| in [1e-3, 1]."""
+    l <= k-2, |x-y|^(-1/2) for l = k-1, |x-y|^(-1) for l = k, at x = -1.5,
+    -0.4, 0.3, 1.0, 2.0 and 6 * 2^level distances |x - y| in [1e-3, 1]."""
+    x_values = (-1.5, -0.4, 0.3, 1.0, 2.0)
     dist_range = (1e-3, 1.0)
+    nd = 6
     if not 0 <= l <= k or k < 1:
         raise ValueError(f"need k >= 1 and 0 <= l <= k, got k={k}, l={l}")
-    _check_sampling(levels, nd=nd)
+    _check_sampling(levels)
 
     def bound(d):
         if l <= k - 2:
@@ -251,17 +252,11 @@ def check_maximal_domination(k: int, alpha, f, grid) -> dict:
             f, x, eps, (sup_a, sup_b))
         loc_lo, loc_hi = max(0.5 * x, sup_a), min(2.0 * x, sup_b)
         local = 0.0
-        near = 0.0
         if loc_lo < x < loc_hi:
             local = _excised_sup(
                 lambda y: kernels.riesz_kernel_hermite_vec(k, k, x, y),
                 f, x, eps, (loc_lo, loc_hi))
-            near = _near_diagonal_average(f, x, loc_lo, loc_hi)
-        elif loc_lo < loc_hi:
-            xs, ws = gauss_legendre_panels(np.linspace(loc_lo, loc_hi, 9), 12)
-            near = float(ws @ (np.asarray(f(xs)) / xs
-                               * (1.0 + np.sqrt(x / np.abs(x - xs)))))
-        return lhs, local, near
+        return lhs, local, _near_diagonal_average(f, x, loc_lo, loc_hi)
 
     rows = [at_point(i) for i in range(len(grid))]
     lhs = np.array([r[0] for r in rows])
@@ -286,9 +281,12 @@ def check_maximal_domination(k: int, alpha, f, grid) -> dict:
 
 
 def _near_diagonal_average(f, x: float, lo: float, hi: float) -> float:
-    """integral over (x/2, 2x) of f(y)/y * (1 + sqrt(x/|x-y|)) dy."""
+    """integral over (lo, hi), (x/2, 2x) cut to the support of f, of
+    f(y)/y * (1 + sqrt(x/|x-y|)) dy, 0 if lo >= hi; the panels refine
+    toward x clipped into [lo, hi], so toward the end nearer x outside."""
     total = 0.0
-    for a, b, toward in ((lo, x, "right"), (x, hi, "left")):
+    for a, b, toward in ((lo, min(x, hi), "right"),
+                         (max(x, lo), hi, "left")):
         if b <= a:
             continue
         edges = geometric_edges(a, b, toward=toward, floor=1e-10, ratio=0.4)
@@ -316,11 +314,11 @@ def _seeded_bump(seed: int, index: int):
 
 
 def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
-            seed: int = 0, nmax: int = 600) -> LpScanReport:
+            seed: int = 0) -> LpScanReport:
     """Weighted-norm ratios ||R f_i|| / ||f_i|| over a deterministic family
     of bump functions (member i depends only on (seed, i), so growing the
     family keeps earlier members fixed), with both norms taken over
-    (0, 30)."""
+    (0, 30) and R f_i from the Laguerre expansion of f_i to degree 600."""
     if family_size < 1:
         raise ValueError("family_size must be >= 1")
     a = alpha_value(alpha)
@@ -330,7 +328,7 @@ def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
 
     def ratio(i):
         g = _seeded_bump(seed, i)
-        coeffs = analyze(g, tag, nmax)
+        coeffs = analyze(g, tag, 600)
 
         def image(x):
             return operators.riesz_apply_laguerre_spectral(

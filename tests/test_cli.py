@@ -155,6 +155,16 @@ class TestRiesz:
             f"invalid input: max-abs-diff must be finite and >= 0, "
             f"got {float(tol)}"]
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_laguerre_end_to_end(self, tmp_path, k):
+        out = tmp_path / "r.csv"
+        assert run(["riesz", "--family", "laguerre", "--k", k, "--alpha",
+                    "0.5", "--points", "1", "--max-abs-diff", "1e-3",
+                    "--out", str(out)]) == 0
+        data = np.atleast_1d(np.genfromtxt(out, delimiter=",", names=True))
+        assert len(data) == 1
+        assert float(data["abs_diff"][0]) < 1e-3
+
     def test_failure_exit_code(self, tmp_path):
         rc = run(["riesz", "--family", "hermite", "--k", "1", "--points",
                   "2", "--stages", "6", "--out", str(tmp_path / "r.csv"),
@@ -225,6 +235,26 @@ class TestScans:
         assert run(args + ["--out", str(a), "--threads", "1"]) == 0
         assert run(args + ["--out", str(b), "--threads", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv,p,delta", [
+        (["--p", "inf"], "inf", "0.0"),
+        (["--delta", "nan"], "2.0", "nan"),
+        (["--delta", "inf"], "2.0", "inf"),
+        (["--delta=-inf"], "2.0", "-inf"),
+    ], ids=["p-inf", "delta-nan", "delta-inf", "delta-minus-inf"])
+    def test_lp_scan_non_finite_rejected(self, tmp_path, capsys, argv, p,
+                                         delta):
+        # p = inf reported the ratio 1.0 for every bump; a non-finite delta
+        # failed inside the endpoint rule with a misleading message
+        out = tmp_path / "lp.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["lp-scan", "--k", "1", "--family-size", "2", *argv,
+                        "--out", str(out)]) == 2
+        assert not caught and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: need finite p and delta, got p={p}, "
+            f"delta={delta}"]
 
     def test_phi_limit(self, tmp_path):
         out = tmp_path / "phi.json"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -159,9 +160,11 @@ class TestRaisingDerivatives:
 
 class TestDerivativeKernel:
     def test_k_zero_reduces_to_heat(self):
-        got = kn.d_alpha_pow_k_heat_pair(0, 0.5, 1.0, 1.3, 0.5)[0]
-        ref = float(kn.heat_kernel_laguerre(0.5, 1.0, 1.3, 0.5))
-        assert got == pytest.approx(ref, rel=1e-14)
+        # at large t, w = 1 - tanh(t/2) must not be formed by subtraction
+        for t in (0.5, 20.0, 40.0, 200.0):
+            got = kn.d_alpha_pow_k_heat_pair(0, t, 1.0, 1.3, 0.5)[0]
+            ref = float(kn.heat_kernel_laguerre(t, 1.0, 1.3, 0.5))
+            assert got == pytest.approx(ref, rel=1e-14)
 
     def test_k_one_vs_fd_oracle(self):
         a, t, x, y = 0.5, 0.5, 1.0, 1.3
@@ -192,6 +195,38 @@ class TestDerivativeKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error", kn.KernelAgreementWarning)
             kn.riesz_kernel_laguerre_vec(2, 0.5, 1.0, np.array([1.3]))
+
+    def test_agreement_monitor_warns_once_at_the_worst_point(self,
+                                                              monkeypatch):
+        pair = kn._dw_pair_sw
+
+        def perturbed(k, alpha, s, w, x, y):
+            # route two off by 1% at y = 1.3 and by 0.1% at y = 2.0
+            dw1, dw2, dwabs = pair(k, alpha, s, w, x, y)
+            return dw1, dw2 * np.array([1.0, 1.01, 1.001]), dwabs
+
+        monkeypatch.setattr(kn, "_dw_pair_sw", perturbed)
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _, agreement = kn.riesz_kernel_laguerre_vec(
+                    2, 0.5, 1.0, np.array([0.6, 1.3, 2.0]))
+            assert [w.category for w in caught] == [kn.KernelAgreementWarning]
+            assert re.fullmatch(
+                r"Riesz kernel routes disagree \(9\.90e-03 relative, "
+                r"conditioning floor \d\.\d\de-\d\d\) at \(k=2, "
+                r"alpha=0\.5, x=1\.0, y=1\.3\)", str(caught[0].message))
+            assert agreement == pytest.approx(0.01 / 1.01, rel=1e-6)
+
+    def test_stalled_quadrature_raises(self, monkeypatch):
+        # the 8- and 12-node values differ by 4, far above 1e-5 relative
+        monkeypatch.setattr(kn, "_hermite_time_integral",
+                            lambda l, q, x, y, nodes: np.full(len(y), nodes,
+                                                              dtype=float))
+        with pytest.raises(kn.QuadratureConvergenceError,
+                           match=r"K_gamma quadrature stalled at "
+                                 r"\(0\.5, 0\.7\): est err 4\.0$"):
+            kernel("hermite-frac", 0.5, 0.7, gamma=2.0)
 
     def test_vector_form_returns_values_and_agreement(self):
         vals, agreement = kn.riesz_kernel_laguerre_vec(1, 0.5, 1.0,

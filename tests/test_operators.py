@@ -258,6 +258,15 @@ class TestPVApply:
                 lambda x: op.pv_apply(spec, f, x, stages=6).total, pts))
         assert serial == threaded
 
+    def test_strip_an_ulp_wide(self):
+        # x + 0.05 lies one ulp above the support end -0.49, which left a
+        # strip too narrow for distinct panel edges
+        f = op.bump(-0.99, 0.5)
+        spec = KernelSpec("hermite-riesz", k=1)
+        res = op.pv_apply(spec, f, -0.54, stages=10)
+        near = op.pv_apply(spec, f, -0.54 - 1e-10, stages=10)
+        assert res.total == pytest.approx(near.total, rel=1e-8)
+
     def test_pv_validation(self):
         f = op.bump(0.0, 1.0)
         with pytest.raises(ValueError):
@@ -349,25 +358,31 @@ class TestWeightedNorm:
         f = op.bump(1.0, 0.5)
         xs, ws = gauss_legendre_panels(np.linspace(0.5, 1.5, 33), 14)
         mass = float(ws @ f(xs))
-        n = op.weighted_norm(f, 1.0, 0.0)
+        n = op.weighted_norm(f, 1.0, 0.0, f.support)
         assert n == pytest.approx(mass, rel=1e-8)
 
     def test_homogeneity(self):
         f = op.bump(1.0, 0.5)
-        n1 = op.weighted_norm(f, 2.0, 0.3)
-        n3 = op.weighted_norm(lambda x: 3.0 * f(x), 2.0, 0.3,
-                              interval=f.support)
+        n1 = op.weighted_norm(f, 2.0, 0.3, f.support)
+        n3 = op.weighted_norm(lambda x: 3.0 * f(x), 2.0, 0.3, f.support)
         assert n3 == pytest.approx(3.0 * n1, rel=1e-14)
 
     def test_delta_shift_bounds(self):
         f = op.bump(1.5, 0.5)  # support [1, 2]
-        base = op.weighted_norm(f, 2.0, 0.0)
-        shifted = op.weighted_norm(f, 2.0, 1.3)
+        base = op.weighted_norm(f, 2.0, 0.0, f.support)
+        shifted = op.weighted_norm(f, 2.0, 1.3, f.support)
         assert base * 1.0 ** (1.3 / 2.0) <= shifted <= base * 2.0 ** (1.3 / 2.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            op.weighted_norm(op.bump(1.0, 0.5), 0.5, 0.0)
+        f = op.bump(1.0, 0.5)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            op.weighted_norm(f, 0.5, 0.0, (0.0, 30.0))
+        # at p = inf the quadrature would read 1.0 for every f, and a NaN or
+        # infinite delta breaks the endpoint rule
+        for p, delta in ((math.inf, 0.0), (2.0, math.nan), (2.0, math.inf),
+                         (2.0, -math.inf)):
+            with pytest.raises(ValueError, match="need finite p and delta"):
+                op.weighted_norm(f, p, delta, (0.0, 30.0))
 
 
 class TestBump:

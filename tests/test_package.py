@@ -1,9 +1,12 @@
 """Every exported name resolves and has a caller: each module's ``__all__``
-and every name the package ``__init__`` imports.  Every module-level import
-in a package module other than ``__init__`` is used there."""
+and every name the package ``__init__`` imports.  Every defaulted parameter
+of an exported function is set by some caller in the package.  Every
+module-level import in a package module other than ``__init__`` is used
+there."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import rieszlag
@@ -65,6 +68,39 @@ def test_every_export_has_a_caller():
                 and not any(name == attr and (stem, owner) != (mod, attr)
                             for stem, name, owner in refs)]
     assert sorted(uncalled) == sorted(UNCALLED_ALLOWED), ", ".join(uncalled)
+
+
+# Defaulted parameters of exported functions that no package code passes by
+# keyword but that stay on purpose, each with its reason.
+DEFAULT_UNSET_ALLOWED = {
+    "cli.main.argv": "the entry point; the console script passes none",
+    "verify.check_prop33.nx": "cli passes it through **sampling",
+    "verify.check_prop33.ny": "cli passes it through **sampling",
+}
+
+
+def test_every_default_has_a_caller():
+    # a defaulted parameter is an option only when some caller in the
+    # package sets it by keyword; one that nothing sets is a constant
+    keywords = set()
+    for path in Path(rieszlag.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or \
+                    getattr(node.func, "attr", None)
+                keywords |= {(callee, kw.arg) for kw in node.keywords}
+    unset = []
+    for mod in MODULES:
+        module = importlib.import_module(f"rieszlag.{mod}")
+        for attr in module.__all__:
+            fn = getattr(module, attr)
+            if not inspect.isfunction(fn):
+                continue
+            params = inspect.signature(fn).parameters.values()
+            unset += [f"{mod}.{attr}.{p.name}" for p in params
+                      if p.default is not p.empty
+                      and (attr, p.name) not in keywords]
+    assert sorted(unset) == sorted(DEFAULT_UNSET_ALLOWED), ", ".join(unset)
 
 
 def test_every_import_is_used():

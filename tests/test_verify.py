@@ -4,6 +4,7 @@ import pytest
 from rieszlag import basis as bs
 from rieszlag import operators as op
 from rieszlag import verify as vf
+from rieszlag.specfun import gauss_legendre_panels
 
 
 class TestProp33Scans:
@@ -40,15 +41,13 @@ class TestProp33Scans:
 class TestProp31Scan:
     @pytest.mark.parametrize("k,l", [(2, 0), (2, 1), (2, 2), (3, 1)])
     def test_table_bounds(self, k, l):
-        rep = vf.check_prop31(k, l, nd=4, x_values=(-0.4, 0.6, 1.5))
+        rep = vf.check_prop31(k, l)
         assert rep.stable
         assert np.isfinite(rep.sup_ratio)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             vf.check_prop31(1, 2)
-        with pytest.raises(ValueError, match="nd must be >= 1"):
-            vf.check_prop31(1, 1, nd=0)
 
 
 class TestMaximalDomination:
@@ -90,20 +89,41 @@ class TestMaximalDomination:
         lo, hi = sorted((coarse["fitted_C"], fine["fitted_C"]))
         assert hi < 2.0 * lo
 
+    def test_near_diagonal_outside_support(self):
+        # off the support's closure the integrand is smooth on the local
+        # window, so a fine uniform rule is a reference
+        f = op.bump(1.5, 0.5)  # support [1, 2]
+        grid = [0.7, 0.9, 2.5, 3.0, 3.5]
+        rep = vf.check_maximal_domination(1, 0.5, f, grid)
+        for x, near in zip(grid, rep["near_diagonal"]):
+            lo, hi = max(0.5 * x, 1.0), min(2.0 * x, 2.0)
+            ys, ws = gauss_legendre_panels(np.linspace(lo, hi, 4001), 20)
+            ref = float(ws @ (f(ys) / ys
+                              * (1.0 + np.sqrt(x / np.abs(x - ys)))))
+            assert near == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_grid_point_an_ulp_off_an_excision_radius(self):
+        # x - 0.05 lies one ulp below the support end 1.1, which left a
+        # strip too narrow for distinct panel edges
+        f = op.bump(0.6, 0.5)
+        rep = vf.check_maximal_domination(2, 0.0, f, [1.15])
+        near = vf.check_maximal_domination(2, 0.0, f, [1.15 - 1e-10])
+        assert rep["lhs"][0] == pytest.approx(near["lhs"][0], rel=1e-8)
+
 
 class TestLpScan:
     def test_in_range_arithmetic(self):
         assert vf.strong_type_range(1, 0.0, 2.0) == (-4.0, 2.0)
         assert vf.strong_type_range(2, 0.0, 2.0) == (-2.0, 2.0)
-        rep = vf.lp_scan(1, 0.0, 2.0, 0.0, 3, nmax=300)
+        rep = vf.lp_scan(1, 0.0, 2.0, 0.0, 3)
         assert rep.in_range
-        rep = vf.lp_scan(1, 0.0, 2.0, 5.0, 3, nmax=300)
+        rep = vf.lp_scan(1, 0.0, 2.0, 5.0, 3)
         assert not rep.in_range
         assert all(np.isfinite(rep.ratios))
 
     def test_family_nesting(self):
-        small = vf.lp_scan(2, 0.0, 2.0, 0.0, 3, seed=11, nmax=300)
-        large = vf.lp_scan(2, 0.0, 2.0, 0.0, 5, seed=11, nmax=300)
+        small = vf.lp_scan(2, 0.0, 2.0, 0.0, 3, seed=11)
+        large = vf.lp_scan(2, 0.0, 2.0, 0.0, 5, seed=11)
         assert large.ratios[:3] == small.ratios
 
     def test_scaling_invariance(self):
