@@ -15,6 +15,18 @@ s in (0, 1) with panels refined geometrically toward both endpoints and a
 split at s = 1/2.  Near s = 1 the complement w = 1 - s is the integration
 variable, so no 1 - s cancellation ever occurs.  Scaled Bessel evaluations
 keep every exponential combined analytically; e^{+z} is never formed.
+
+The (s x y) mesh of a time integral is evaluated in blocks of 64 y points,
+which keeps its temporaries small, and the sum over s of a block runs row by
+row in s order, as over the whole mesh.  Both kernels' exponents satisfy
+expo <= -(x - y)^2 / 4s, so a block skips every s-row where that bound lies
+below -800 for all its y: exp is exactly 0 there, so the row adds exactly +-0
+to every column of a sum that numpy starts from +0, provided its other
+factors are finite.  Those grow as s falls, so the first row, at the smallest
+s, is always kept: where they overflow (0 * inf = NaN, as at Laguerre k >= 9)
+it overflows too, and the sum is NaN as over the whole mesh.  Neither step
+changes a bit of any value.  A one-point call keeps the whole rule: numpy
+sums a one-column array pairwise, where skipping rows would move last bits.
 """
 
 from __future__ import annotations
@@ -243,6 +255,10 @@ def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
 # Time integration in the substituted variable
 # ---------------------------------------------------------------------------
 
+_Y_BLOCK = 64
+_EXPO_FLOOR = -800.0    # far below exp's underflow to exactly 0 at -745.14
+
+
 @lru_cache(maxsize=16)
 def _s_quadrature(nodes: int):
     """Panelled rule for integrals dt over (0, inf) in the s variable.
@@ -270,14 +286,47 @@ def _s_quadrature(nodes: int):
     return s, w, t, weight
 
 
+def _y_blocks(n: int) -> list:
+    """Slices of _Y_BLOCK consecutive y points covering range(n).  A lone
+    last point joins the block before it: numpy sums a one-column array
+    pairwise, a wider one row by row, so only a one-point call has a
+    one-column block."""
+    starts = list(range(0, n, _Y_BLOCK))
+    if n > 1 and n % _Y_BLOCK == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts or [0], starts[1:] + [n])]
+
+
+def _s_integral(integrand, wt, x: float, y, nodes: int) -> list:
+    """sum_i wt_i * F(s_i, y) over the s-rule of ``nodes``, for each array
+    F of the tuple ``integrand(s, w, y)`` returns; one array per F.
+
+    Evaluated in y-blocks (see the module docstring): each block's sum runs
+    over a C-contiguous (rows, block) array, so numpy adds its rows in s
+    order, and it skips the rows whose exponent bound -(x - y)^2 / 4s lies
+    below _EXPO_FLOOR for every y of the block, except the first."""
+    s, w, _, _ = _s_quadrature(nodes)
+    blocks = []
+    for cols in _y_blocks(len(y)):
+        yb = y[cols]
+        rows = slice(None)
+        if len(yb) > 1:
+            rows = -np.min((x - yb) ** 2) / (4.0 * s) >= _EXPO_FLOOR
+            rows[0] = True
+        parts = integrand(s[rows, None], w[rows, None], yb[None, :])
+        blocks.append([(wt[rows, None] * f).sum(axis=0) for f in parts])
+    return [np.concatenate(sums) for sums in zip(*blocks)]
+
+
 def _hermite_time_integral(l: int, half_order: float, x: float, y,
                            nodes: int) -> np.ndarray:
     """(1/Gamma(q)) * integral of t^{q-1} (d/dx + x)^l W_t(x, y) dt,
     q = half_order, vectorized in y."""
-    s, w, t, weight = _s_quadrature(nodes)
-    vals = _dplusx_heat_sw(l, s[:, None], w[:, None], x, y[None, :])
+    _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (half_order - 1.0)
-    return (wt[:, None] * vals).sum(axis=0) / gamma(half_order)
+    vals, = _s_integral(lambda s, w, yb: (_dplusx_heat_sw(l, s, w, x, yb),),
+                        wt, x, y, nodes)
+    return vals / gamma(half_order)
 
 
 def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str):
@@ -328,12 +377,10 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8):
         raise ValueError("Riesz kernel requires x != y")
     if not (x > 0 and np.all(y > 0)):
         raise ValueError("x and y must be > 0")
-    s, w, t, weight = _s_quadrature(nodes)
-    dw1, dw2, dwabs = _dw_pair_sw(k, a, s[:, None], w[:, None], x, y[None, :])
-    wt = (weight * t ** (0.5 * k - 1.0))[:, None] / gamma(0.5 * k)
-    v1 = (wt * dw1).sum(axis=0)
-    v2 = (wt * dw2).sum(axis=0)
-    vabs = (wt * dwabs).sum(axis=0)
+    _, _, t, weight = _s_quadrature(nodes)
+    wt = weight * t ** (0.5 * k - 1.0) / gamma(0.5 * k)
+    v1, v2, vabs = _s_integral(
+        lambda s, w, yb: _dw_pair_sw(k, a, s, w, x, yb), wt, x, y, nodes)
     disagree, floor = _route_disagreement(v1, v2, vabs)
     if np.any(disagree > floor):
         idx = int(np.argmax(disagree - floor))

@@ -102,17 +102,36 @@ def _series_switch(nu: float) -> float:
     return max(30.0, 0.5 * nu * nu)
 
 
+_SERIES_TERMS = 500
+
+
 def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # e^{-z} I_nu(z) summed by term ratios; all terms positive, no cancellation.
+    # An entry retires once term <= 1e-17 * total: the term ratios decrease
+    # in m, and a term that small cannot come while the terms still grow, so
+    # every later term is below half an ulp of the total and would leave it
+    # unchanged.  Entries still active after _SERIES_TERMS terms raise.
     term = np.exp(nu * np.log(0.5 * z) - log_gamma(nu + 1.0) - z)
     total = term.copy()
     quarter_z2 = 0.25 * z * z
-    for m in range(1, 500):
+    out = np.empty_like(z)
+    active = np.arange(z.size)
+    for m in range(1, _SERIES_TERMS):
         term = term * quarter_z2 / (m * (nu + m))
         total += term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
+        done = term <= 1e-17 * total
+        if done.any():
+            out[active[done]] = total[done]
+            live = ~done
+            active, term, total, quarter_z2 = (
+                active[live], term[live], total[live], quarter_z2[live])
+            if not active.size:
+                return out
+    if active.size:
+        raise RuntimeError(
+            f"Bessel series for order {nu} not converged after "
+            f"{_SERIES_TERMS} terms at z={z[active].max()}")
+    return out
 
 
 def _bessel_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:

@@ -252,6 +252,137 @@ class TestDerivativeKernel:
         assert got == pytest.approx(ref, rel=1e-5)
 
 
+def _whole_mesh(integrand, wt, y, nodes=8):
+    # one (s x y) mesh over the whole rule, summed as one array, as before
+    # the y-blocks: row by row for two or more columns, pairwise for one
+    s, w, _, _ = kn._s_quadrature(nodes)
+    parts = integrand(s[:, None], w[:, None], y[None, :])
+    return [(wt[:, None] * f).sum(axis=0) for f in parts]
+
+
+def _laguerre_whole_mesh(k, alpha, x, y):
+    _, _, t, weight = kn._s_quadrature(8)
+    wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
+    return _whole_mesh(lambda s, w, yb: kn._dw_pair_sw(k, alpha, s, w, x, yb),
+                       wt, y)[0]
+
+
+def _hermite_whole_mesh(k, x, y):
+    _, _, t, weight = kn._s_quadrature(8)
+    wt = weight * t ** (0.5 * k - 1.0)
+    return _whole_mesh(lambda s, w, yb: (kn._dplusx_heat_sw(k, s, w, x, yb),),
+                       wt, y)[0] / kn.gamma(0.5 * k)
+
+
+def _rows_seen(monkeypatch, name):
+    # number of s-rows of each mesh the kernel evaluates
+    seen, inner = [], getattr(kn, name)
+
+    def counted(*args):
+        seen.append(np.shape(args[-4])[0])
+        return inner(*args)
+
+    monkeypatch.setattr(kn, name, counted)
+    return seen
+
+
+# four 64-point blocks; the points far from x lose s-rows, and in the last
+# block, 51 to 57 from x, the kernel is near or below exp's underflow
+_BLOCK_TEST_Y = np.concatenate([np.linspace(0.05, 2.6, 150),
+                                1.4 + np.geomspace(1e-4, 0.5, 20),
+                                np.geomspace(6.0, 45.0, 22),
+                                np.linspace(52.4, 58.4, 64)])
+
+
+class TestBlockedTimeIntegrals:
+    def test_blocks_cover_and_never_leave_one_column(self):
+        for n in range(0, 300):
+            blocks = kn._y_blocks(n)
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            widths = [b.stop - b.start for b in blocks]
+            assert max(widths) <= 2 * kn._Y_BLOCK
+            assert n == 1 or 1 not in widths
+
+    def test_column_sums_start_from_plus_zero(self):
+        # a skipped row adds +-0; numpy's sum never yields -0 from it
+        assert not np.signbit(np.full((3, 2), -0.0).sum(axis=0)).any()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_laguerre_blocks_and_skipped_rows_invisible(self, k, alpha,
+                                                        monkeypatch):
+        x, y = 1.4, _BLOCK_TEST_Y
+        whole = _laguerre_whole_mesh(k, alpha, x, y)
+        rows = _rows_seen(monkeypatch, "_dw_pair_sw")
+        vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
+        assert len(rows) == 4 and min(rows) < len(kn._s_quadrature(8)[0])
+        assert np.array_equal(vals, whole)
+        pairs = [kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 2])[0]
+                 for i in range(0, len(y) - 1, 2)]
+        assert np.array_equal(np.concatenate(pairs), whole[:len(y) // 2 * 2])
+        for i in (0, 160, 200):
+            assert np.array_equal(
+                kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 1])[0],
+                _laguerre_whole_mesh(k, alpha, x, y[i:i + 1]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("x", [0.3, 26.0])
+    def test_hermite_blocks_and_skipped_rows_invisible(self, k, x,
+                                                       monkeypatch):
+        # at x = 26 the last block, y in [-32, -20], has x + y near 0: its
+        # kernel sits at exp's underflow with no help from the s (x + y)^2
+        # part of the exponent, so skipping a row too many shows
+        y = np.concatenate([_BLOCK_TEST_Y, -_BLOCK_TEST_Y,
+                            -np.linspace(20.0, 32.0, 64)])
+        whole = _hermite_whole_mesh(k, x, y)
+        rows = _rows_seen(monkeypatch, "_dplusx_heat_sw")
+        vals = kn.riesz_kernel_hermite_vec(k, k, x, y)
+        assert len(rows) == 9 and min(rows) < len(kn._s_quadrature(8)[0])
+        assert np.array_equal(vals, whole)
+        pairs = [kn.riesz_kernel_hermite_vec(k, k, x, y[i:i + 2])
+                 for i in range(0, len(y) - 1, 2)]
+        assert np.array_equal(np.concatenate(pairs), whole[:len(y) // 2 * 2])
+        for i in (0, 160, 350):
+            assert np.array_equal(
+                kn.riesz_kernel_hermite_vec(k, k, x, y[i:i + 1]),
+                _hermite_whole_mesh(k, x, y[i:i + 1]))
+
+    def test_overflow_stays_nan(self):
+        # at k = 9 the smallest-s rows overflow (0 * inf); the whole mesh
+        # gives NaN and so must the blocks
+        y = np.concatenate([np.linspace(0.5, 3.0, 60), np.geomspace(8, 30, 10)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vals, _ = kn.riesz_kernel_laguerre_vec(9, 0.5, 1.4, y)
+            whole = _laguerre_whole_mesh(9, 0.5, 1.4, y)
+        assert np.isnan(whole).all()
+        assert np.array_equal(vals, whole, equal_nan=True)
+
+    def test_agreement_warning_names_the_worst_y_in_a_later_block(
+            self, monkeypatch):
+        pair = kn._dw_pair_sw
+
+        def perturbed(k, alpha, s, w, x, y):
+            # route two off by 1% at y = 2.0 and by 0.1% at y = 0.6
+            dw1, dw2, dwabs = pair(k, alpha, s, w, x, y)
+            scale = np.where(y == 2.0, 1.01, np.where(y == 0.6, 1.001, 1.0))
+            return dw1, dw2 * scale, dwabs
+
+        monkeypatch.setattr(kn, "_dw_pair_sw", perturbed)
+        y = np.concatenate([[0.6], np.linspace(0.3, 0.9, 150), [2.0],
+                            np.linspace(2.2, 3.0, 49)])
+        assert list(y).index(2.0) >= 2 * kn._Y_BLOCK
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, agreement = kn.riesz_kernel_laguerre_vec(2, 0.5, 1.0, y)
+        assert [w.category for w in caught] == [kn.KernelAgreementWarning]
+        assert re.fullmatch(
+            r"Riesz kernel routes disagree \(9\.90e-03 relative, "
+            r"conditioning floor \d\.\d\de-\d\d\) at \(k=2, "
+            r"alpha=0\.5, x=1\.0, y=2\.0\)", str(caught[0].message))
+        assert agreement == pytest.approx(0.01 / 1.01, rel=1e-6)
+
+
 class TestFracKernel:
     def test_symmetry(self):
         assert kernel("hermite-frac", 0.4, 1.3, gamma=2.0) == pytest.approx(

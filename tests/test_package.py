@@ -159,3 +159,19 @@ def test_scalar_kernel_wrappers_removed():
                  "riesz_kernel_laguerre"):
         assert not hasattr(rieszlag, name), name
         assert not hasattr(kernels, name), name
+
+
+def test_no_environment_switches():
+    # settings such as the kernels' y-block size are module constants, not
+    # knobs read from the environment
+    reads = []
+    for path in sorted(Path(rieszlag.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [a.name for a in node.names]
+            reads += [f"{path.stem}:{node.lineno}" for name in names
+                      if name in ("environ", "getenv", "environb")]
+    assert not reads, reads

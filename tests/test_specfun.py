@@ -110,6 +110,38 @@ class TestBesselI:
         with pytest.raises(ValueError):
             sf.bessel_i_scaled(0.5, -1.0)
 
+    def test_series_non_convergence_raises(self):
+        # the series needs 551 terms here; summed to the 500-term cap it
+        # gave 6.57e-3, where scipy.special.ive gives 4.94e-3
+        with pytest.raises(RuntimeError, match=r"order 42\.0 not converged "
+                           r"after 500 terms at z=882\.0$"):
+            sf.bessel_i_scaled(42.0, 882.0)
+        with pytest.raises(RuntimeError, match=r"at z=882\.0$"):
+            sf.bessel_i_scaled(42.0, np.array([1.0, 881.0, 882.0, 3.0]))
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0, 3.5, 11.0])
+    def test_array_equals_scalar_calls(self, nu):
+        z = np.random.default_rng(7).uniform(1e-3, 30.0, 300)
+        z[0] = 30.0
+        vec = sf.bessel_i_scaled(nu, z)
+        scalar = np.array([sf.bessel_i_scaled(nu, float(v)) for v in z])
+        assert vec.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 0.5, 2.0, 7.5, 30.0])
+    def test_retired_entries_match_the_whole_set_loop(self, nu):
+        # the series loop run over every entry until the slowest converges,
+        # as before entries retired: the extra terms leave totals unchanged
+        z = np.concatenate([np.geomspace(1e-300, 1e-3, 50),
+                            np.geomspace(1e-3, max(30.0, 0.5 * nu * nu), 400)])
+        term = np.exp(nu * np.log(0.5 * z) - sf.log_gamma(nu + 1.0) - z)
+        total = term.copy()
+        for m in range(1, 500):
+            term = term * (0.25 * z * z) / (m * (nu + m))
+            total += term
+            if np.all(term <= 1e-17 * total):
+                break
+        assert sf.bessel_i_scaled(nu, z).tobytes() == total.tobytes()
+
 
 class TestPolynomials:
     def test_hermite_trivial(self):
