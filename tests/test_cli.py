@@ -46,6 +46,16 @@ class TestKernelTable:
                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_bessel_non_convergence_propagates(self, tmp_path):
+        # a numerical failure of the library is not invalid input: like
+        # QuadratureConvergenceError it propagates, and nothing is written
+        out = tmp_path / "kt.csv"
+        with pytest.raises(RuntimeError,
+                           match="Bessel series for order 42.0 not converged"):
+            run(["kernel-table", "--family", "laguerre-heat", "--t", "1",
+                 "--alpha", "42", "--x", "32", "--y", "32", "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,expected", [
         (["--family", "hermite-heat", "--t", "0.5"], "0.5"),
         (["--family", "hermite-frac", "--gamma", "2"], "2.0"),

@@ -1,18 +1,19 @@
 """Run alternating parent/change pairs of bench/run.py and write a BENCH file.
 
 Each tree is a source checkout with its own bench/ and src/.  Pair i runs
-both trees on the workload with seed SEED0 + i, parent first on even i and
-change first on odd i, so drift in machine speed over the session falls on
-both sides.  With --trace, one --trace 1 run per side and workload gives the
-per-layer rows; with --tier1, the tier-1 suite is timed once per side.
+both trees on the workload with seed 100 + i for SECONDS seconds, parent
+first on even i and change first on odd i, so drift in machine speed over
+the session falls on both sides.  One --trace 1 run per side and workload
+gives the per-layer rows, and the tier-1 suite is timed once per side.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --pairs lag_riesz=10 --pairs her_riesz=3 --pairs scans=3 \\
-        --trace --tier1 --out BENCH_11.json
+        --pairs lag_riesz=10 --pairs her_riesz=10 --pairs scans=10 \\
+        --out BENCH_11.json
 
-A gain on a metric counts when the change is better on at least nine tenths
-of the pairs and the medians differ by more than the interquartile range of
-the parent's runs; "gain" in each row says whether both hold.
+A gain on a metric counts when there are at least MIN_PAIRS pairs, the
+change is better on at least nine tenths of them and the medians differ by
+more than the interquartile range of the parent's runs; "gain" in each row
+says whether all three hold.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ from pathlib import Path
 END_TO_END = {"ops_per_s": "higher", "op_p50_s": "lower", "op_tail_s": "lower",
               "setup_s": "lower", "peak_rss_mb": "lower"}
 SIDES = ("parent", "change")
+SECONDS = 30
+SEED0 = 100
+MIN_PAIRS = 10
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: int,
-              trace: int) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One bench/run.py run: its # env line, printed metric lines and the
     final JSON object."""
     res = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     lines = res.stdout.splitlines()
     env = next(json.loads(l[len("# env "):]) for l in lines
@@ -73,7 +76,7 @@ def compare(runs: dict, metric: str, better: str) -> dict:
             "change_over_parent": med_c / med_p if med_p else None,
             "parent_iqr": hi - lo, "pairs_change_better": wins,
             "pairs": len(par), "parent_runs": par, "change_runs": chg,
-            "gain": (wins >= 0.9 * len(par)
+            "gain": (len(par) >= MIN_PAIRS and wins >= 0.9 * len(par)
                      and sign * (med_c - med_p) > hi - lo)}
 
 
@@ -93,16 +96,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pairs", action="append", required=True,
                         help="WORKLOAD=N, repeatable")
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--seed0", type=int, default=100)
-    parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {"command": "python3 bench/run.py --workload W --seed S "
-                         f"--seconds {args.seconds} --trace 0",
+                         f"--seconds {SECONDS} --trace 0",
               "workloads": {}}
     for spec in args.pairs:
         workload, n = spec.split("=")
@@ -111,10 +110,10 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 runs[side].append(run_bench(trees[side], workload,
-                                            args.seed0 + i, args.seconds, 0))
+                                            SEED0 + i, 0))
                 print(f"{workload} pair {i} {side}: "
                       f"{runs[side][-1]['metrics']}", flush=True)
-        row = {"seeds": [args.seed0 + i for i in range(int(n))],
+        row = {"seeds": [SEED0 + i for i in range(int(n))],
                "env": {side: runs[side][0]["env"] for side in SIDES},
                "metrics": {m: compare(runs, m, b)
                            for m, b in END_TO_END.items()}}
@@ -126,15 +125,13 @@ def main(argv=None) -> int:
                 "attempted": sum(r["attempted"] for r in runs[side])}
             row[side]["fail_frac"] = (row[side]["failed"]
                                       / row[side]["attempted"])
-        if args.trace:
-            row["per_layer"] = {}
-            for side in SIDES:
-                traced = run_bench(trees[side], workload, 0, args.seconds, 1)
-                row["per_layer"][side] = traced["metrics"]
-                row[side]["traced_value_drift"] = traced["value_drift"]
+        row["per_layer"] = {}
+        for side in SIDES:
+            traced = run_bench(trees[side], workload, 0, 1)
+            row["per_layer"][side] = traced["metrics"]
+            row[side]["traced_value_drift"] = traced["value_drift"]
         report["workloads"][workload] = row
-    if args.tier1:
-        report["tier1"] = {side: tier1(trees[side]) for side in SIDES}
+    report["tier1"] = {side: tier1(trees[side]) for side in SIDES}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
