@@ -2,8 +2,9 @@
 
 Provides the tables of point values h_0..h_N and phi_0^alpha..phi_N^alpha
 by normalized three-term recurrences, and expansion/synthesis between
-point values and spectral coefficients.  Expansion takes compactly
-supported functions only: it integrates over ``f.support``.
+point values and spectral coefficients.  ``KINDS`` names the two systems.
+Expansion takes compactly supported functions only: it integrates over
+``f.support``.
 
 The recurrences start from the seed e^(-x^2/2), which underflows to 0 at
 |x| >~ 38.6; from there on every degree evaluates to exactly 0, however
@@ -23,6 +24,7 @@ from .specfun import (alpha_value, gauss_jacobi_01, gauss_legendre_panels,
                       log_gamma)
 
 __all__ = [
+    "KINDS",
     "BasisTag",
     "SpectralCoeffs",
     "hermite_fn_table",
@@ -30,6 +32,9 @@ __all__ = [
     "analyze",
     "synthesize",
 ]
+
+
+KINDS = ("hermite", "laguerre")
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,7 @@ class BasisTag:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("hermite", "laguerre"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown basis kind: {self.kind}")
         if self.kind == "laguerre":
             if self.alpha is None:
@@ -145,6 +150,14 @@ def _basis_table(tag: BasisTag, nmax: int, x) -> np.ndarray:
     return phi_table(nmax, tag.alpha, x)
 
 
+def _support_of(f):
+    """The interval (a, b) of ``f.support``, outside which f is 0."""
+    support = getattr(f, "support", None)
+    if support is None:
+        raise ValueError("f has no support attribute (a, b)")
+    return float(support[0]), float(support[1])
+
+
 def analyze(f, tag: BasisTag, nmax: int) -> SpectralCoeffs:
     """Expand a compactly supported function into the first nmax+1 basis
     coefficients.
@@ -156,11 +169,7 @@ def analyze(f, tag: BasisTag, nmax: int) -> SpectralCoeffs:
     """
     if nmax < 0:
         raise ValueError("truncation must be >= 0")
-    support = getattr(f, "support", None)
-    if support is None:
-        raise ValueError("analyze integrates over f.support; f has no "
-                         "support attribute")
-    a, b = float(support[0]), float(support[1])
+    a, b = _support_of(f)
     if not a < b:
         raise ValueError(f"degenerate support [{a}, {b}]")
     # panel width tied to the shortest basis wavelength ~ 2 pi / sqrt(2 nmax)

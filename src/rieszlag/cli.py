@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import combinat, kernels, operators, verify
-from .basis import BasisTag, _basis_table, analyze, synthesize
+from .basis import KINDS, BasisTag, _basis_table, analyze, synthesize
 from .kernels import KernelSpec
 
 __all__ = ["main"]
@@ -211,19 +211,24 @@ def _cmd_riesz(args) -> int:
 
         spec = KernelSpec("laguerre-riesz", k=args.k, alpha=alpha)
     rows = []
-    worst = 0.0
     for x in pts:
         pv = operators.pv_apply(spec, f, float(x), stages=args.stages)
         sval = spectral(float(x))
-        diff = abs(sval - pv.total)
-        worst = max(worst, diff)
         rows.append((float(x), sval, pv.extrapolated, pv.wk_correction,
-                     diff, pv.err_estimate))
+                     abs(sval - pv.total), pv.err_estimate))
     _write_text(args.out, _csv(rows, ["x", "spectral", "pv", "wk_term",
                                       "abs_diff", "err_est"]))
-    if args.max_abs_diff is not None and worst > args.max_abs_diff:
-        return _fail({"check": "riesz spectral vs principal value",
-                      "worst_abs_diff": worst, "allowed": args.max_abs_diff})
+    if args.max_abs_diff is None:
+        return 0
+    check = {"check": "riesz spectral vs principal value",
+             "allowed": args.max_abs_diff}
+    # a NaN abs_diff compares False against any tolerance
+    non_finite = [row[0] for row in rows if not math.isfinite(row[4])]
+    if non_finite:
+        return _fail({**check, "non_finite_abs_diff_at_x": non_finite})
+    worst = max(row[4] for row in rows)
+    if worst > args.max_abs_diff:
+        return _fail({**check, "worst_abs_diff": worst})
     return 0
 
 
@@ -296,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="dump basis function samples or bump coefficients")
     common(p)
-    p.add_argument("--family", choices=["hermite", "laguerre"], required=True)
+    p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--mode", choices=["samples", "coeffs"], default="samples")
@@ -309,9 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-table", help="evaluate kernels on a grid")
     common(p)
-    p.add_argument("--family", required=True,
-                   choices=["hermite-heat", "laguerre-heat", "hermite-frac",
-                            "hermite-riesz", "laguerre-riesz"])
+    p.add_argument("--family", choices=kernels.FAMILIES, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.0)
@@ -324,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riesz", help="spectral vs principal-value comparison")
     common(p)
-    p.add_argument("--family", choices=["hermite", "laguerre"], required=True)
+    p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.0,
                    help="Laguerre type parameter; ignored for hermite")
@@ -351,8 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-bounds", help="kernel bound region scans")
     common(p)
     threads(p)
-    p.add_argument("--statement", choices=list(verify.STATEMENTS),
-                   required=True)
+    p.add_argument("--statement", choices=verify.STATEMENTS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--l", type=int, default=None)

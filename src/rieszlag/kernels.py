@@ -6,9 +6,10 @@ Laguerre derivative of the Laguerre heat kernel (evaluated two independent
 ways that are cross-checked in production), and their time integrals: the
 fractional-power kernel K_gamma and the Riesz kernels.
 
-``kernel_value(KernelSpec(...), x, y, t)`` evaluates any family at a point;
-for the integrated families that is a one-point view on their evaluators
-vectorized in y, ``riesz_kernel_*_vec`` for the Riesz kernels.
+``kernel_value(KernelSpec(...), x, y, t)`` evaluates any of the kernel
+families named in ``FAMILIES`` at a point; for the integrated families that
+is a one-point view on their evaluators vectorized in y,
+``riesz_kernel_*_vec`` for the Riesz kernels.
 
 Time integrals are computed after the substitution t = log((1+s)/(1-s)):
 s in (0, 1) with panels refined geometrically toward both endpoints and a
@@ -43,6 +44,7 @@ from .specfun import (alpha_value, bessel_i_scaled, gamma, hermite_poly,
                       time_panels)
 
 __all__ = [
+    "FAMILIES",
     "KernelSpec",
     "KernelAgreementWarning",
     "QuadratureConvergenceError",
@@ -52,8 +54,8 @@ __all__ = [
     "kernel_value",
 ]
 
-_FAMILIES = ("hermite-heat", "laguerre-heat", "hermite-frac",
-             "hermite-riesz", "laguerre-riesz")
+FAMILIES = ("hermite-heat", "laguerre-heat", "hermite-frac",
+            "hermite-riesz", "laguerre-riesz")
 
 
 class KernelAgreementWarning(UserWarning):
@@ -76,7 +78,7 @@ class KernelSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family: {self.family}")
         if self.family == "hermite-frac":
             if self.gamma is None or not self.gamma > 0:
@@ -100,6 +102,9 @@ class KernelSpec:
             if self.alpha is None:
                 raise ValueError(f"{self.family} requires alpha")
             object.__setattr__(self, "alpha", alpha_value(self.alpha))
+        elif self.alpha is not None:
+            raise ValueError(
+                f"{self.family} takes no alpha, got alpha={self.alpha}")
 
 
 @lru_cache(maxsize=512)

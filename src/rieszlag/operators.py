@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .basis import SpectralCoeffs, phi_table
+from .basis import SpectralCoeffs, _support_of, phi_table
 from .kernels import KernelSpec
 from .specfun import (gamma, gauss_jacobi_01, gauss_legendre_panels,
                       geometric_edges, time_panels)
@@ -137,7 +138,8 @@ def riesz_spectral_hermite(k: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
     falling = np.ones_like(n)
     for i in range(k):
         falling *= n - i
-    mult = 2.0 ** (0.5 * k) * np.sqrt(falling) / (n + 0.5) ** (0.5 * k)
+    mult = (2.0 ** (0.5 * k) * np.sqrt(falling)
+            / coeffs.basis.eigenvalue(n) ** (0.5 * k))
     return SpectralCoeffs(coeffs.basis, mult * c[k:])
 
 
@@ -158,22 +160,15 @@ def _dalpha_terms(coeff_vec: np.ndarray, k: int) -> dict:
     """
     terms = {(0, 0): np.asarray(coeff_vec, dtype=float)}
     for _ in range(k):
-        new: dict = {}
-
-        def add(key, vec):
-            if key in new:
-                new[key] = new[key] + vec
-            else:
-                new[key] = vec
-
+        new = defaultdict(float)
         for (p, a), d in terms.items():
             if p + a != 0:
-                add((p - 1, a), (p + a) * d)
+                new[p - 1, a] += (p + a) * d
             shifted = np.zeros_like(d)
             if len(d) > 1:
                 m = np.arange(len(d) - 1, dtype=float)
                 shifted[:-1] = -2.0 * np.sqrt(m + 1.0) * d[1:]
-            add((p, a + 1), shifted)
+            new[p, a + 1] += shifted
         terms = new
     return terms
 
@@ -215,18 +210,13 @@ def extrapolate_to_zero(eps, values):
     the last two diagonal entries of the extrapolation table.
     """
     eps = np.asarray(eps, dtype=float)
-    vals = [np.asarray(values, dtype=float).copy()]
-    n = len(eps)
-    if n < 2:
-        return float(vals[0][0]), math.inf
-    level = vals[0]
+    level = np.asarray(values, dtype=float)
+    if len(eps) < 2:
+        return float(level[0]), math.inf
     diag = [level[0]]
-    for m in range(1, n):
-        nxt = np.empty(n - m)
-        for i in range(n - m):
-            nxt[i] = ((eps[i + m] * level[i] - eps[i] * level[i + 1])
-                      / (eps[i + m] - eps[i]))
-        level = nxt
+    for m in range(1, len(eps)):
+        level = ((eps[m:] * level[:-1] - eps[:-m] * level[1:])
+                 / (eps[m:] - eps[:-m]))
         diag.append(level[0])
     return float(diag[-1]), float(abs(diag[-1] - diag[-2]))
 
@@ -384,13 +374,6 @@ def phi_limit(k: int) -> dict:
 # ---------------------------------------------------------------------------
 # Hardy operators and weighted norms
 # ---------------------------------------------------------------------------
-
-def _support_of(f):
-    support = getattr(f, "support", None)
-    if support is None:
-        raise ValueError("f has no support attribute (a, b)")
-    return float(support[0]), float(support[1])
-
 
 def hardy0(eta: float, f, grid) -> np.ndarray:
     """Averaging operator x^(-eta-1) * int_0^x y^eta f(y) dy on a grid, for

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels, operators
-from .basis import BasisTag, analyze
+from .basis import BasisTag, _support_of, analyze
 from .specfun import alpha_value, gauss_legendre_panels, geometric_edges
 
 __all__ = [
@@ -30,15 +30,20 @@ __all__ = [
     "strong_type_range",
 ]
 
-STATEMENTS = ("prop33-i", "prop33-ii-even", "prop33-ii-odd", "prop33-iii",
-              "prop31-l-table")
-
-_RATIO_BOUNDS = {
-    "prop33-i": (0.02, 0.45),
-    "prop33-ii-even": (2.2, 8.0),
-    "prop33-ii-odd": (2.2, 8.0),
-    "prop33-iii": (0.55, 1.9),
+# the Prop 3.3 estimates: the band of y/x each is sampled on and its bound
+# on |kernel| at (x, y, alpha)
+_PROP33 = {
+    "prop33-i": ((0.02, 0.45),
+                 lambda x, y, a: y ** (a + 0.5) / x ** (a + 1.5)),
+    "prop33-ii-even": ((2.2, 8.0),
+                       lambda x, y, a: x ** (a + 0.5) / y ** (a + 1.5)),
+    "prop33-ii-odd": ((2.2, 8.0),
+                      lambda x, y, a: x ** (a + 1.5) / y ** (a + 2.5)),
+    "prop33-iii": ((0.55, 1.9),
+                   lambda x, y, a: (1.0 + np.sqrt(x / np.abs(x - y))) / x),
 }
+
+STATEMENTS = (*_PROP33, "prop31-l-table")
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def _refined_sup(level_scan, levels: int):
 
 
 def _ratio_sample(statement: str, n: int) -> np.ndarray:
-    lo, hi = _RATIO_BOUNDS[statement]
+    lo, hi = _PROP33[statement][0]
     if statement == "prop33-iii":
         # stay off the diagonal: split the band around y = x
         nn = max(2, n // 2)
@@ -142,8 +147,9 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
     each time); the sup ratios per level form the refinement history.
     """
     x_range = (0.05, 20.0)
-    if statement not in _RATIO_BOUNDS:
+    if statement not in _PROP33:
         raise ValueError(f"not a prop33 statement: {statement}")
+    ratio_bounds, bound = _PROP33[statement]
     a = alpha_value(alpha)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -153,15 +159,6 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
         raise ValueError("prop33-ii-odd applies to odd k")
     _check_sampling(levels, nx=nx, ny=ny)
 
-    def bound_fn(x, y):
-        if statement == "prop33-i":
-            return y ** (a + 0.5) / x ** (a + 1.5)
-        if statement == "prop33-ii-even":
-            return x ** (a + 0.5) / y ** (a + 1.5)
-        if statement == "prop33-ii-odd":
-            return x ** (a + 1.5) / y ** (a + 2.5)
-        return (1.0 + np.sqrt(x / np.abs(x - y))) / x
-
     def level_scan(mult):
         ratios = _ratio_sample(statement, ny * mult)
 
@@ -170,7 +167,7 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
             kern = kernels.riesz_kernel_laguerre_vec(k, a, float(x), y)[0]
             if statement == "prop33-iii":
                 kern = kern - kernels.riesz_kernel_hermite_vec(k, k, float(x), y)
-            return np.abs(kern) / bound_fn(x, y), y
+            return np.abs(kern) / bound(x, y, a), y
 
         return np.geomspace(x_range[0], x_range[1], nx * mult), row
 
@@ -178,7 +175,7 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
     return BoundCheckReport(
         statement=statement, k=k, alpha=a,
         sample_spec={"x_range": list(x_range), "nx": nx, "ny": ny,
-                     "ratio_bounds": list(_RATIO_BOUNDS[statement]),
+                     "ratio_bounds": list(ratio_bounds),
                      "levels": levels},
         sup_ratio=sup, argmax=argmax, refinement_history=history)
 
@@ -234,7 +231,7 @@ def check_maximal_domination(k: int, alpha, f, grid) -> dict:
     the eight excision radii 0.1 * 0.5^i."""
     a = alpha_value(alpha)
     delta_k = 1.0 if k % 2 else 0.0
-    sup_a, sup_b = operators._support_of(f)
+    sup_a, sup_b = _support_of(f)
     grid = np.asarray(grid, dtype=float)
     eps = operators._eps_schedule(8)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import threading
 import warnings
@@ -5,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rieszlag.cli import main
+from rieszlag import basis, kernels, verify
+from rieszlag.cli import _build_parser, main
 
 
 def run(args):
@@ -180,6 +182,21 @@ class TestRiesz:
                   "2", "--stages", "6", "--out", str(tmp_path / "r.csv"),
                   "--max-abs-diff", "1e-12"])
         assert rc == 1
+
+    def test_non_finite_abs_diff_fails(self, tmp_path, capsys):
+        # the Laguerre kernel is NaN at k = 9, so pv and abs_diff are NaN;
+        # NaN compares False against any tolerance, and must fail the check
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = run(["riesz", "--family", "laguerre", "--k", "9", "--alpha",
+                      "0.5", "--points", "1", "--stages", "3",
+                      "--max-abs-diff", "1e-3", "--out", str(out)])
+        assert rc == 1
+        data = np.atleast_1d(np.genfromtxt(out, delimiter=",", names=True))
+        assert np.isnan(data["abs_diff"][0])
+        witness = json.loads(capsys.readouterr().err)["assertion-failure"]
+        assert witness["non_finite_abs_diff_at_x"] == [float(data["x"][0])]
 
 
 class TestScans:
@@ -359,6 +376,21 @@ class TestInputCSV:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid input: ")
         assert str(tmp_path) in err[0]
+
+
+def test_choices_are_the_package_tuples():
+    # argparse lists these, in this order, in usage and invalid-choice text
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(sub, flag):
+        return next(tuple(a.choices) for a in subparsers[sub]._actions
+                    if flag in a.option_strings)
+
+    assert choices("basis", "--family") == basis.KINDS
+    assert choices("riesz", "--family") == basis.KINDS
+    assert choices("kernel-table", "--family") == kernels.FAMILIES
+    assert choices("scan-bounds", "--statement") == verify.STATEMENTS
 
 
 class TestRemovedFlags:

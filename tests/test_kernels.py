@@ -49,6 +49,9 @@ class TestSpecTypes:
         ("laguerre-heat", {"gamma": 3.0, "alpha": 0.5}, "gamma"),
         ("hermite-riesz", {"k": 1, "gamma": 3.0}, "gamma"),
         ("laguerre-riesz", {"k": 1, "gamma": 3.0, "alpha": 0.5}, "gamma"),
+        ("hermite-heat", {"alpha": 0.5}, "alpha"),
+        ("hermite-frac", {"gamma": 2.0, "alpha": 0.5}, "alpha"),
+        ("hermite-riesz", {"k": 1, "alpha": 0.5}, "alpha"),
     ])
     def test_unused_parameters_rejected(self, family, kwargs, name):
         # a spec records only what its kernel computes with

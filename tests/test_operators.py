@@ -398,3 +398,27 @@ class TestBump:
         limit, err = op.extrapolate_to_zero(eps, vals)
         assert limit == pytest.approx(3.0, abs=1e-12)
         assert err < 1e-10
+
+    @pytest.mark.parametrize("stages", [3, 8, 10])
+    def test_extrapolation_matches_the_index_loop(self, stages):
+        # the Neville table built entry by entry, as before each level became
+        # one array expression: every entry takes the same IEEE operations
+        def index_loop(eps, vals):
+            n = len(eps)
+            level = np.array(vals, dtype=float)
+            diag = [level[0]]
+            for m in range(1, n):
+                nxt = np.empty(n - m)
+                for i in range(n - m):
+                    nxt[i] = ((eps[i + m] * level[i] - eps[i] * level[i + 1])
+                              / (eps[i + m] - eps[i]))
+                level = nxt
+                diag.append(level[0])
+            return float(diag[-1]), float(abs(diag[-1] - diag[-2]))
+
+        eps = op._eps_schedule(stages)
+        rng = np.random.default_rng(stages)
+        for _ in range(50):
+            vals = rng.standard_normal(stages) * 10.0 ** rng.uniform(-8, 3)
+            got = np.array(op.extrapolate_to_zero(eps, vals))
+            assert got.tobytes() == np.array(index_loop(eps, vals)).tobytes()

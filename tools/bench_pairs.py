@@ -1,9 +1,10 @@
 """Run alternating parent/change pairs of bench/run.py and write a BENCH file.
 
 Each tree is a source checkout with its own bench/ and src/.  Pair i runs
-both trees on the workload with seed 100 + i for SECONDS seconds, parent
-first on even i and change first on odd i, so drift in machine speed over
-the session falls on both sides.  One --trace 1 run per side and workload
+both trees on the workload with seed 100 + i for the change tree's
+BENCHMARK.json run_seconds, parent first on even i and change first on odd
+i, so drift in machine speed over the session falls on both sides.  The
+compared metrics and which way each is better come from the same file.  One --trace 1 run per side and workload
 gives the per-layer rows, and the tier-1 suite is timed once per side.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
@@ -27,20 +28,18 @@ import sys
 import time
 from pathlib import Path
 
-END_TO_END = {"ops_per_s": "higher", "op_p50_s": "lower", "op_tail_s": "lower",
-              "setup_s": "lower", "peak_rss_mb": "lower"}
 SIDES = ("parent", "change")
-SECONDS = 30
 SEED0 = 100
 MIN_PAIRS = 10
 
 
-def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, seconds,
+              trace: int) -> dict:
     """One bench/run.py run: its # env line, printed metric lines and the
     final JSON object."""
     res = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     lines = res.stdout.splitlines()
     env = next(json.loads(l[len("# env "):]) for l in lines
@@ -99,9 +98,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    end_to_end = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     report = {"command": "python3 bench/run.py --workload W --seed S "
-                         f"--seconds {SECONDS} --trace 0",
+                         f"--seconds {seconds} --trace 0",
               "workloads": {}}
     for spec in args.pairs:
         workload, n = spec.split("=")
@@ -110,13 +112,13 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 runs[side].append(run_bench(trees[side], workload,
-                                            SEED0 + i, 0))
+                                            SEED0 + i, seconds, 0))
                 print(f"{workload} pair {i} {side}: "
                       f"{runs[side][-1]['metrics']}", flush=True)
         row = {"seeds": [SEED0 + i for i in range(int(n))],
                "env": {side: runs[side][0]["env"] for side in SIDES},
                "metrics": {m: compare(runs, m, b)
-                           for m, b in END_TO_END.items()}}
+                           for m, b in end_to_end.items()}}
         for side in SIDES:
             row[side] = {
                 "correct": all(r["correct"] for r in runs[side]),
@@ -127,7 +129,7 @@ def main(argv=None) -> int:
                                       / row[side]["attempted"])
         row["per_layer"] = {}
         for side in SIDES:
-            traced = run_bench(trees[side], workload, 0, 1)
+            traced = run_bench(trees[side], workload, 0, seconds, 1)
             row["per_layer"][side] = traced["metrics"]
             row[side]["traced_value_drift"] = traced["value_drift"]
         report["workloads"][workload] = row
