@@ -28,6 +28,11 @@ s, is always kept: where they overflow (0 * inf = NaN, as at Laguerre k >= 9)
 it overflows too, and the sum is NaN as over the whole mesh.  Neither step
 changes a bit of any value.  A one-point call keeps the whole rule: numpy
 sums a one-column array pairwise, where skipping rows would move last bits.
+
+Within a block the derivative kernel forms each factor its sums share once:
+the Bessel table, every power, and route two's Gaussian and Hermite
+recurrence.  Each product keeps its left-to-right order and leaves out only
+factors that are exactly 1.0, so this moves no bit either.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from . import combinat
 from .specfun import (alpha_value, bessel_i_scaled, gamma, hermite_poly,
-                      time_panels)
+                      hermite_polys, time_panels)
 
 __all__ = [
     "FAMILIES",
@@ -129,27 +134,59 @@ def heat_kernel_hermite(t: float, x, y):
     return math.sqrt(em / (math.pi * den)) * np.exp(expo)
 
 
-def _dplusx_heat_sw(l: int, s, w, x, y):
-    """(d/dx + x)^l W_t(x, y) in substituted time; w = 1 - s passed
-    separately so the s -> 1 endpoint loses no precision.
+def _powers(base, exponents) -> dict:
+    """{e: base ** e} for each exponent, with base ** 0 as the float 1.0
+    (pow gives exactly 1 for every base, NaN and inf included)."""
+    return {e: base ** e if e else 1.0 for e in exponents}
+
+
+def _times(value, *factors):
+    """value * factor * ..., multiplied left to right.  Factors that are
+    the float 1.0 are left out: x * 1.0 is x to the bit, NaN included, so
+    the product keeps every bit and skips a pass over the mesh."""
+    for factor in factors:
+        if not (isinstance(factor, float) and factor == 1.0):
+            value = value * factor
+    return value
+
+
+def _heat_sw(s, w, x, y):
+    """W_t(x, y) in substituted time; w = 1 - s passed separately so the
+    s -> 1 endpoint loses no precision."""
+    one_m_s2 = w * (2.0 - w)                       # 1 - s^2
+    pref = np.sqrt(one_m_s2 / (4.0 * math.pi * s))
+    expo = -0.25 * (s * (x + y) ** 2 + (x - y) ** 2 / s)
+    return pref * np.exp(expo)
+
+
+def _raising_sw(s, w, x, y):
+    """(lam, arg) with (d/dx + x)^l W_t = W_t (-1)^l lam^{l/2} H_l(arg).
 
     e^{x^2/2} W_t is a Gaussian in x with curvature -(1-s)^2/(4s), so the
     l-th raising derivative is an l-th Hermite polynomial evaluation; no
     finite differences.
     """
-    s = np.asarray(s, dtype=float)
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    one_m_s2 = w * (2.0 - w)                       # 1 - s^2
-    pref = np.sqrt(one_m_s2 / (4.0 * math.pi * s))
-    expo = -0.25 * (s * (x + y) ** 2 + (x - y) ** 2 / s)
-    val = pref * np.exp(expo)
+    return w * w / (4.0 * s), (w * x - (1.0 + s) * y) / (2.0 * np.sqrt(s))
+
+
+def _dplusx_heat_sw(l: int, s, w, x, y):
+    """(d/dx + x)^l W_t(x, y) in substituted time (see _raising_sw)."""
+    s, w, x, y = (np.asarray(v, dtype=float) for v in (s, w, x, y))
+    val = _heat_sw(s, w, x, y)
     if l == 0:
         return val
-    lam = w * w / (4.0 * s)
-    arg = (w * x - (1.0 + s) * y) / (2.0 * np.sqrt(s))
-    return val * (-1.0) ** l * lam ** (0.5 * l) * hermite_poly(l, arg)
+    lam, arg = _raising_sw(s, w, x, y)
+    return _times(val, (-1.0) ** l, lam ** (0.5 * l), hermite_poly(l, arg))
+
+
+def _dplusx_heat_orders_sw(k: int, s, w, x, y) -> list:
+    """[(d/dx + x)^l W_t(x, y) for l = 0..k], each bit for bit as
+    _dplusx_heat_sw(l, ...) gives it, from one Gaussian and one pass of the
+    Hermite recurrence."""
+    val = _heat_sw(s, w, x, y)
+    lam, arg = _raising_sw(s, w, x, y)
+    return [val] + [_times(val, (-1.0) ** l, lam ** (0.5 * l), h)
+                    for l, h in enumerate(hermite_polys(k, arg)) if l]
 
 
 def heat_kernel_laguerre(t: float, x, y, alpha):
@@ -184,18 +221,19 @@ def _dw_pair_sw(k: int, alpha: float, s, w, x, y):
     Route one is the explicit triple sum over (j, n, m) with Bessel orders
     alpha + j - n; route two expands against the Hermite heat kernel's
     raising derivatives with Bessel orders alpha - n + l.  The scaled
-    Bessel table is shared between the two.
+    Bessel table and the powers are shared between the two.
     """
-    s = np.asarray(s, dtype=float)
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    s, w, x, y = (np.asarray(v, dtype=float) for v in (s, w, x, y))
     one_m_s2 = w * (2.0 - w)
     z = x * y * one_m_s2 / (2.0 * s)
     u = y * one_m_s2 / (2.0 * s)
     c2 = w * w / (4.0 * s)
     isc = [bessel_i_scaled(alpha + d, z) for d in range(k + 1)]
     zpow = [z ** (0.5 - d) for d in range(k + 1)]   # z^{1/2 - d}
+    upow = _powers(u, {*range(k + 1), *range(0, 2 * k + 1, 2)})
+    c2pow = _powers(c2, range(k + 1))
+    xpow = _powers(x, range(k + 1))
+    zneg = _powers(z, range(0, -(k // 2) - 1, -1))  # z^{-n}
 
     # route one; the same sum with absolute values tracks the cancellation
     # conditioning, which bounds the achievable route agreement
@@ -205,27 +243,32 @@ def _dw_pair_sw(k: int, alpha: float, s, w, x, y):
     acc_abs = 0.0
     for j in range(k + 1):
         for n in range(j // 2 + 1):
-            base = (math.comb(k, j) * _e_float(j, n) / 2.0 ** (j - n)
-                    * u ** (2 * (j - n)))
+            base = _times(math.comb(k, j) * _e_float(j, n) / 2.0 ** (j - n),
+                          upow[2 * (j - n)])
             for m in range((k - j) // 2 + 1):
-                term = (base * _e_float(k - j, m) * c2 ** (k - j - m)
-                        * x ** (k - 2 * m - 2 * n) * zpow[j - n] * isc[j - n])
-                acc = acc + ((-1.0) ** (k - j - m)) * term
+                term = _times(base, _e_float(k - j, m), c2pow[k - j - m],
+                              xpow[k - 2 * m - 2 * n], zpow[j - n],
+                              isc[j - n])
+                # (-1)^e * term, exactly
+                acc = acc - term if (k - j - m) % 2 else acc + term
                 acc_abs = acc_abs + term
     dw1 = pref * acc
     dw1_abs = pref * acc_abs
+    # free the mesh arrays route two does not use, for a lower peak
+    del expo, pref, acc, acc_abs, zpow[1:]
 
     # route two
+    raised = _dplusx_heat_orders_sw(k, s, w, x, y)
     dw2 = 0.0
     for j in range(k + 1):
         inner = 0.0
         for n in range(j // 2 + 1):
             for l in range(2 * n, j + 1):
-                inner = inner + ((-1.0) ** l * math.comb(j, l)
-                                 * _e_float(l, n) / 2.0 ** (l - n)
-                                 * zpow[0] * z ** (-n) * isc[l - n])
-        dw2 = dw2 + ((-1.0) ** j * math.comb(k, j)
-                     * _dplusx_heat_sw(k - j, s, w, x, y) * u ** j * inner)
+                inner = inner + _times((-1.0) ** l * math.comb(j, l)
+                                       * _e_float(l, n) / 2.0 ** (l - n),
+                                       zpow[0], zneg[-n], isc[l - n])
+        dw2 = dw2 + _times((-1.0) ** j * math.comb(k, j), raised[k - j],
+                           upow[j], inner)
     dw2 = math.sqrt(2.0 * math.pi) * dw2
     return dw1, dw2, dw1_abs
 

@@ -11,6 +11,7 @@ meaningful; coefficient tables are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -22,6 +23,7 @@ __all__ = [
     "log_gamma",
     "bessel_i_scaled",
     "hermite_poly",
+    "hermite_polys",
     "gauss_legendre_panels",
     "time_panels",
     "gauss_jacobi_01",
@@ -107,10 +109,13 @@ _SERIES_TERMS = 500
 
 def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # e^{-z} I_nu(z) summed by term ratios; all terms positive, no cancellation.
-    # An entry retires once term <= 1e-17 * total: the term ratios decrease
+    # An entry converges once term <= 1e-17 * total: the term ratios decrease
     # in m, and a term that small cannot come while the terms still grow, so
-    # every later term is below half an ulp of the total and would leave it
-    # unchanged.  Entries still active after _SERIES_TERMS terms raise.
+    # every later term is below half an ulp of the total and leaves it
+    # unchanged.  Converged entries are stored and dropped from the active
+    # set once they make up a quarter of it, or all of it; until then they
+    # iterate on with their totals fixed.  Entries not converged after
+    # _SERIES_TERMS terms raise.
     term = np.exp(nu * np.log(0.5 * z) - log_gamma(nu + 1.0) - z)
     total = term.copy()
     quarter_z2 = 0.25 * z * z
@@ -120,18 +125,17 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
         term = term * quarter_z2 / (m * (nu + m))
         total += term
         done = term <= 1e-17 * total
-        if done.any():
+        if 4 * np.count_nonzero(done) >= active.size:
             out[active[done]] = total[done]
             live = ~done
-            active, term, total, quarter_z2 = (
-                active[live], term[live], total[live], quarter_z2[live])
+            active, term, total, quarter_z2, done = (
+                active[live], term[live], total[live], quarter_z2[live],
+                done[live])
             if not active.size:
                 return out
-    if active.size:
-        raise RuntimeError(
-            f"Bessel series for order {nu} not converged after "
-            f"{_SERIES_TERMS} terms at z={z[active].max()}")
-    return out
+    raise RuntimeError(
+        f"Bessel series for order {nu} not converged after "
+        f"{_SERIES_TERMS} terms at z={z[active[~done]].max()}")
 
 
 def _bessel_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
@@ -188,18 +192,33 @@ def bessel_i_scaled(nu: float, z):
 # Hermite polynomials (recurrence)
 # ---------------------------------------------------------------------------
 
+def _hermite_sequence(x: np.ndarray):
+    # H_0(x), H_1(x), ... by the three-term recurrence, computed on demand
+    p_prev = np.ones_like(x)
+    yield p_prev
+    two_x = p = 2.0 * x
+    for m in itertools.count(1):
+        yield p
+        p, p_prev = (two_x * p - 2.0 * m * p_prev, p)
+
+
 def hermite_poly(n: int, x):
     """Hermite polynomial H_n(x) (physicists' normalization)."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 2.0 * x
-    for m in range(1, n):
-        p, p_prev = (2.0 * x * p - 2.0 * m * p_prev, p)
+    p = next(itertools.islice(_hermite_sequence(np.asarray(x, dtype=float)),
+                              n, None))
     return p if p.ndim else float(p)
+
+
+def hermite_polys(n: int, x):
+    """Iterator over H_0(x), ..., H_n(x), one pass of the recurrence that
+    holds two degrees at a time; each equals hermite_poly(l, x) bit for bit
+    on array x."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    return itertools.islice(_hermite_sequence(np.asarray(x, dtype=float)),
+                            n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,82 @@ class TestDerivativeKernel:
         assert got == pytest.approx(ref, rel=1e-5)
 
 
+def _dw_pair_per_term(k, alpha, s, w, x, y):
+    # the derivative kernel as first written: route one forms every power
+    # and sign per term, route two each raising derivative in its own call
+    s, w, x, y = (np.asarray(v, dtype=float) for v in (s, w, x, y))
+    one_m_s2 = w * (2.0 - w)
+    z = x * y * one_m_s2 / (2.0 * s)
+    u = y * one_m_s2 / (2.0 * s)
+    c2 = w * w / (4.0 * s)
+    isc = [kn.bessel_i_scaled(alpha + d, z) for d in range(k + 1)]
+    zpow = [z ** (0.5 - d) for d in range(k + 1)]
+    expo = -(((1.0 + s) * x - w * y) ** 2
+             + ((1.0 + s) * y - w * x) ** 2) / (8.0 * s)
+    pref = np.sqrt(one_m_s2 / (2.0 * s)) * np.exp(expo)
+    acc = 0.0
+    acc_abs = 0.0
+    for j in range(k + 1):
+        for n in range(j // 2 + 1):
+            base = (math.comb(k, j) * kn._e_float(j, n) / 2.0 ** (j - n)
+                    * u ** (2 * (j - n)))
+            for m in range((k - j) // 2 + 1):
+                term = (base * kn._e_float(k - j, m) * c2 ** (k - j - m)
+                        * x ** (k - 2 * m - 2 * n) * zpow[j - n]
+                        * isc[j - n])
+                acc = acc + ((-1.0) ** (k - j - m)) * term
+                acc_abs = acc_abs + term
+    dw2 = 0.0
+    for j in range(k + 1):
+        inner = 0.0
+        for n in range(j // 2 + 1):
+            for l in range(2 * n, j + 1):
+                inner = inner + ((-1.0) ** l * math.comb(j, l)
+                                 * kn._e_float(l, n) / 2.0 ** (l - n)
+                                 * zpow[0] * z ** (-n) * isc[l - n])
+        dw2 = dw2 + ((-1.0) ** j * math.comb(k, j)
+                     * kn._dplusx_heat_sw(k - j, s, w, x, y) * u ** j * inner)
+    return pref * acc, math.sqrt(2.0 * math.pi) * dw2, pref * acc_abs
+
+
+class TestDerivativeKernelBits:
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
+    def test_shared_factors_leave_every_bit(self, k, alpha):
+        # the whole 8-node rule: its first row is the smallest s, its last
+        # rows reach w = 1e-26; y comes within 2e-4 of x
+        s, w, _, _ = kn._s_quadrature(8)
+        assert s[0] < 1e-18 and w[-1] < 1e-25
+        y = np.array([[1.4 - 2e-4, 1.4 + 2e-4, 0.05, 3.0, 25.0]])
+        got = kn._dw_pair_sw(k, alpha, s[:, None], w[:, None], 1.4, y)
+        want = _dw_pair_per_term(k, alpha, s[:, None], w[:, None], 1.4, y)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape == (len(s), 5)
+            assert g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_route_two_shares_one_gaussian_and_hermite_pass(self, k,
+                                                            monkeypatch):
+        counts = {}
+        for name in ("_heat_sw", "_raising_sw", "hermite_polys",
+                     "_dplusx_heat_sw", "bessel_i_scaled"):
+            def counted(*args, _name=name, _inner=getattr(kn, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _inner(*args)
+
+            monkeypatch.setattr(kn, name, counted)
+        s, w, _, _ = kn._s_quadrature(8)
+        kn._dw_pair_sw(k, 0.5, s[:, None], w[:, None], 1.4,
+                       np.array([[0.7, 2.0]]))
+        once = {"_heat_sw": 1, "_raising_sw": 1, "hermite_polys": 1,
+                "bessel_i_scaled": k + 1}
+        assert counts == once
+        counts.clear()
+        # four y-blocks, each one _dw_pair_sw call
+        kn.riesz_kernel_laguerre_vec(k, 0.5, 1.4, _BLOCK_TEST_Y)
+        assert counts == {name: 4 * n for name, n in once.items()}
+
+
 def _whole_mesh(integrand, wt, y, nodes=8):
     # one (s x y) mesh over the whole rule, summed as one array, as before
     # the y-blocks: row by row for two or more columns, pairwise for one

@@ -6,6 +6,7 @@ import pytest
 import scipy.special as sps
 
 from rieszlag import specfun as sf
+from rieszlag.kernels import _s_quadrature
 from conftest import bessel_i, exact_hermite
 
 
@@ -119,6 +120,18 @@ class TestBesselI:
         with pytest.raises(RuntimeError, match=r"at z=882\.0$"):
             sf.bessel_i_scaled(42.0, np.array([1.0, 881.0, 882.0, 3.0]))
 
+    def test_non_convergence_names_an_unconverged_z_among_converged(self):
+        # the four smallest z converge by term 5 and are compacted away; 50
+        # and 100 converge at terms 46 and 81, too few to compact, and
+        # still sit among the seven z in [860, 882] that need 539 to 551
+        z = np.array([881.0, 0.1, 50.0, 0.2, 882.0, 0.3, 870.0, 875.0, 0.4,
+                      880.0, 860.0, 100.0, 865.0])
+        with pytest.raises(RuntimeError, match=r"order 42\.0 not converged "
+                           r"after 500 terms at z=882\.0$"):
+            sf.bessel_i_scaled(42.0, z)
+        with pytest.raises(RuntimeError, match=r"at z=882\.0$"):
+            sf.bessel_i_scaled(42.0, z[::-1])
+
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0, 3.5, 11.0])
     def test_array_equals_scalar_calls(self, nu):
         z = np.random.default_rng(7).uniform(1e-3, 30.0, 300)
@@ -131,8 +144,17 @@ class TestBesselI:
     def test_retired_entries_match_the_whole_set_loop(self, nu):
         # the series loop run over every entry until the slowest converges,
         # as before entries retired: the extra terms leave totals unchanged
+        switch = max(30.0, 0.5 * nu * nu)
+        # plus one Laguerre PV block: z = x y (1 - s^2) / 2s on the 8-node
+        # s-rule for 64 y points about x = 1.1, where most entries converge
+        # within a few terms and a few need many
+        s, w, _, _ = _s_quadrature(8)
+        y = 1.1 + np.concatenate([-np.geomspace(2e-4, 0.7, 32),
+                                  np.geomspace(2e-4, 0.9, 32)])
+        pv = (1.1 * y[None, :] * (w * (2.0 - w) / (2.0 * s))[:, None]).ravel()
         z = np.concatenate([np.geomspace(1e-300, 1e-3, 50),
-                            np.geomspace(1e-3, max(30.0, 0.5 * nu * nu), 400)])
+                            np.geomspace(1e-3, switch, 400),
+                            pv[pv <= switch]])
         term = np.exp(nu * np.log(0.5 * z) - sf.log_gamma(nu + 1.0) - z)
         total = term.copy()
         for m in range(1, 500):
