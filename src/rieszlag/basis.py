@@ -182,8 +182,16 @@ def analyze(f, tag: BasisTag, nmax: int) -> SpectralCoeffs:
 
 
 def synthesize(coeffs: SpectralCoeffs, x):
-    """Evaluate the truncated expansion at point(s) x."""
+    """Evaluate the truncated expansion at point(s) x.
+
+    Each point's value is the same, bit for bit, whatever other points
+    share the call: one table serves every x (the recurrence is
+    elementwise), and each value is its own contiguous dot product of the
+    coefficients with that point's column.  A product over the whole
+    table would sum in an order that depends on the number of points.
+    """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     table = _basis_table(coeffs.basis, coeffs.truncation, xa)
-    vals = coeffs.coeffs @ table
+    vals = np.array([coeffs.coeffs @ column
+                     for column in np.ascontiguousarray(table.T)])
     return vals if np.ndim(x) else float(vals[0])

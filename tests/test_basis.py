@@ -204,6 +204,27 @@ class TestAnalyzeSynthesize:
         direct = float(c.coeffs @ bs.hermite_fn_table(60, np.array([x]))[:, 0])
         assert bs.synthesize(c, x) == pytest.approx(direct, rel=1e-14)
 
+    @pytest.mark.parametrize("tag, lo, hi", [
+        (bs.BasisTag("hermite"), -3.0, 3.0),
+        (bs.BasisTag("laguerre", 0.5), 0.2, 3.0)])
+    @pytest.mark.parametrize("nmax", [0, 1, 600, 1597])
+    def test_each_point_is_independent_of_its_batch(self, tag, lo, hi, nmax):
+        # a product over a multi-column table sums in an order that depends
+        # on the number of columns; each point must get its one-point bits
+        rng = np.random.default_rng(nmax)
+        c = bs.SpectralCoeffs(tag, rng.standard_normal(nmax + 1)
+                              / (1.0 + np.arange(nmax + 1)))
+        for m in (*range(1, 10), 64):
+            xs = np.sort(rng.uniform(lo, hi, m))
+            batch = bs.synthesize(c, xs)
+            assert batch.shape == (m,)
+            for i in range(m):
+                assert (batch[i].tobytes()
+                        == bs.synthesize(c, xs[i:i + 1]).tobytes())
+        one = bs.synthesize(c, float(xs[0]))
+        assert type(one) is float
+        assert one == batch[0]
+
     def test_parseval_proxy(self):
         tag = bs.BasisTag("hermite")
         f = op.bump(0.0, 1.0)

@@ -138,6 +138,34 @@ class TestRiesz:
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert float(np.max(data["abs_diff"])) < 1e-3
 
+    @pytest.mark.parametrize("points", [1, 2, 7])
+    def test_hermite_spectral_column_uses_one_table(self, tmp_path,
+                                                    monkeypatch, points):
+        # analyze and the whole spectral column each build one table, and
+        # every cell is the text of a one-point synthesize
+        from rieszlag import operators as op
+        calls = []
+        table = basis.hermite_fn_table
+
+        def counted(nmax, x):
+            calls.append(np.size(x))
+            return table(nmax, x)
+
+        monkeypatch.setattr(basis, "hermite_fn_table", counted)
+        out = tmp_path / "r.csv"
+        assert run(["riesz", "--family", "hermite", "--k", "2", "--points",
+                    str(points), "--stages", "3", "--out", str(out)]) == 0
+        assert len(calls) == 2
+        assert calls[1] == points
+        f = op.bump(0.0, 1.0)
+        column = op.riesz_spectral_hermite(
+            2, basis.analyze(f, basis.BasisTag("hermite"), 1200))
+        cells = [line.split(",")[:2]
+                 for line in out.read_text().splitlines()[1:]]
+        assert len(cells) == points
+        for x, spectral in cells:
+            assert spectral == repr(basis.synthesize(column, float(x)))
+
     def test_alpha_is_a_number(self, capsys):
         # --alpha parses as a float for every family, as in every subcommand
         with pytest.raises(SystemExit) as exc:

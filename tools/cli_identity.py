@@ -38,6 +38,9 @@ JOBS = [
     *[_riesz("laguerre", k, "--alpha", "2") for k in (1, 2, 3, 4)],
     *[_riesz(family, k, "--stages", "6") for family in ("hermite", "laguerre")
       for k in (1, 2, 3, 4)],
+    # the Hermite spectral column comes from one table at any --points
+    *[_riesz("hermite", 2, "--points", n) for n in ("1", "2", "9")],
+    _riesz("laguerre", 2, "--alpha", "0.5", "--points", "2"),
     # the kernel is NaN at k = 9, which the --max-abs-diff gate must catch
     ["riesz", "--family", "laguerre", "--k", "9", "--alpha", "0.5",
      "--points", "1", "--stages", "3", "--max-abs-diff", "1e-3"],

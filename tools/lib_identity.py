@@ -15,7 +15,8 @@ asymptotic regimes; the derivative kernel's three outputs on a production
 mesh; the Laguerre Riesz kernel with its route agreement at k = 1..4 on
 1-, 2-, 64-, 65- and 129-point y sets at 8 and 12 time nodes; the Hermite
 Riesz kernel for l <= k <= 4; pv_apply stage tables for both families;
-check_prop33 for each statement; and riesz_apply_laguerre_spectral.
+check_prop33 for each statement; riesz_apply_laguerre_spectral; and
+synthesize called once per point, for both bases at the points of riesz.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _y_sets() -> dict:
 def _items() -> dict:
     """name -> zero-argument callable; built inside the tree's process."""
     from rieszlag import kernels, operators, verify
-    from rieszlag.basis import BasisTag, analyze
+    from rieszlag.basis import BasisTag, analyze, synthesize
     from rieszlag.specfun import bessel_i_scaled
 
     items = {}
@@ -112,6 +113,24 @@ def _items() -> dict:
             items[f"riesz_apply_laguerre_spectral k={k} alpha={a}"] = (
                 lambda k=k, coeffs=coeffs: operators.
                 riesz_apply_laguerre_spectral(k, coeffs, xs, tail_tol=np.inf))
+
+    # one call per point, at the 5 points of riesz: a multi-point call
+    # sums in an order that depends on the number of points in older trees
+    def per_point(coeffs, f):
+        a, b = f.support
+        pad = 0.12 * (b - a)
+        return [synthesize(coeffs, float(x))
+                for x in np.linspace(a + pad, b - pad, 5)]
+
+    her_coeffs = analyze(her_f, BasisTag("hermite"), 1200)
+    for k in (1, 2, 3):
+        items[f"synthesize hermite riesz k={k}"] = (
+            lambda k=k: per_point(
+                operators.riesz_spectral_hermite(k, her_coeffs), her_f))
+    for a in (0.5, 2.0):
+        items[f"synthesize laguerre alpha={a}"] = (
+            lambda a=a: per_point(
+                analyze(lag_f, BasisTag("laguerre", a), 1200), lag_f))
     return items
 
 
