@@ -25,9 +25,10 @@ below -800 for all its y: exp is exactly 0 there, so the row adds exactly +-0
 to every column of a sum that numpy starts from +0, provided its other
 factors are finite.  Those grow as s falls, so the first row, at the smallest
 s, is always kept: where they overflow (0 * inf = NaN, as at Laguerre k >= 9)
-it overflows too, and the sum is NaN as over the whole mesh.  Neither step
-changes a bit of any value.  A one-point call keeps the whole rule: numpy
-sums a one-column array pairwise, where skipping rows would move last bits.
+it overflows too, and the sum is NaN as over the whole mesh, which raises.
+Neither step changes a bit of any value.  A one-point call keeps the whole
+rule: numpy sums a one-column array pairwise, where skipping rows would move
+last bits.
 
 Within a block the derivative kernel forms each factor its sums share once:
 the Bessel table, every power, and route two's Gaussian and Hermite
@@ -366,6 +367,17 @@ def _s_integral(integrand, wt, x: float, y, nodes: int) -> list:
     return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
+def _check_finite(sums, y, what: str, **params) -> None:
+    """Raise at the first y where a kernel sum is not finite (0 * inf = NaN
+    at the smallest s, as at Laguerre k >= 9), naming the kernel ``what``
+    and its parameters."""
+    bad = ~np.all([np.isfinite(v) for v in sums], axis=0)
+    if np.any(bad):
+        named = ", ".join(f"{key}={value}" for key, value in params.items())
+        raise QuadratureConvergenceError(
+            f"{what} at {named}, y={y[np.argmax(bad)]} is not finite")
+
+
 def _hermite_time_integral(l: int, half_order: float, x: float, y,
                            nodes: int) -> np.ndarray:
     """(1/Gamma(q)) * integral of t^{q-1} (d/dx + x)^l W_t(x, y) dt,
@@ -374,6 +386,7 @@ def _hermite_time_integral(l: int, half_order: float, x: float, y,
     wt = weight * t ** (half_order - 1.0)
     vals, = _s_integral(lambda s, w, yb: (_dplusx_heat_sw(l, s, w, x, yb),),
                         wt, x, y, nodes)
+    _check_finite([vals], y, "Hermite time integral", l=l, q=half_order, x=x)
     return vals / gamma(half_order)
 
 
@@ -429,6 +442,7 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8):
     wt = weight * t ** (0.5 * k - 1.0) / gamma(0.5 * k)
     v1, v2, vabs = _s_integral(
         lambda s, w, yb: _dw_pair_sw(k, a, s, w, x, yb), wt, x, y, nodes)
+    _check_finite([v1, v2, vabs], y, "Riesz kernel", k=k, alpha=a, x=x)
     disagree, floor = _route_disagreement(v1, v2, vabs)
     if np.any(disagree > floor):
         idx = int(np.argmax(disagree - floor))

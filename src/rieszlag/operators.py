@@ -3,8 +3,7 @@
 Negative powers as diagonal multipliers on spectral coefficients, the
 order-k Riesz transforms by their spectral formulas, the principal-value
 route with its even-order constant correction, the epsilon-limit of the
-auxiliary boundary function, Hardy-type averaging operators, and weighted
-L^p norms.
+auxiliary boundary function, and weighted L^p norms.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ __all__ = [
     "pv_apply",
     "phi_at",
     "phi_limit",
-    "hardy0",
-    "hardy_inf",
     "weighted_norm",
     "extrapolate_to_zero",
 ]
@@ -244,8 +241,7 @@ def _pv_segments(x: float, eps: np.ndarray, support):
     for lo, hi, toward in ((a, x - eps0, "right"), (x + eps0, b, "left")):
         if hi > lo:
             floor = min(0.3, max(1e-9, eps0 / (3.0 * (hi - lo))))
-            add(-1, geometric_edges(lo, hi, toward=toward, floor=floor,
-                                    ratio=0.5))
+            add(-1, geometric_edges(lo, hi, toward=toward, floor=floor))
     for i in range(len(eps) - 1):
         hi, lo = eps[i], eps[i + 1]
         for y0, y1 in ((max(a, x - hi), min(b, x - lo)),
@@ -372,49 +368,8 @@ def phi_limit(k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Hardy operators and weighted norms
+# Weighted norms
 # ---------------------------------------------------------------------------
-
-def hardy0(eta: float, f, grid) -> np.ndarray:
-    """Averaging operator x^(-eta-1) * int_0^x y^eta f(y) dy on a grid, for
-    f vanishing outside its ``support`` attribute."""
-    if not eta > -1.0:
-        raise ValueError(f"eta must be > -1, got {eta}")
-    a, b = _support_of(f)
-    grid = np.asarray(grid, dtype=float)
-    out = np.zeros_like(grid)
-    for i, x in enumerate(grid):
-        hi = min(x, b)
-        if hi <= a:
-            continue
-        if a <= 0.0:
-            xs, ws = gauss_jacobi_01(160, eta)
-            xs, ws = hi * xs, hi * ws
-        else:
-            xs, ws = gauss_legendre_panels(np.linspace(a, hi, 9), 12)
-        vals = xs**eta * np.asarray(f(xs), dtype=float)
-        out[i] = x ** (-eta - 1.0) * float(ws @ vals)
-    return out
-
-
-def hardy_inf(eta: float, f, grid) -> np.ndarray:
-    """Averaging operator x^eta * int_x^inf y^(-eta-1) f(y) dy on a grid, for
-    f vanishing outside its ``support`` attribute."""
-    if not eta > -1.0:
-        raise ValueError(f"eta must be > -1, got {eta}")
-    a, b = _support_of(f)
-    grid = np.asarray(grid, dtype=float)
-    out = np.zeros_like(grid)
-    for i, x in enumerate(grid):
-        lo = max(x, a)
-        if lo >= b:
-            continue
-        edges = geometric_edges(lo, b, toward="left", floor=1e-6, ratio=0.4)
-        xs, ws = gauss_legendre_panels(edges, 12)
-        vals = xs ** (-eta - 1.0) * np.asarray(f(xs), dtype=float)
-        out[i] = x**eta * float(ws @ vals)
-    return out
-
 
 def weighted_norm(f, p: float, delta: float, interval) -> float:
     """L^p(x^delta dx) norm of f over ``interval`` = (a, b), 0 <= a, for a

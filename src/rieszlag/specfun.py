@@ -255,21 +255,19 @@ def time_panels(floor: float, nodes: int):
     return gauss_legendre_panels(edges, nodes)
 
 
-def geometric_edges(a: float, b: float, *, toward: str, ratio: float = 0.5,
-                    floor: float = 1e-14) -> np.ndarray:
+def geometric_edges(a: float, b: float, *, toward: str,
+                    floor: float) -> np.ndarray:
     """Panel edges on [a, b] shrinking geometrically toward one endpoint.
 
     The panel adjacent to the refined endpoint has width about
-    ``floor * (b - a)``; panel widths grow by 1/ratio away from it.
+    ``floor * (b - a)``; panel widths double away from it.
     """
     if not a < b:
         raise ValueError(f"degenerate interval [{a}, {b}]")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
     length = b - a
     offsets = [length]
     while offsets[-1] > floor * length:
-        offsets.append(offsets[-1] * ratio)
+        offsets.append(offsets[-1] * 0.5)
     offsets.append(0.0)
     offsets = np.array(offsets[::-1])
     if toward == "left":

@@ -16,8 +16,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels, operators
-from .basis import BasisTag, _support_of, analyze
-from .specfun import alpha_value, gauss_legendre_panels, geometric_edges
+from .basis import BasisTag, analyze
+# gauss_legendre_panels has no use here; it stays imported because the
+# benchmark tracer (bench/spans.py) wraps verify.gauss_legendre_panels by name
+from .specfun import alpha_value, gauss_legendre_panels
 
 __all__ = [
     "BoundCheckReport",
@@ -25,7 +27,6 @@ __all__ = [
     "STATEMENTS",
     "check_prop33",
     "check_prop31",
-    "check_maximal_domination",
     "lp_scan",
     "strong_type_range",
 ]
@@ -216,81 +217,6 @@ def check_prop31(k: int, l: int, *, levels: int = 2) -> BoundCheckReport:
                      "dist_range": list(dist_range), "nd": nd,
                      "levels": levels},
         sup_ratio=sup, argmax=argmax, refinement_history=history)
-
-
-def _excised_sup(kern_vec, f, x: float, eps: np.ndarray, support) -> float:
-    """Sup over the excision schedule of |integral over |y-x| > eps_j|."""
-    return float(np.abs(operators._excised_integrals(
-        kern_vec, f, x, eps, support)).max())
-
-
-def check_maximal_domination(k: int, alpha, f, grid) -> dict:
-    """Check the pointwise domination of the truncated-integral sup by the
-    two Hardy terms, the local Hermite part and the near-diagonal
-    averaging operator, with a single fitted constant.  The sup runs over
-    the eight excision radii 0.1 * 0.5^i."""
-    a = alpha_value(alpha)
-    delta_k = 1.0 if k % 2 else 0.0
-    sup_a, sup_b = _support_of(f)
-    grid = np.asarray(grid, dtype=float)
-    eps = operators._eps_schedule(8)
-
-    def abs_f(y):
-        return np.abs(f(y))
-
-    abs_f.support = (sup_a, sup_b)
-    h0 = operators.hardy0(a + 0.5, abs_f, grid)
-    hinf = operators.hardy_inf(a + 0.5 + delta_k, abs_f, grid)
-
-    def at_point(i):
-        x = float(grid[i])
-        lhs = _excised_sup(
-            lambda y: kernels.riesz_kernel_laguerre_vec(k, a, x, y)[0],
-            f, x, eps, (sup_a, sup_b))
-        loc_lo, loc_hi = max(0.5 * x, sup_a), min(2.0 * x, sup_b)
-        local = 0.0
-        if loc_lo < x < loc_hi:
-            local = _excised_sup(
-                lambda y: kernels.riesz_kernel_hermite_vec(k, k, x, y),
-                f, x, eps, (loc_lo, loc_hi))
-        return lhs, local, _near_diagonal_average(f, x, loc_lo, loc_hi)
-
-    rows = [at_point(i) for i in range(len(grid))]
-    lhs = np.array([r[0] for r in rows])
-    local = np.array([r[1] for r in rows])
-    near = np.array([r[2] for r in rows])
-    rhs = h0 + hinf + local + near
-    mask = rhs > 0
-    fitted_c = float((lhs[mask] / rhs[mask]).max()) if mask.any() else 0.0
-    return {
-        "k": k,
-        "alpha": a,
-        "delta_k": delta_k,
-        "grid": grid.tolist(),
-        "lhs": lhs.tolist(),
-        "hardy0": h0.tolist(),
-        "hardy_inf": hinf.tolist(),
-        "local": local.tolist(),
-        "near_diagonal": near.tolist(),
-        "fitted_C": fitted_c,
-        "empirical_only": True,
-    }
-
-
-def _near_diagonal_average(f, x: float, lo: float, hi: float) -> float:
-    """integral over (lo, hi), (x/2, 2x) cut to the support of f, of
-    f(y)/y * (1 + sqrt(x/|x-y|)) dy, 0 if lo >= hi; the panels refine
-    toward x clipped into [lo, hi], so toward the end nearer x outside."""
-    total = 0.0
-    for a, b, toward in ((lo, min(x, hi), "right"),
-                         (max(x, lo), hi, "left")):
-        if b <= a:
-            continue
-        edges = geometric_edges(a, b, toward=toward, floor=1e-10, ratio=0.4)
-        xs, ws = gauss_legendre_panels(edges, 12)
-        total += float(ws @ (np.asarray(f(xs), dtype=float) / xs
-                             * (1.0 + np.sqrt(x / np.abs(x - xs)))))
-    return total
 
 
 def strong_type_range(k: int, alpha, p: float) -> tuple:

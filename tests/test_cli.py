@@ -211,20 +211,35 @@ class TestRiesz:
                   "--max-abs-diff", "1e-12"])
         assert rc == 1
 
-    def test_non_finite_abs_diff_fails(self, tmp_path, capsys):
-        # the Laguerre kernel is NaN at k = 9, so pv and abs_diff are NaN;
-        # NaN compares False against any tolerance, and must fail the check
+    def test_non_finite_abs_diff_fails(self, tmp_path, capsys, monkeypatch):
+        # a NaN kernel makes pv and abs_diff NaN; NaN compares False against
+        # any tolerance, and must fail the check
+        def nan_kernel(k, alpha, x, y):
+            return np.full(np.shape(y), np.nan), 0.0
+
+        monkeypatch.setattr(kernels, "riesz_kernel_laguerre_vec", nan_kernel)
         out = tmp_path / "r.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = run(["riesz", "--family", "laguerre", "--k", "9", "--alpha",
-                      "0.5", "--points", "1", "--stages", "3",
-                      "--max-abs-diff", "1e-3", "--out", str(out)])
+        rc = run(["riesz", "--family", "laguerre", "--k", "1", "--alpha",
+                  "0.5", "--points", "1", "--stages", "3",
+                  "--max-abs-diff", "1e-3", "--out", str(out)])
         assert rc == 1
         data = np.atleast_1d(np.genfromtxt(out, delimiter=",", names=True))
         assert np.isnan(data["abs_diff"][0])
         witness = json.loads(capsys.readouterr().err)["assertion-failure"]
         assert witness["non_finite_abs_diff_at_x"] == [float(data["x"][0])]
+
+    def test_non_finite_kernel_propagates(self, tmp_path):
+        # the Laguerre kernel overflows at k = 9; its QuadratureConvergenceError
+        # propagates like the Bessel one, and nothing is written
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(kernels.QuadratureConvergenceError,
+                               match="Riesz kernel .* is not finite"):
+                run(["riesz", "--family", "laguerre", "--k", "9", "--alpha",
+                     "0.5", "--points", "1", "--stages", "3", "--out",
+                     str(out)])
+        assert not out.exists()
 
 
 class TestScans:

@@ -430,12 +430,32 @@ class TestBlockedTimeIntegrals:
         # at k = 9 the smallest-s rows overflow (0 * inf); the whole mesh
         # gives NaN and so must the blocks
         y = np.concatenate([np.linspace(0.5, 3.0, 60), np.geomspace(8, 30, 10)])
+        _, _, t, weight = kn._s_quadrature(8)
+        wt = weight * t ** 3.5 / kn.gamma(4.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vals, _ = kn.riesz_kernel_laguerre_vec(9, 0.5, 1.4, y)
+            vals = kn._s_integral(
+                lambda s, w, yb: kn._dw_pair_sw(9, 0.5, s, w, 1.4, yb),
+                wt, 1.4, y, 8)[0]
             whole = _laguerre_whole_mesh(9, 0.5, 1.4, y)
         assert np.isnan(whole).all()
         assert np.array_equal(vals, whole, equal_nan=True)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: kn.riesz_kernel_laguerre_vec(9, 0.5, 1.4,
+                                              [1.0, 1.3999, 2.0, 3.0]),
+         r"Riesz kernel at k=9, alpha=0\.5, x=1\.4, y=1\.0 is not finite"),
+        (lambda: kn.riesz_kernel_hermite_vec(40, 40, 0.3, [-1.0, 0.5, 2.0]),
+         r"Hermite time integral at l=40, q=20\.0, x=0\.3, y=-1\.0 is not "
+         r"finite"),
+    ], ids=["laguerre", "hermite"])
+    def test_non_finite_sum_raises(self, call, message):
+        # the overflowed sums above are not values: the integrated kernels
+        # raise, naming the parameters and the first y that failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(kn.QuadratureConvergenceError, match=message):
+                call()
 
     def test_agreement_warning_names_the_worst_y_in_a_later_block(
             self, monkeypatch):

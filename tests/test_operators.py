@@ -259,13 +259,19 @@ class TestPVApply:
         assert serial == threaded
 
     def test_strip_an_ulp_wide(self):
-        # x + 0.05 lies one ulp above the support end -0.49, which left a
-        # strip too narrow for distinct panel edges
-        f = op.bump(-0.99, 0.5)
         spec = KernelSpec("hermite-riesz", k=1)
-        res = op.pv_apply(spec, f, -0.54, stages=10)
-        near = op.pv_apply(spec, f, -0.54 - 1e-10, stages=10)
-        assert res.total == pytest.approx(near.total, rel=1e-8)
+        for center, x, nearby in (
+                # x + 0.05 lies one ulp below the support end -0.49, so the
+                # first strip above x, (-0.49000000000000005, -0.49), is too
+                # narrow for distinct panel edges
+                (-0.99, -0.54, -0.54 - 1e-10),
+                # x - 0.05 lies one ulp above the support end 0.49: the same
+                # for the first strip below x, (0.49, 0.49000000000000005)
+                (0.99, 0.54, 0.54 + 1e-10)):
+            f = op.bump(center, 0.5)
+            res = op.pv_apply(spec, f, x, stages=10)
+            near = op.pv_apply(spec, f, nearby, stages=10)
+            assert res.total == pytest.approx(near.total, rel=1e-8)
 
     def test_pv_validation(self):
         f = op.bump(0.0, 1.0)
@@ -317,40 +323,6 @@ class TestPhiLimit:
             op.phi_limit(3)
         with pytest.raises(ValueError):
             op.phi_at(2, 0.0)
-
-
-class TestHardy:
-    def test_constant_below_one(self):
-        def f(y):
-            return np.ones_like(np.asarray(y, dtype=float))
-
-        f.support = (0, 1)
-        grid = np.array([0.25, 0.5, 0.9])
-        np.testing.assert_allclose(op.hardy0(0.0, f, grid), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(op.hardy_inf(0.0, f, grid),
-                                   np.log(1.0 / grid), rtol=1e-9)
-
-    def test_power_law(self):
-        eta, aexp = 0.7, 0.3
-
-        def f(y):
-            return np.asarray(y, dtype=float) ** aexp
-
-        f.support = (0, 1)
-        grid = np.array([0.2, 0.6, 0.95])
-        np.testing.assert_allclose(op.hardy0(eta, f, grid),
-                                   grid**aexp / (eta + aexp + 1.0), rtol=1e-9)
-
-    def test_positivity(self):
-        f = op.bump(1.5, 0.5)
-        grid = np.linspace(0.2, 4.0, 7)
-        assert np.all(op.hardy0(0.3, f, grid) >= 0)
-        assert np.all(op.hardy_inf(0.3, f, grid) >= 0)
-
-    def test_eta_validation(self):
-        f = op.bump(0.5, 0.5)
-        with pytest.raises(ValueError, match="eta must be > -1"):
-            op.hardy0(-1.0, f, [1.0])
 
 
 class TestWeightedNorm:

@@ -14,18 +14,11 @@ import rieszlag
 MODULES = ("basis", "cli", "combinat", "kernels", "operators", "specfun",
            "verify")
 
-# Exported names with no caller in the package or the acceptance criteria
-# that stay on purpose, each with its reason.
-UNCALLED_ALLOWED = {
-    "verify.check_maximal_domination":
-        "the paper's maximal-operator domination argument is part of the "
-        "verification spine, though no CLI command calls it",
-}
-
 # Module-level imports with no use in their module that stay on purpose,
 # each with its reason.
 UNUSED_IMPORT_ALLOWED = {
     "basis.gauss_jacobi_01": "bench/spans.py wraps it",
+    "verify.gauss_legendre_panels": "bench/spans.py wraps it",
 }
 
 
@@ -67,7 +60,7 @@ def test_every_export_has_a_caller():
                 if attr not in acceptance
                 and not any(name == attr and (stem, owner) != (mod, attr)
                             for stem, name, owner in refs)]
-    assert sorted(uncalled) == sorted(UNCALLED_ALLOWED), ", ".join(uncalled)
+    assert not uncalled, ", ".join(uncalled)
 
 
 # Defaulted parameters of exported functions that no package code passes by
