@@ -181,17 +181,22 @@ def analyze(f, tag: BasisTag, nmax: int) -> SpectralCoeffs:
     return SpectralCoeffs(tag, table @ (weights * fx))
 
 
+def _column_dots(c: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """c @ column for each column of a basis table, each its own contiguous
+    1-D dot product.  A point's value is then the same, bit for bit,
+    whatever other points share the table (the recurrences are
+    elementwise); a product over the whole table would sum in an order that
+    depends on the number of points."""
+    return np.array([c @ column for column in np.ascontiguousarray(table.T)])
+
+
 def synthesize(coeffs: SpectralCoeffs, x):
     """Evaluate the truncated expansion at point(s) x.
 
-    Each point's value is the same, bit for bit, whatever other points
-    share the call: one table serves every x (the recurrence is
-    elementwise), and each value is its own contiguous dot product of the
-    coefficients with that point's column.  A product over the whole
-    table would sum in an order that depends on the number of points.
+    One table serves every x, and each point's value is the same, bit for
+    bit, whatever other points share the call (see _column_dots).
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    table = _basis_table(coeffs.basis, coeffs.truncation, xa)
-    vals = np.array([coeffs.coeffs @ column
-                     for column in np.ascontiguousarray(table.T)])
+    vals = _column_dots(coeffs.coeffs,
+                        _basis_table(coeffs.basis, coeffs.truncation, xa))
     return vals if np.ndim(x) else float(vals[0])

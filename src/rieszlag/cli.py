@@ -197,28 +197,20 @@ def _cmd_riesz(args) -> int:
     pad = 0.12 * (b - a)
     pts = np.linspace(a + pad, b - pad, args.points)
     coeffs = analyze(f, BasisTag(args.family, alpha), args.nmax)
+    # one basis table per term for the whole column; each point gets the
+    # bits of a one-point call
     if args.family == "hermite":
-        # one basis table for the whole column; synthesize gives each point
-        # the bits of a one-point call
         column = synthesize(operators.riesz_spectral_hermite(args.k, coeffs),
                             pts)
-
-        def spectral(i):
-            return column[i]
-
         spec = KernelSpec("hermite-riesz", k=args.k)
     else:
-        # one call per point: this route's multi-point product, which lp_scan
-        # shares, sums in an order that depends on the number of points
-        def spectral(i):
-            return operators.riesz_apply_laguerre_spectral(
-                args.k, coeffs, float(pts[i]), tail_tol=np.inf)
-
         spec = KernelSpec("laguerre-riesz", k=args.k, alpha=alpha)
+        column = operators.riesz_apply_laguerre_spectral(
+            args.k, coeffs, pts, tail_tol=np.inf)
     rows = []
     for i, x in enumerate(pts):
         pv = operators.pv_apply(spec, f, float(x), stages=args.stages)
-        sval = float(spectral(i))
+        sval = float(column[i])
         rows.append((float(x), sval, pv.extrapolated, pv.wk_correction,
                      abs(sval - pv.total), pv.err_estimate))
     _write_text(args.out, _csv(rows, ["x", "spectral", "pv", "wk_term",

@@ -362,8 +362,10 @@ def _s_integral(integrand, wt, x: float, y, nodes: int) -> list:
         if len(yb) > 1:
             rows = -np.min((x - yb) ** 2) / (4.0 * s) >= _EXPO_FLOOR
             rows[0] = True
-        parts = integrand(s[rows, None], w[rows, None], yb[None, :])
-        blocks.append([(wt[rows, None] * f).sum(axis=0) for f in parts])
+        # an overflow shows as a non-finite sum, which _check_finite raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = integrand(s[rows, None], w[rows, None], yb[None, :])
+            blocks.append([(wt[rows, None] * f).sum(axis=0) for f in parts])
     return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
@@ -390,13 +392,27 @@ def _hermite_time_integral(l: int, half_order: float, x: float, y,
     return vals / gamma(half_order)
 
 
+def _frac_tail(q: float, nodes: int) -> float:
+    """Bound on the share of the mass of t^(q-1) e^(-t/2), the n = 0 term of
+    the K_gamma integrand (q = gamma/2), that lies beyond the last node
+    t_end of the s-rule: Q(q, x) <= x^(q-1) e^(-x) x / (Gamma(q) (x-q+1))
+    at x = t_end/2 (for q >= 1; inf when x <= q - 1).  For large gamma
+    that term carries the kernel, and this is the relative error the rule's
+    end leaves."""
+    x = 0.5 * float(_s_quadrature(nodes)[2].max())
+    if x <= q - 1.0:
+        return math.inf
+    return math.exp(q * math.log(x) - x - math.lgamma(q)
+                    - math.log(x - q + 1.0))
+
+
 def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str):
     """(value, est_err) of a scalar kernel, a one-point view on its vector
-    path ``vec(y, nodes)``, which returns the kernel at the points y and the
-    relative disagreement of its routes (0 for single-route kernels).  The
-    value is taken at 12 time nodes; est_err is the change from 8, or the
-    route disagreement if larger.  est_err above rel_tol * |value| raises
-    (never, for rel_tol None)."""
+    path ``vec(y, nodes)``, which returns the kernel at the points y and a
+    relative error it knows of: the disagreement of its routes, or K_gamma's
+    tail share (_frac_tail).  The value is taken at 12 time nodes; est_err
+    is the change from 8, or that relative error times |value| if larger.
+    est_err above rel_tol * |value| raises (never, for rel_tol None)."""
     y1 = np.array([float(y)])
     coarse, agree = vec(y1, 8)
     val = float(vec(y1, 12)[0][0])
@@ -470,9 +486,10 @@ def kernel_value(spec: KernelSpec, x: float, y: float,
     if spec.family == "hermite-frac":
         if spec.gamma <= 1.0 and x == y:
             raise ValueError("K_gamma on the diagonal requires gamma > 1")
+        q = 0.5 * spec.gamma
         return _at_point(
-            lambda ys, n: (_hermite_time_integral(0, 0.5 * spec.gamma,
-                                                  float(x), ys, n), 0.0),
+            lambda ys, n: (_hermite_time_integral(0, q, float(x), ys, n),
+                           _frac_tail(q, n)),
             x, y, 1e-5, "K_gamma")
     if spec.family == "hermite-riesz":
         return _at_point(

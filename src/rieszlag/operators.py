@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import SpectralCoeffs, _support_of, phi_table
+from .basis import SpectralCoeffs, _column_dots, _support_of, phi_table
 from .kernels import KernelSpec
 from .specfun import (gamma, gauss_jacobi_01, gauss_legendre_panels,
                       geometric_edges, time_panels)
@@ -170,29 +170,41 @@ def _dalpha_terms(coeff_vec: np.ndarray, k: int) -> dict:
     return terms
 
 
-def riesz_apply_laguerre_spectral(k: int, f: SpectralCoeffs, x, *,
-                                  tail_tol: float = 1e-9):
-    """Order-k Laguerre Riesz transform through the spectral route:
-    negative power k/2 followed by k successive analytic applications of
-    the first-order factor, evaluated pointwise.  The type parameter
-    alpha is that of the expansion's basis."""
+def _laguerre_terms(k: int, f: SpectralCoeffs, tail_tol: float) -> list:
+    """The terms (p, shift, d) of the order-k Laguerre Riesz transform of
+    f: the transform is the sum of x^p * (d @ phi^(alpha+shift)) over them,
+    in this order.  Warns when f's tail exceeds tail_tol."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if f.basis.kind != "laguerre":
         raise ValueError("expansion basis must be laguerre")
-    a = f.basis.alpha
     if f.tail_bound > tail_tol:
         warnings.warn(
             f"expansion tail {f.tail_bound:.2e} exceeds {tail_tol:.0e}; "
             "raise the truncation", TruncationTailWarning)
     g = negative_power(0.5 * k, f)
+    return [(p, shift, d)
+            for (p, shift), d in _dalpha_terms(g.coeffs, k).items()]
+
+
+def riesz_apply_laguerre_spectral(k: int, f: SpectralCoeffs, x, *,
+                                  tail_tol: float = 1e-9):
+    """Order-k Laguerre Riesz transform through the spectral route:
+    negative power k/2 followed by k successive analytic applications of
+    the first-order factor, evaluated pointwise.  The type parameter
+    alpha is that of the expansion's basis.
+
+    One basis table per term serves every x, and each point's value is the
+    same, bit for bit, whatever other points share the call (see
+    basis._column_dots)."""
+    terms = _laguerre_terms(k, f, tail_tol)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xa <= 0):
         raise ValueError("x must be > 0")
     total = np.zeros_like(xa)
-    for (p, shift), d in _dalpha_terms(g.coeffs, k).items():
-        table = phi_table(len(d) - 1, a + shift, xa)
-        total = total + xa**p * (d @ table)
+    for p, shift, d in terms:
+        table = phi_table(len(d) - 1, f.basis.alpha + shift, xa)
+        total = total + xa**p * _column_dots(d, table)
     return total if np.ndim(x) else float(total[0])
 
 
@@ -371,14 +383,12 @@ def phi_limit(k: int) -> dict:
 # Weighted norms
 # ---------------------------------------------------------------------------
 
-def weighted_norm(f, p: float, delta: float, interval) -> float:
-    """L^p(x^delta dx) norm of f over ``interval`` = (a, b), 0 <= a, for a
-    finite p >= 1 (p = inf would read 1.0 for every f) and a finite delta.
-
-    For intervals reaching down to 0 the weight is absorbed by a
-    power-weighted endpoint rule on (0, 1); the rest of the interval takes
-    40 equal 12-node Gauss-Legendre panels.
-    """
+def _norm_rule(p: float, delta: float, interval) -> list:
+    """The rule of weighted_norm on ``interval``: a list of (nodes,
+    weights) pieces, each summed on its own: the power-weighted endpoint
+    rule on (0, 1) when the interval reaches down to 0, then the 40
+    Gauss-Legendre panels.  Checks p, delta and the interval as
+    weighted_norm states."""
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     if not (math.isfinite(p) and math.isfinite(delta)):
@@ -386,20 +396,38 @@ def weighted_norm(f, p: float, delta: float, interval) -> float:
     a, b = float(interval[0]), float(interval[1])
     if a < 0.0:
         raise ValueError("weighted norms live on (0, inf)")
-
-    def density(x):
-        return np.abs(np.asarray(f(x), dtype=float)) ** p * x**delta
-
-    total = 0.0
+    pieces = []
     if a == 0.0:
         cut = min(1.0, b)
         u, w = gauss_jacobi_01(160, delta)
-        total += float((cut * w) @ density(cut * u))
+        pieces.append((cut * u, cut * w))
         a = cut
     if b > a:
-        xs, ws = gauss_legendre_panels(np.linspace(a, b, 41), 12)
-        total += float(ws @ density(xs))
+        pieces.append(gauss_legendre_panels(np.linspace(a, b, 41), 12))
+    return pieces
+
+
+def _norm_sum(rule: list, values: list, p: float, delta: float) -> float:
+    """The weighted L^p norm from f's values on each piece of the rule."""
+    total = 0.0
+    for (x, w), v in zip(rule, values):
+        total += float(w @ (np.abs(np.asarray(v, dtype=float)) ** p
+                            * x**delta))
     value = total ** (1.0 / p)
     if not math.isfinite(value):
         raise ValueError("weighted norm did not come out finite")
     return value
+
+
+def weighted_norm(f, p: float, delta: float, interval) -> float:
+    """L^p(x^delta dx) norm of f over ``interval`` = (a, b), 0 <= a, for a
+    finite p >= 1 (p = inf would read 1.0 for every f) and a finite delta.
+
+    For intervals reaching down to 0 the weight is absorbed by a
+    power-weighted endpoint rule on (0, 1); the rest of the interval takes
+    40 equal 12-node Gauss-Legendre panels.  The two pieces are summed
+    separately (_norm_rule and _norm_sum), so a caller holding f's values
+    on them, as lp_scan does, gets the same bits.
+    """
+    rule = _norm_rule(p, delta, interval)
+    return _norm_sum(rule, [f(x) for x, _ in rule], p, delta)

@@ -241,28 +241,34 @@ def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
     """Weighted-norm ratios ||R f_i|| / ||f_i|| over a deterministic family
     of bump functions (member i depends only on (seed, i), so growing the
     family keeps earlier members fixed), with both norms taken over
-    (0, 30) and R f_i from the Laguerre expansion of f_i to degree 600."""
+    (0, 30) and R f_i from the Laguerre expansion of f_i to degree 600.
+
+    The images share their tables: for each term of the transform and each
+    piece of weighted_norm's rule, one table serves every bump.  On each
+    piece an image is the sum over the terms, in order, of x^p (d @ table),
+    one whole-table product per term, so its norm is what weighted_norm
+    gives for that function, bit for bit."""
     if family_size < 1:
         raise ValueError("family_size must be >= 1")
     a = alpha_value(alpha)
     tag = BasisTag("laguerre", a)
     lo, hi = strong_type_range(k, a, p)
-    in_range = lo < delta < hi
-
-    def ratio(i):
-        g = _seeded_bump(seed, i)
-        coeffs = analyze(g, tag, 600)
-
-        def image(x):
-            return operators.riesz_apply_laguerre_spectral(
-                k, coeffs, x, tail_tol=math.inf)
-
-        num = operators.weighted_norm(image, p, delta, (0.0, 30.0))
-        den = operators.weighted_norm(g, p, delta, (0.0, 30.0))
-        return num / den
-
-    ratios = [ratio(i) for i in range(family_size)]
+    rule = operators._norm_rule(p, delta, (0.0, 30.0))
+    bumps = [_seeded_bump(seed, i) for i in range(family_size)]
+    terms = [operators._laguerre_terms(k, analyze(g, tag, 600), math.inf)
+             for g in bumps]
+    images = [[np.zeros_like(x) for x, _ in rule] for _ in bumps]
+    # terms outside, so that one table is alive at a time; every bump has
+    # the same (power, shift) sequence
+    for j, (power, shift, _) in enumerate(terms[0]):
+        for r, (x, _) in enumerate(rule):
+            table = operators.phi_table(600, a + shift, x)
+            for image, bump_terms in zip(images, terms):
+                image[r] = image[r] + x**power * (bump_terms[j][2] @ table)
+    ratios = [operators._norm_sum(rule, image, p, delta)
+              / operators.weighted_norm(g, p, delta, (0.0, 30.0))
+              for g, image in zip(bumps, images)]
     return LpScanReport(k=k, alpha=a, p=p, delta=delta,
                         ratios=[float(r) for r in ratios],
-                        max_ratio=float(max(ratios)), in_range=in_range,
+                        max_ratio=float(max(ratios)), in_range=lo < delta < hi,
                         seed=seed)

@@ -166,6 +166,37 @@ class TestRiesz:
         for x, spectral in cells:
             assert spectral == repr(basis.synthesize(column, float(x)))
 
+    @pytest.mark.parametrize("points", [1, 2, 7])
+    def test_laguerre_spectral_column_uses_one_table_per_term(
+            self, tmp_path, monkeypatch, points):
+        # analyze builds one table, and the spectral column one per term
+        # (two at k = 2) for all its points; every cell is the text of a
+        # one-point call
+        from rieszlag import operators as op
+        calls = []
+        table = basis.phi_table
+
+        def counted(nmax, alpha, x):
+            calls.append(np.size(x))
+            return table(nmax, alpha, x)
+
+        monkeypatch.setattr(basis, "phi_table", counted)
+        monkeypatch.setattr(op, "phi_table", counted)
+        out = tmp_path / "r.csv"
+        assert run(["riesz", "--family", "laguerre", "--k", "2", "--alpha",
+                    "0.5", "--points", str(points), "--stages", "3",
+                    "--out", str(out)]) == 0
+        assert calls[1:] == [points, points]
+        monkeypatch.undo()
+        coeffs = basis.analyze(op.bump(1.25, 0.75),
+                               basis.BasisTag("laguerre", 0.5), 1200)
+        cells = [line.split(",")[:2]
+                 for line in out.read_text().splitlines()[1:]]
+        assert len(cells) == points
+        for x, spectral in cells:
+            assert spectral == repr(op.riesz_apply_laguerre_spectral(
+                2, coeffs, float(x), tail_tol=np.inf))
+
     def test_alpha_is_a_number(self, capsys):
         # --alpha parses as a float for every family, as in every subcommand
         with pytest.raises(SystemExit) as exc:
@@ -231,9 +262,10 @@ class TestRiesz:
     def test_non_finite_kernel_propagates(self, tmp_path):
         # the Laguerre kernel overflows at k = 9; its QuadratureConvergenceError
         # propagates like the Bessel one, and nothing is written
+        # the overflow itself prints no RuntimeWarning: the error names it
         out = tmp_path / "r.csv"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(kernels.QuadratureConvergenceError,
                                match="Riesz kernel .* is not finite"):
                 run(["riesz", "--family", "laguerre", "--k", "9", "--alpha",

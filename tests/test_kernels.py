@@ -451,9 +451,10 @@ class TestBlockedTimeIntegrals:
     ], ids=["laguerre", "hermite"])
     def test_non_finite_sum_raises(self, call, message):
         # the overflowed sums above are not values: the integrated kernels
-        # raise, naming the parameters and the first y that failed
+        # raise, naming the parameters and the first y that failed, with no
+        # numpy RuntimeWarning before the error
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(kn.QuadratureConvergenceError, match=message):
                 call()
 
@@ -504,6 +505,35 @@ class TestFracKernel:
 
     def test_diagonal_finite_above_one(self):
         assert math.isfinite(kernel("hermite-frac", 1.0, 1.0, gamma=3.0))
+
+    def test_rule_end_raises_at_large_gamma(self):
+        # the s-rule ends near t = 61, and t^(q-1) e^(-t/2) puts 14% of its
+        # mass beyond that at gamma 50: the value is 14% low
+        with pytest.raises(kn.QuadratureConvergenceError,
+                           match="K_gamma quadrature stalled"):
+            kn.kernel_value(kn.KernelSpec("hermite-frac", gamma=50.0),
+                            0.3, 0.9)
+
+    def test_rule_end_reported_at_gamma_16(self):
+        # 3.7e-7 of the mass lies beyond the rule's end; the 8-to-12-node
+        # change alone reads about 6e-11
+        value, err = kn.kernel_value(kn.KernelSpec("hermite-frac",
+                                                   gamma=16.0), 0.3, 0.9)
+        assert err >= 3e-7 * abs(value)
+        assert err == kn._frac_tail(8.0, 8) * abs(value)
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0])
+    @pytest.mark.parametrize("x,y", [(0.3, 0.8), (0.3, 1.2), (1.0, -0.5)])
+    def test_small_gamma_unchanged(self, gamma, x, y):
+        # the rule end's share is far below the node change here, so the
+        # value is the 12-node integral and est_err that change, bit for bit
+        value, err = kn.kernel_value(kn.KernelSpec("hermite-frac",
+                                                   gamma=gamma), x, y)
+        fine, coarse = (kn._hermite_time_integral(0, 0.5 * gamma, x,
+                                                  np.array([y]), n)[0]
+                        for n in (12, 8))
+        assert value == fine
+        assert err == abs(fine - coarse)
 
     def test_diagonal_rejected_at_low_gamma(self):
         with pytest.raises(ValueError):

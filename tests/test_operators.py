@@ -129,6 +129,28 @@ class TestSpectralRiesz:
         expected = -2.0 * math.sqrt(n) * bs.phi_table(n - 1, a + 1.0, x)[n - 1]
         assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_each_point_is_independent_of_its_batch(self, k, alpha):
+        # one table per term serves every x; each point must still get the
+        # bits of a one-point call, which a whole-table product would not
+        f = op.bump(1.25, 0.75)
+        c = bs.analyze(f, laguerre_tag(alpha), 1200)
+        xs = np.random.default_rng(k).uniform(0.55, 1.95, 9)
+        ones = [op.riesz_apply_laguerre_spectral(k, c, xs[i:i + 1],
+                                                 tail_tol=math.inf)
+                for i in range(9)]
+        for m in range(1, 10):
+            batch = op.riesz_apply_laguerre_spectral(k, c, xs[:m],
+                                                     tail_tol=math.inf)
+            assert batch.shape == (m,)
+            assert [v.tobytes() for v in batch] == [
+                one.tobytes() for one in ones[:m]]
+        scalar = op.riesz_apply_laguerre_spectral(k, c, float(xs[0]),
+                                                  tail_tol=math.inf)
+        assert type(scalar) is float
+        assert scalar == batch[0]
+
     def test_tail_flag(self):
         a = 0.0
         c = bs.SpectralCoeffs(laguerre_tag(a), np.ones(5))

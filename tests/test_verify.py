@@ -83,6 +83,47 @@ class TestLpScan:
                                  (0.0, 30.0)))
         assert r3 == pytest.approx(r1, rel=1e-13)
 
+    @pytest.mark.parametrize("k,tables", [(1, 22), (2, 24)])
+    def test_tables_built_once_per_scan(self, monkeypatch, k, tables):
+        # one analyze table per bump, then one table per term and per piece
+        # of the norm rule (the Jacobi and the Gauss-Legendre nodes)
+        calls = []
+        table = bs.phi_table
+
+        def counted(nmax, alpha, x):
+            calls.append(np.size(x))
+            return table(nmax, alpha, x)
+
+        monkeypatch.setattr(bs, "phi_table", counted)
+        monkeypatch.setattr(op, "phi_table", counted)
+        vf.lp_scan(k, 0.0, 2.0, 0.0, 20)
+        assert len(calls) == tables
+        assert sorted(set(calls[20:])) == [160, 480]
+
+    @pytest.mark.parametrize("k,alpha,p,delta", [
+        (1, 0.0, 2.0, 0.0), (2, 0.5, 3.0, 0.5), (3, 2.0, 2.0, -0.5)])
+    def test_ratios_are_weighted_norms_to_the_bit(self, k, alpha, p, delta):
+        # each image is the whole-table product d @ table on each piece of
+        # weighted_norm's rule, summed over the terms in order
+        def image_of(coeffs):
+            def image(x):
+                total = np.zeros_like(x)
+                for power, shift, d in op._laguerre_terms(k, coeffs,
+                                                          np.inf):
+                    table = bs.phi_table(600, alpha + shift, x)
+                    total = total + x**power * (d @ table)
+                return total
+            return image
+
+        rep = vf.lp_scan(k, alpha, p, delta, 3, seed=4)
+        for i, ratio in enumerate(rep.ratios):
+            g = vf._seeded_bump(4, i)
+            coeffs = bs.analyze(g, bs.BasisTag("laguerre", alpha), 600)
+            expected = (op.weighted_norm(image_of(coeffs), p, delta,
+                                         (0.0, 30.0))
+                        / op.weighted_norm(g, p, delta, (0.0, 30.0)))
+            assert ratio.hex() == expected.hex()
+
     def test_seeded_bumps_inside_working_interval(self):
         for i in range(8):
             g = vf._seeded_bump(0, i)

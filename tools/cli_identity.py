@@ -71,6 +71,9 @@ JOBS = [
     ["lp-scan", "--k", "1", "--family-size", "4"],
     ["lp-scan", "--k", "2", "--alpha", "0.5", "--p", "3", "--delta", "0.5",
      "--family-size", "4", "--seed", "3"],
+    # the benchmark's k = 2 job, and k = 3 (three terms) at alpha 2
+    ["lp-scan", "--k", "2", "--family-size", "20", "--seed", "3"],
+    ["lp-scan", "--k", "3", "--alpha", "2", "--family-size", "4"],
     ["phi-limit", "--k", "2"],
     ["phi-limit", "--k", "4"],
     ["basis", "--family", "hermite", "--n", "5", "--points", "50"],

@@ -15,8 +15,9 @@ asymptotic regimes; the derivative kernel's three outputs on a production
 mesh; the Laguerre Riesz kernel with its route agreement at k = 1..4 on
 1-, 2-, 64-, 65- and 129-point y sets at 8 and 12 time nodes; the Hermite
 Riesz kernel for l <= k <= 4; pv_apply stage tables for both families;
-check_prop33 for each statement; riesz_apply_laguerre_spectral; and
-synthesize called once per point, for both bases at the points of riesz.
+check_prop33 for each statement; lp_scan reports at k = 1..3 for three
+alphas; and riesz_apply_laguerre_spectral and synthesize called once per
+point, for both bases at the points of riesz.
 """
 
 from __future__ import annotations
@@ -106,16 +107,26 @@ def _items() -> dict:
         items[f"check_prop33 {statement} k={k}"] = (
             lambda statement=statement, k=k: prop33(statement, k))
 
+    # one call per point, at the 5 points of riesz: a multi-point call
+    # sums in an order that depends on the number of points in older trees
     xs = np.linspace(0.68, 1.82, 5)
     for a in (0.5, 2.0):
         coeffs = analyze(lag_f, BasisTag("laguerre", a), 1200)
         for k in (1, 2, 3):
             items[f"riesz_apply_laguerre_spectral k={k} alpha={a}"] = (
-                lambda k=k, coeffs=coeffs: operators.
-                riesz_apply_laguerre_spectral(k, coeffs, xs, tail_tol=np.inf))
+                lambda k=k, coeffs=coeffs: [
+                    operators.riesz_apply_laguerre_spectral(
+                        k, coeffs, float(x), tail_tol=np.inf) for x in xs])
 
-    # one call per point, at the 5 points of riesz: a multi-point call
-    # sums in an order that depends on the number of points in older trees
+    def lp_scan(k, a):
+        r = verify.lp_scan(k, a, 3.0, 0.5, 20, seed=k)
+        return (r.ratios, r.max_ratio, r.in_range)
+
+    for k in (1, 2, 3):
+        for a in (-0.5, 0.5, 2.0):
+            items[f"lp_scan k={k} alpha={a} p=3 delta=0.5"] = (
+                lambda k=k, a=a: lp_scan(k, a))
+
     def per_point(coeffs, f):
         a, b = f.support
         pad = 0.12 * (b - a)
