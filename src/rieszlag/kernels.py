@@ -30,6 +30,21 @@ Neither step changes a bit of any value.  A one-point call keeps the whole
 rule: numpy sums a one-column array pairwise, where skipping rows would move
 last bits.
 
+The Laguerre Riesz kernel's integrand D_alpha^k W_t^alpha decays like
+e^{-(2k+alpha+1)t}, so its rows beyond t = 20 (356 of the 880 of the 8-node
+rule) rarely change a sum.  A block of two or more y first sums the other
+rows; it leaves those out only where a certificate shows that each of their
+terms would round away.  The certificate is a bound on |wt_i F_i| over
+those rows, for all three sums: the two routes and route one's
+absolute-value companion.  The bound is separable: a factor per row,
+wt_i q_i^e1 c2_i^e2, maximized over the rows once per call, times a
+factor per column (see _laguerre_tail_bound).  The rows are left out where
+twice the bound, which covers rounding, is below a quarter of the spacing
+of every column's partial sum.  Adding a term that small to the partial sum,
+row by row, rounds back to it.  Otherwise the block goes on to add those
+rows to its sums, so no row is evaluated twice.  The Hermite families
+decay only like e^{-t/2} and keep the whole rule.
+
 Within a block the derivative kernel forms each factor its sums share once:
 the Bessel table, every power, and route two's Gaussian and Hermite
 recurrence.  Each product keeps its left-to-right order and leaves out only
@@ -258,16 +273,24 @@ def _dw_pair_sw(k: int, alpha: float, s, w, x, y):
     # free the mesh arrays route two does not use, for a lower peak
     del expo, pref, acc, acc_abs, zpow[1:]
 
-    # route two
+    # route two; a product whose coefficient is 1.0 is the same for every j
+    # it occurs at, so it is formed once
     raised = _dplusx_heat_orders_sw(k, s, w, x, y)
+    unit = {}
     dw2 = 0.0
     for j in range(k + 1):
         inner = 0.0
         for n in range(j // 2 + 1):
             for l in range(2 * n, j + 1):
-                inner = inner + _times((-1.0) ** l * math.comb(j, l)
-                                       * _e_float(l, n) / 2.0 ** (l - n),
-                                       zpow[0], zneg[-n], isc[l - n])
+                coef = ((-1.0) ** l * math.comb(j, l) * _e_float(l, n)
+                        / 2.0 ** (l - n))
+                if coef != 1.0:
+                    term = _times(coef, zpow[0], zneg[-n], isc[l - n])
+                elif (n, l) in unit:
+                    term = unit[n, l]
+                else:
+                    term = unit[n, l] = _times(zpow[0], zneg[-n], isc[l - n])
+                inner = inner + term
         dw2 = dw2 + _times((-1.0) ** j * math.comb(k, j), raised[k - j],
                            upow[j], inner)
     dw2 = math.sqrt(2.0 * math.pi) * dw2
@@ -306,6 +329,8 @@ def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
 
 _Y_BLOCK = 64
 _EXPO_FLOOR = -800.0    # far below exp's underflow to exactly 0 at -745.14
+_T_CUT = 20.0           # the Laguerre kernel's certified end of the s-rule
+_LOG_ROUNDING = -40.0 * math.log(2.0)   # log of route two's rounding share
 
 
 @lru_cache(maxsize=16)
@@ -346,27 +371,119 @@ def _y_blocks(n: int) -> list:
     return [slice(a, b) for a, b in zip(starts or [0], starts[1:] + [n])]
 
 
-def _s_integral(integrand, wt, x: float, y, nodes: int) -> list:
+def _s_integral(integrand, wt, x: float, y, nodes: int,
+                tail_negligible=None) -> list:
     """sum_i wt_i * F(s_i, y) over the s-rule of ``nodes``, for each array
     F of the tuple ``integrand(s, w, y)`` returns; one array per F.
 
     Evaluated in y-blocks (see the module docstring): each block's sum runs
     over a C-contiguous (rows, block) array, so numpy adds its rows in s
     order, and it skips the rows whose exponent bound -(x - y)^2 / 4s lies
-    below _EXPO_FLOOR for every y of the block, except the first."""
-    s, w, _, _ = _s_quadrature(nodes)
+    below _EXPO_FLOOR for every y of the block, except the first.  With
+    ``tail_negligible``, a block of two or more y first sums its rows with
+    t <= _T_CUT; it adds the rest, continuing each sum row by row, unless
+    ``tail_negligible(yb, sums)`` holds for those partial sums."""
+    s, w, t, _ = _s_quadrature(nodes)
     blocks = []
     for cols in _y_blocks(len(y)):
         yb = y[cols]
-        rows = slice(None)
+        rows = np.ones(len(s), dtype=bool)
+        tail = np.zeros(len(s), dtype=bool)
         if len(yb) > 1:
             rows = -np.min((x - yb) ** 2) / (4.0 * s) >= _EXPO_FLOOR
             rows[0] = True
+            if tail_negligible is not None:
+                tail = rows & (t > _T_CUT)
         # an overflow shows as a non-finite sum, which _check_finite raises
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = integrand(s[rows, None], w[rows, None], yb[None, :])
-            blocks.append([(wt[rows, None] * f).sum(axis=0) for f in parts])
+            sums = _rows_sum(integrand, wt, s, w, yb, rows & ~tail)
+            if tail.any() and not tail_negligible(yb, sums):
+                sums = _rows_sum(integrand, wt, s, w, yb, tail, sums)
+        blocks.append(sums)
     return [np.concatenate(sums) for sums in zip(*blocks)]
+
+
+def _rows_sum(integrand, wt, s, w, yb, rows, start=None) -> list:
+    """The column sums of wt * F over the given rows, added row by row to
+    ``start`` (one array per F) if given."""
+    parts = integrand(s[rows, None], w[rows, None], yb[None, :])
+    terms = [wt[rows, None] * f for f in parts]
+    if start is None:
+        return [f.sum(axis=0) for f in terms]
+    return [np.concatenate([s0[None, :], f]).sum(axis=0)
+            for s0, f in zip(start, terms)]
+
+
+def _laguerre_tail_bound(k: int, alpha: float, x: float, wt, nodes: int):
+    """log_bound(y) -> (b1, b2): per y, the logs of bounds on |wt_i F_i| at
+    every row with t_i > _T_CUT, for F route one of the derivative kernel or
+    its absolute-value sum (b1), and for F route two (b2).
+
+    On those rows, with q = (1 - s^2)/2s and c2 = w^2/4s, so that z = xyq
+    and u = yq:
+    - both Gaussians are at most exp(-((x - y)^2 + s_T (x + y)^2) / 4), s_T
+      being the rows' least s;
+    - e^-z I_nu(z) <= (z/2)^nu exp(z_T^2 / 4(nu+1)) / Gamma(nu+1), as
+      (nu+1)_m >= (nu+1)^m for nu > -1, z_T being their largest z;
+    - |H_l(a)| <= sum_m E_{l,m} |a|^(l-2m), and |a| <= (w_T x + 2y) / 2
+      sqrt(s_T).
+    Each term of either route is then a constant times x^a y^b times
+    wt_i q_i^e1 c2_i^e2, and the maximum of that over the rows is taken
+    once, here.  b1 sums route one's terms.  Route two's exact value is
+    route one's, so b2 adds to b1 only its rounding, taken as 2^-40 of the
+    sum of its own terms."""
+    s, w, t, _ = _s_quadrature(nodes)
+    tail = t > _T_CUT
+    s, w = s[tail], w[tail]
+    q = w * (2.0 - w) / (2.0 * s)
+    # one row per term: its coefficient, power of 1/2, Bessel order
+    # alpha + p, Hermite degree, and powers of x, y, q and c2
+    terms = ([], [])
+    for j in range(k + 1):
+        for n in range(j // 2 + 1):
+            p = j - n
+            for m in range((k - j) // 2 + 1):
+                terms[0].append((
+                    math.comb(k, j) * _e_float(j, n) * _e_float(k - j, m),
+                    alpha + 2 * p, p, 0, k - 2 * m - 2 * n + alpha + 0.5,
+                    2 * p + alpha + 0.5, 2 * p + alpha + 1.0, k - j - m))
+            for l in range(2 * n, j + 1):
+                e = alpha + 0.5 + l - 2 * n
+                terms[1].append((
+                    math.comb(k, j) * math.comb(j, l) * _e_float(l, n),
+                    alpha + 2 * (l - n), l - n, k - j, e, e + j, e + j + 0.5,
+                    0.5 * (k - j)))
+    routes = []
+    for route in terms:
+        coef, half, p, deg, ax, by, e1, e2 = np.array(route).T
+        rows = (np.log(wt[tail]) + e1[:, None] * np.log(q)
+                + e2[:, None] * np.log(w * w / (4.0 * s)))
+        const = (np.log(coef) - half * math.log(2.0) + ax * math.log(x)
+                 - [math.lgamma(alpha + v + 1.0) for v in p]
+                 + rows.max(axis=1))
+        routes.append((const[:, None], by[:, None], p.astype(int),
+                       deg.astype(int)))
+    s_t, w_t, q_t, q_lo = (float(v) for v in (s.min(), w.max(), q.max(),
+                                               q.min()))
+    nu_1 = alpha + 1.0 + np.arange(k + 1)[:, None]
+
+    def log_bound(y):
+        z_t = x * y * q_t
+        log_bessel = z_t * z_t / (4.0 * nu_1)
+        a = (w_t * x + 2.0 * y) / (2.0 * math.sqrt(s_t))
+        log_herm = np.log([sum(_e_float(l, m) * a ** (l - 2 * m)
+                               for m in range(l // 2 + 1))
+                           for l in range(k + 1)])
+        log_gauss = -0.25 * ((x - y) ** 2 + s_t * (x + y) ** 2)
+        # no bound where the rows' z underflows or z^(1/2 - k) overflows:
+        # their terms raise or are not finite, as over the whole rule
+        finite = (x * y * q_lo) ** (k + 0.5) > 1e-300
+        b1, b2 = (np.where(finite, log_gauss + np.logaddexp.reduce(
+            const + by * np.log(y) + log_bessel[p] + log_herm[deg], axis=0),
+            np.inf) for const, by, p, deg in routes)
+        return b1, np.logaddexp(b1, b2 + _LOG_ROUNDING)
+
+    return log_bound
 
 
 def _check_finite(sums, y, what: str, **params) -> None:
@@ -456,8 +573,19 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8):
         raise ValueError("x and y must be > 0")
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (0.5 * k - 1.0) / gamma(0.5 * k)
+    log_bound = _laguerre_tail_bound(k, a, x, wt, nodes)
+
+    def tail_negligible(yb, sums):
+        # twice each bound (for rounding) under a quarter of the spacing of
+        # its sums: every left-out term would round away
+        cap = [np.log(np.spacing(np.abs(v))) - math.log(8.0) for v in sums]
+        b1, b2 = log_bound(yb)
+        return bool(np.all(b1 < np.minimum(cap[0], cap[2]))
+                    and np.all(b2 < cap[1]))
+
     v1, v2, vabs = _s_integral(
-        lambda s, w, yb: _dw_pair_sw(k, a, s, w, x, yb), wt, x, y, nodes)
+        lambda s, w, yb: _dw_pair_sw(k, a, s, w, x, yb), wt, x, y, nodes,
+        tail_negligible)
     _check_finite([v1, v2, vabs], y, "Riesz kernel", k=k, alpha=a, x=x)
     disagree, floor = _route_disagreement(v1, v2, vabs)
     if np.any(disagree > floor):

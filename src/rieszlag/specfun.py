@@ -115,10 +115,14 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # unchanged.  Converged entries are stored and dropped from the active
     # set once they make up a quarter of it, or all of it; until then they
     # iterate on with their totals fixed.  Entries not converged after
-    # _SERIES_TERMS terms raise.
+    # _SERIES_TERMS terms raise.  Once every entry has converged, so do
+    # entries whose first term underflowed while the terms still grow
+    # (z^2/4 > nu + 1): their sum lost its digits, or is 0 for a first term
+    # of exactly 0, however large the true value.
     term = np.exp(nu * np.log(0.5 * z) - log_gamma(nu + 1.0) - z)
     total = term.copy()
     quarter_z2 = 0.25 * z * z
+    lost = (term < np.finfo(float).tiny) & (quarter_z2 > nu + 1.0)
     out = np.empty_like(z)
     active = np.arange(z.size)
     for m in range(1, _SERIES_TERMS):
@@ -132,6 +136,11 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
                 active[live], term[live], total[live], quarter_z2[live],
                 done[live])
             if not active.size:
+                if np.any(lost):
+                    raise RuntimeError(
+                        f"Bessel series for order {nu} underflows at "
+                        f"z={z[np.argmax(lost)]}: its first term is below "
+                        f"the smallest normal float while the terms grow")
                 return out
     raise RuntimeError(
         f"Bessel series for order {nu} not converged after "

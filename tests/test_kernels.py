@@ -130,6 +130,12 @@ class TestHeatKernels:
                 rhs = -((x - y * em) ** 2 + (y - x * em) ** 2) / (2 * den)
                 assert abs(lhs - rhs) < 1e-12
 
+    def test_laguerre_bessel_underflow_raises(self):
+        # z = 1154.8 at order 60: the Bessel series' first term underflows,
+        # and the kernel read 0.0 where mpmath gives 8.57e-12
+        with pytest.raises(RuntimeError, match=r"order 60\.0 underflows"):
+            kn.heat_kernel_laguerre(0.2, 15.0, 15.5, alpha=60)
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             kn.heat_kernel_hermite(0.0, 1.0, 1.0)
@@ -311,11 +317,13 @@ class TestDerivativeKernelBits:
     @pytest.mark.parametrize("k", [1, 3])
     def test_route_two_shares_one_gaussian_and_hermite_pass(self, k,
                                                             monkeypatch):
+        # counts the s-rows each factor is formed on: once per row evaluated
         counts = {}
         for name in ("_heat_sw", "_raising_sw", "hermite_polys",
                      "_dplusx_heat_sw", "bessel_i_scaled"):
             def counted(*args, _name=name, _inner=getattr(kn, name)):
-                counts[_name] = counts.get(_name, 0) + 1
+                rows = np.broadcast_shapes(*map(np.shape, args))[0]
+                counts[_name] = counts.get(_name, 0) + rows
                 return _inner(*args)
 
             monkeypatch.setattr(kn, name, counted)
@@ -324,11 +332,11 @@ class TestDerivativeKernelBits:
                        np.array([[0.7, 2.0]]))
         once = {"_heat_sw": 1, "_raising_sw": 1, "hermite_polys": 1,
                 "bessel_i_scaled": k + 1}
-        assert counts == once
+        assert counts == {name: n * len(s) for name, n in once.items()}
         counts.clear()
-        # four y-blocks, each one _dw_pair_sw call
+        rows = _rows_seen(monkeypatch, "_dw_pair_sw")
         kn.riesz_kernel_laguerre_vec(k, 0.5, 1.4, _BLOCK_TEST_Y)
-        assert counts == {name: 4 * n for name, n in once.items()}
+        assert counts == {name: n * sum(rows) for name, n in once.items()}
 
 
 def _whole_mesh(integrand, wt, y, nodes=8):
@@ -481,6 +489,115 @@ class TestBlockedTimeIntegrals:
             r"conditioning floor \d\.\d\de-\d\d\) at \(k=2, "
             r"alpha=0\.5, x=1\.0, y=2\.0\)", str(caught[0].message))
         assert agreement == pytest.approx(0.01 / 1.01, rel=1e-6)
+
+
+# the sweep of k, alpha and x that showed a plain cut at t = 20 moving last
+# bits; each x gets 16 y, near it and across (0.01, 40).  Alpha -0.9 at
+# x = 20 has blocks whose tail rows are not negligible
+_SWEEP_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 2.0, 5.0, 10.0)
+_SWEEP_X = (0.05, 0.3, 1.4, 6.0, 20.0)
+
+
+def _sweep_y(x):
+    return np.concatenate([x * (1.0 + np.array([-0.05, -1e-3, 1e-3, 0.05])),
+                           np.geomspace(0.01, 40.0, 12)])
+
+
+def _tail_rows(k, alpha, x, y):
+    # wt, and |wt_i F_i| of the three integrands at every row beyond t = 20
+    s, w, t, weight = kn._s_quadrature(8)
+    wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
+    tail = t > kn._T_CUT
+    parts = kn._dw_pair_sw(k, alpha, s[tail, None], w[tail, None], x,
+                           y[None, :])
+    return wt, [np.abs(wt[tail, None] * f) for f in parts]
+
+
+class TestCertifiedTail:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_sweep_equals_the_whole_rule(self, k, monkeypatch):
+        rows = _rows_seen(monkeypatch, "_dw_pair_sw")
+        moved = calls = 0
+        for alpha in _SWEEP_ALPHAS:
+            for x in _SWEEP_X:
+                y = _sweep_y(x)
+                before = len(rows)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", kn.KernelAgreementWarning)
+                    vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
+                calls += len(rows) - before
+                whole = _laguerre_whole_mesh(k, alpha, x, y)
+                assert vals.tobytes() == whole.tobytes()
+                # the same sums with the tail rows plainly cut
+                _, _, t, weight = kn._s_quadrature(8)
+                wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
+                head = _whole_mesh(
+                    lambda s, w, yb: kn._dw_pair_sw(k, alpha, s, w, x, yb),
+                    np.where(t > kn._T_CUT, 0.0, wt), y)[0]
+                moved += np.count_nonzero(head != whole)
+        # one block per kernel call, which evaluates its tail rows in a
+        # second call where they are not negligible
+        assert (calls > len(_SWEEP_ALPHAS) * len(_SWEEP_X)) == (k <= 2)
+        assert (moved > 0) == (k <= 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_bound_covers_every_tail_term(self, k):
+        # route one, route two and route one's absolute sum; a computed
+        # subnormal term carries absolute rounding, so only normal ones
+        # are compared
+        for alpha in _SWEEP_ALPHAS:
+            for x in _SWEEP_X:
+                y = _sweep_y(x)
+                with np.errstate(all="ignore"):
+                    wt, terms = _tail_rows(k, alpha, x, y)
+                b1, b2 = kn._laguerre_tail_bound(k, alpha, x, wt, 8)(y)
+                for term, bound in zip(terms, (b1, b2, b1)):
+                    normal = term >= np.finfo(float).tiny
+                    assert np.all(np.log(term[normal])
+                                  <= np.broadcast_to(bound, term.shape)[normal])
+
+    def test_every_row_evaluated_once_per_block(self, monkeypatch):
+        # at x = 20 and alpha -0.9 the tail rows of the far block are not
+        # negligible, those of the near block are
+        x = 20.0
+        y = np.concatenate([np.geomspace(0.02, 2.0, 64),
+                            x + np.delete(np.linspace(-1.0, 1.0, 65), 32)])
+        seen = {}
+        inner = kn._dw_pair_sw
+
+        def recorded(k, alpha, s, w, x_, yb):
+            seen.setdefault(yb.tobytes(), []).append((s.ravel(), w.ravel()))
+            return inner(k, alpha, s, w, x_, yb)
+
+        monkeypatch.setattr(kn, "_dw_pair_sw", recorded)
+        kn.riesz_kernel_laguerre_vec(2, -0.9, x, y)
+        s, w, t, _ = kn._s_quadrature(8)
+        calls_per_block = []
+        for cols, calls in zip(kn._y_blocks(len(y)), seen.values()):
+            rows = -np.min((x - y[cols]) ** 2) / (4.0 * s) >= kn._EXPO_FLOOR
+            rows[0] = True
+            # the rows up to t = 20, then, if at all, the disjoint rest
+            for (s_seen, w_seen), part in zip(
+                    calls, (rows & (t <= kn._T_CUT), rows & (t > kn._T_CUT))):
+                assert np.array_equal(s_seen, s[part])
+                assert np.array_equal(w_seen, w[part])
+            calls_per_block.append(len(calls))
+        assert calls_per_block == [2, 1]
+
+    def test_tail_rows_kept_where_they_fail(self):
+        # only in the tail rows does z^(1/2 - k) overflow to a NaN sum
+        # (k = 8, x = 1e-30) or z underflow to 0, which the Bessel function
+        # rejects (x = 1e-150): the kernel fails as the whole rule does
+        with np.errstate(all="ignore"):
+            assert np.isnan(_laguerre_whole_mesh(8, 0.5, 1e-30,
+                                                 np.array([3.0, 4.0]))).all()
+        with pytest.raises(kn.QuadratureConvergenceError):
+            kn.riesz_kernel_laguerre_vec(8, 0.5, 1e-30, [3.0, 4.0])
+        y = np.array([2e-150, 3e-150])
+        with pytest.raises(ValueError, match="argument must be > 0"):
+            _laguerre_whole_mesh(1, 0.5, 1e-150, y)
+        with pytest.raises(ValueError, match="argument must be > 0"):
+            kn.riesz_kernel_laguerre_vec(1, 0.5, 1e-150, y)
 
 
 class TestFracKernel:

@@ -120,6 +120,16 @@ class TestBesselI:
         with pytest.raises(RuntimeError, match=r"at z=882\.0$"):
             sf.bessel_i_scaled(42.0, np.array([1.0, 881.0, 882.0, 3.0]))
 
+    @pytest.mark.parametrize("z", [926.0, np.array([1.0, 926.0, 3.0])])
+    def test_underflowed_first_term_raises(self, z):
+        # the first term, (z/2)^60 e^-z / Gamma(61), is exactly 0 while the
+        # terms still grow: the series summed to 0.0, where
+        # scipy.special.ive gives 1.876e-3
+        with pytest.raises(RuntimeError, match=r"order 60\.0 underflows at "
+                           r"z=926\.0: its first term is below the smallest "
+                           r"normal float while the terms grow$"):
+            sf.bessel_i_scaled(60.0, z)
+
     def test_non_convergence_names_an_unconverged_z_among_converged(self):
         # the four smallest z converge by term 5 and are compacted away; 50
         # and 100 converge at terms 46 and 81, too few to compact, and

@@ -13,8 +13,10 @@ warning it raised.  The items that differ are listed, and the exit code is
 The items: scaled Bessel arrays for 8 orders across the power-series and
 asymptotic regimes; the derivative kernel's three outputs on a production
 mesh; the Laguerre Riesz kernel with its route agreement at k = 1..4 on
-1-, 2-, 64-, 65- and 129-point y sets at 8 and 12 time nodes; the Hermite
-Riesz kernel for l <= k <= 4; pv_apply stage tables for both families;
+1-, 2-, 64-, 65- and 129-point y sets at 8 and 12 time nodes, and on the
+sweep of k = 1..5, seven alphas from -0.9 to 10 and five x from 0.05 to 20,
+64 y each, where ending the s-rule at t = 20 without a certificate moves
+last bits; the Hermite Riesz kernel for l <= k <= 4; pv_apply stage tables for both families;
 check_prop33 for each statement; lp_scan reports at k = 1..3 for three
 alphas; and riesz_apply_laguerre_spectral and synthesize called once per
 point, for both bases at the points of riesz.
@@ -75,6 +77,17 @@ def _items() -> dict:
                         lambda k=k, a=a, y=y, nodes=nodes:
                         kernels.riesz_kernel_laguerre_vec(k, a, X, y,
                                                           nodes=nodes))
+    for k in range(1, 6):
+        for a in (-0.9, -0.5, 0.0, 0.5, 2.0, 5.0, 10.0):
+            for x in (0.05, 0.3, 1.4, 6.0, 20.0):
+                y = np.concatenate([
+                    x * (1.0 + np.array([-0.3, -0.1, -1e-2, -1e-3, 1e-3,
+                                         1e-2, 0.1, 0.3])),
+                    np.geomspace(0.01, 40.0, 56)])
+                items[f"riesz_kernel_laguerre_vec sweep k={k} alpha={a} "
+                      f"x={x}"] = (
+                    lambda k=k, a=a, x=x, y=y:
+                    kernels.riesz_kernel_laguerre_vec(k, a, x, y))
     herm_y = np.concatenate([_y_sets()[129], -_y_sets()[129][:40]])
     for k in range(1, 5):
         for l in range(k + 1):
