@@ -31,7 +31,7 @@ rule: numpy sums a one-column array pairwise, where skipping rows would move
 last bits.
 
 The Laguerre Riesz kernel's integrand D_alpha^k W_t^alpha decays like
-e^{-(2k+alpha+1)t}, so its rows beyond t = 20 (356 of the 880 of the 8-node
+e^{-(2k+alpha+1)t}, so its rows beyond t = 15 (401 of the 880 of the 8-node
 rule) rarely change a sum.  A block of two or more y first sums the other
 rows; it leaves those out only where a certificate shows that each of their
 terms would round away.  The certificate is a bound on |wt_i F_i| over
@@ -41,9 +41,10 @@ wt_i q_i^e1 c2_i^e2, maximized over the rows once per call, times a
 factor per column (see _laguerre_tail_bound).  The rows are left out where
 twice the bound, which covers rounding, is below a quarter of the spacing
 of every column's partial sum.  Adding a term that small to the partial sum,
-row by row, rounds back to it.  Otherwise the block goes on to add those
-rows to its sums, so no row is evaluated twice.  The Hermite families
-decay only like e^{-t/2} and keep the whole rule.
+row by row, rounds back to it.  Rounding is absolute where that spacing is
+subnormal, so such a sum is never certified.  Otherwise the block goes on
+to add those rows to its sums, so no row is evaluated twice.  The Hermite
+families decay only like e^{-t/2} and keep the whole rule.
 
 Within a block the derivative kernel forms each factor its sums share once:
 the Bessel table, every power, and route two's Gaussian and Hermite
@@ -329,7 +330,7 @@ def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
 
 _Y_BLOCK = 64
 _EXPO_FLOOR = -800.0    # far below exp's underflow to exactly 0 at -745.14
-_T_CUT = 20.0           # the Laguerre kernel's certified end of the s-rule
+_T_CUT = 15.0           # the Laguerre kernel's certified end of the s-rule
 _LOG_ROUNDING = -40.0 * math.log(2.0)   # log of route two's rounding share
 
 
@@ -577,8 +578,13 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8):
 
     def tail_negligible(yb, sums):
         # twice each bound (for rounding) under a quarter of the spacing of
-        # its sums: every left-out term would round away
-        cap = [np.log(np.spacing(np.abs(v))) - math.log(8.0) for v in sums]
+        # its sums: every left-out term would round away.  The factor 2
+        # covers rounding only in the normal range, so a sum whose spacing
+        # is subnormal is not certified
+        gaps = [np.spacing(np.abs(v)) for v in sums]
+        if not all(np.all(g >= np.finfo(float).tiny) for g in gaps):
+            return False
+        cap = [np.log(g) - math.log(8.0) for g in gaps]
         b1, b2 = log_bound(yb)
         return bool(np.all(b1 < np.minimum(cap[0], cap[2]))
                     and np.all(b2 < cap[1]))

@@ -112,13 +112,15 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # An entry converges once term <= 1e-17 * total: the term ratios decrease
     # in m, and a term that small cannot come while the terms still grow, so
     # every later term is below half an ulp of the total and leaves it
-    # unchanged.  Converged entries are stored and dropped from the active
-    # set once they make up a quarter of it, or all of it; until then they
-    # iterate on with their totals fixed.  Entries not converged after
-    # _SERIES_TERMS terms raise.  Once every entry has converged, so do
-    # entries whose first term underflowed while the terms still grow
-    # (z^2/4 > nu + 1): their sum lost its digits, or is 0 for a first term
-    # of exactly 0, however large the true value.
+    # unchanged.  So the test runs only on every fourth term and on the last:
+    # an entry that converged in between has added terms that changed
+    # nothing, and its latest term passes too.  Converged entries are stored
+    # and dropped from the active set once they make up a quarter of it, or
+    # all of it; until then they iterate on with their totals fixed.  Entries
+    # not converged after _SERIES_TERMS terms raise.  Once every entry has
+    # converged, so do entries whose first term underflowed while the terms
+    # still grow (z^2/4 > nu + 1): their sum lost its digits, or is 0 for a
+    # first term of exactly 0, however large the true value.
     term = np.exp(nu * np.log(0.5 * z) - log_gamma(nu + 1.0) - z)
     total = term.copy()
     quarter_z2 = 0.25 * z * z
@@ -126,8 +128,11 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     active = np.arange(z.size)
     for m in range(1, _SERIES_TERMS):
-        term = term * quarter_z2 / (m * (nu + m))
+        term *= quarter_z2
+        term /= m * (nu + m)
         total += term
+        if m % 4 and m < _SERIES_TERMS - 1:
+            continue
         done = term <= 1e-17 * total
         if 4 * np.count_nonzero(done) >= active.size:
             out[active[done]] = total[done]
@@ -149,21 +154,39 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
 
 def _bessel_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # e^{-z} I_nu(z) ~ sum_r (-1)^r [nu,r] (2z)^{-r} / sqrt(2 pi z), truncated
-    # at the smallest term (the series is divergent).
+    # at the smallest term (the series is divergent).  An entry stops adding
+    # terms for good once its term no longer falls, and it is finished then
+    # or once |term| <= 1e-18 |total|: that term is below half an ulp of the
+    # total, and every later term it would add is smaller still, so they
+    # leave the total unchanged.  Finished entries are stored and dropped
+    # from the live set once they make up half of it; until then they
+    # iterate on with their totals fixed.
     term = np.ones_like(z)
     total = np.ones_like(z)
     prev = np.abs(term)
     active = np.ones(z.shape, dtype=bool)
+    out = np.empty_like(z)
+    live = np.arange(z.size)
+    zl = z
     four_nu2 = 4.0 * nu * nu
     for r in range(1, 120):
-        term = term * ((2 * r - 1) ** 2 - four_nu2) / (8.0 * r * z)
+        term *= (2 * r - 1) ** 2 - four_nu2
+        term /= 8.0 * r * zl
         mag = np.abs(term)
         active &= mag < prev
-        total = np.where(active, total + term, total)
+        np.add(total, term, out=total, where=active)
         prev = mag
-        if not active.any() or np.all(~active | (mag <= 1e-18 * np.abs(total))):
-            break
-    return total / np.sqrt(2.0 * np.pi * z)
+        done = ~active | (mag <= 1e-18 * np.abs(total))
+        if 2 * np.count_nonzero(done) >= live.size:
+            out[live[done]] = total[done]
+            keep = ~done
+            live, term, total, prev, active, zl = (
+                live[keep], term[keep], total[keep], prev[keep],
+                active[keep], zl[keep])
+            if not live.size:
+                break
+    out[live] = total
+    return out / np.sqrt(2.0 * np.pi * z)
 
 
 def bessel_i_scaled(nu: float, z):

@@ -373,6 +373,35 @@ def _rows_seen(monkeypatch, name):
     return seen
 
 
+def _meshes_seen(monkeypatch):
+    # the (s, w) rows of each _dw_pair_sw call, by the bytes of its y
+    seen, inner = {}, kn._dw_pair_sw
+
+    def recorded(k, alpha, s, w, x, yb):
+        seen.setdefault(yb.tobytes(), []).append((s.ravel(), w.ravel()))
+        return inner(k, alpha, s, w, x, yb)
+
+    monkeypatch.setattr(kn, "_dw_pair_sw", recorded)
+    return seen
+
+
+def _calls_per_block(x, y, seen):
+    # each block of the Laguerre kernel is evaluated on its rows up to
+    # _T_CUT, then, if at all, on the disjoint rest; the calls per block
+    s, w, t, _ = kn._s_quadrature(8)
+    blocks = kn._y_blocks(len(y))
+    assert len(seen) == len(blocks)
+    for cols, calls in zip(blocks, seen.values()):
+        rows = -np.min((x - y[cols]) ** 2) / (4.0 * s) >= kn._EXPO_FLOOR
+        rows[0] = True
+        parts = (rows & (t <= kn._T_CUT), rows & (t > kn._T_CUT))
+        assert len(calls) <= 2
+        for (s_seen, w_seen), part in zip(calls, parts):
+            assert np.array_equal(s_seen, s[part])
+            assert np.array_equal(w_seen, w[part])
+    return [len(calls) for calls in seen.values()]
+
+
 # four 64-point blocks; the points far from x lose s-rows, and in the last
 # block, 51 to 57 from x, the kernel is near or below exp's underflow
 _BLOCK_TEST_Y = np.concatenate([np.linspace(0.05, 2.6, 150),
@@ -400,9 +429,9 @@ class TestBlockedTimeIntegrals:
                                                         monkeypatch):
         x, y = 1.4, _BLOCK_TEST_Y
         whole = _laguerre_whole_mesh(k, alpha, x, y)
-        rows = _rows_seen(monkeypatch, "_dw_pair_sw")
+        seen = _meshes_seen(monkeypatch)
         vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
-        assert len(rows) == 4 and min(rows) < len(kn._s_quadrature(8)[0])
+        _calls_per_block(x, y, seen)     # asserts each block's rows
         assert np.array_equal(vals, whole)
         pairs = [kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 2])[0]
                  for i in range(0, len(y) - 1, 2)]
@@ -491,9 +520,10 @@ class TestBlockedTimeIntegrals:
         assert agreement == pytest.approx(0.01 / 1.01, rel=1e-6)
 
 
-# the sweep of k, alpha and x that showed a plain cut at t = 20 moving last
-# bits; each x gets 16 y, near it and across (0.01, 40).  Alpha -0.9 at
-# x = 20 has blocks whose tail rows are not negligible
+# the sweep of k, alpha and x that shows a plain cut at _T_CUT moving last
+# bits at k <= 2; each x gets 16 y, near it and across (0.01, 40).  Alpha
+# -0.9 at x = 20 has blocks whose tail rows are not negligible, and at the
+# smaller x the y near 40 have partial sums with subnormal spacing
 _SWEEP_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 2.0, 5.0, 10.0)
 _SWEEP_X = (0.05, 0.3, 1.4, 6.0, 20.0)
 
@@ -504,7 +534,8 @@ def _sweep_y(x):
 
 
 def _tail_rows(k, alpha, x, y):
-    # wt, and |wt_i F_i| of the three integrands at every row beyond t = 20
+    # wt, and |wt_i F_i| of the three integrands at every row beyond
+    # _T_CUT
     s, w, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
     tail = t > kn._T_CUT
@@ -517,7 +548,7 @@ class TestCertifiedTail:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_sweep_equals_the_whole_rule(self, k, monkeypatch):
         rows = _rows_seen(monkeypatch, "_dw_pair_sw")
-        moved = calls = 0
+        moved = bound_fails = 0
         for alpha in _SWEEP_ALPHAS:
             for x in _SWEEP_X:
                 y = _sweep_y(x)
@@ -525,19 +556,26 @@ class TestCertifiedTail:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", kn.KernelAgreementWarning)
                     vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
-                calls += len(rows) - before
+                # one block per kernel call, which evaluates its tail rows
+                # in a second call where they are not negligible
+                fell_back = len(rows) - before == 2
                 whole = _laguerre_whole_mesh(k, alpha, x, y)
                 assert vals.tobytes() == whole.tobytes()
-                # the same sums with the tail rows plainly cut
+                # the same sums with the tail rows plainly cut: the
+                # block's partial sums
                 _, _, t, weight = kn._s_quadrature(8)
                 wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
                 head = _whole_mesh(
                     lambda s, w, yb: kn._dw_pair_sw(k, alpha, s, w, x, yb),
-                    np.where(t > kn._T_CUT, 0.0, wt), y)[0]
-                moved += np.count_nonzero(head != whole)
-        # one block per kernel call, which evaluates its tail rows in a
-        # second call where they are not negligible
-        assert (calls > len(_SWEEP_ALPHAS) * len(_SWEEP_X)) == (k <= 2)
+                    np.where(t > kn._T_CUT, 0.0, wt), y)
+                moved += np.count_nonzero(head[0] != whole)
+                # a partial sum whose spacing is subnormal is never
+                # certified; otherwise only the bound makes a block fall back
+                subnormal = any(np.any(np.spacing(np.abs(v))
+                                       < np.finfo(float).tiny) for v in head)
+                assert fell_back or not subnormal
+                bound_fails += fell_back and not subnormal
+        assert (bound_fails > 0) == (k <= 2)
         assert (moved > 0) == (k <= 2)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -562,27 +600,9 @@ class TestCertifiedTail:
         x = 20.0
         y = np.concatenate([np.geomspace(0.02, 2.0, 64),
                             x + np.delete(np.linspace(-1.0, 1.0, 65), 32)])
-        seen = {}
-        inner = kn._dw_pair_sw
-
-        def recorded(k, alpha, s, w, x_, yb):
-            seen.setdefault(yb.tobytes(), []).append((s.ravel(), w.ravel()))
-            return inner(k, alpha, s, w, x_, yb)
-
-        monkeypatch.setattr(kn, "_dw_pair_sw", recorded)
+        seen = _meshes_seen(monkeypatch)
         kn.riesz_kernel_laguerre_vec(2, -0.9, x, y)
-        s, w, t, _ = kn._s_quadrature(8)
-        calls_per_block = []
-        for cols, calls in zip(kn._y_blocks(len(y)), seen.values()):
-            rows = -np.min((x - y[cols]) ** 2) / (4.0 * s) >= kn._EXPO_FLOOR
-            rows[0] = True
-            # the rows up to t = 20, then, if at all, the disjoint rest
-            for (s_seen, w_seen), part in zip(
-                    calls, (rows & (t <= kn._T_CUT), rows & (t > kn._T_CUT))):
-                assert np.array_equal(s_seen, s[part])
-                assert np.array_equal(w_seen, w[part])
-            calls_per_block.append(len(calls))
-        assert calls_per_block == [2, 1]
+        assert _calls_per_block(x, y, seen) == [2, 1]
 
     def test_tail_rows_kept_where_they_fail(self):
         # only in the tail rows does z^(1/2 - k) overflow to a NaN sum

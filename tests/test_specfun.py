@@ -120,6 +120,14 @@ class TestBesselI:
         with pytest.raises(RuntimeError, match=r"at z=882\.0$"):
             sf.bessel_i_scaled(42.0, np.array([1.0, 881.0, 882.0, 3.0]))
 
+    def test_series_converging_on_its_last_term(self):
+        # at order 42, z = 791 converges on term 499, the last, which is
+        # not a fourth one; z = 792 needs term 500
+        got = sf.bessel_i_scaled(42.0, np.array([0.5, 791.0]))
+        assert got[1] == pytest.approx(sps.ive(42.0, 791.0), rel=1e-13)
+        with pytest.raises(RuntimeError, match=r"at z=792\.0$"):
+            sf.bessel_i_scaled(42.0, np.array([0.5, 791.0, 792.0]))
+
     @pytest.mark.parametrize("z", [926.0, np.array([1.0, 926.0, 3.0])])
     def test_underflowed_first_term_raises(self, z):
         # the first term, (z/2)^60 e^-z / Gamma(61), is exactly 0 while the
@@ -144,7 +152,12 @@ class TestBesselI:
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0, 3.5, 11.0])
     def test_array_equals_scalar_calls(self, nu):
-        z = np.random.default_rng(7).uniform(1e-3, 30.0, 300)
+        # both regimes: an entry's value does not depend on its neighbours,
+        # however long they take to converge or to finish
+        rng = np.random.default_rng(7)
+        z = np.concatenate([rng.uniform(1e-3, 30.0, 300),
+                            np.exp(rng.uniform(math.log(30.0),
+                                               math.log(1e18), 300))])
         z[0] = 30.0
         vec = sf.bessel_i_scaled(nu, z)
         scalar = np.array([sf.bessel_i_scaled(nu, float(v)) for v in z])
@@ -155,13 +168,9 @@ class TestBesselI:
         # the series loop run over every entry until the slowest converges,
         # as before entries retired: the extra terms leave totals unchanged
         switch = max(30.0, 0.5 * nu * nu)
-        # plus one Laguerre PV block: z = x y (1 - s^2) / 2s on the 8-node
-        # s-rule for 64 y points about x = 1.1, where most entries converge
-        # within a few terms and a few need many
-        s, w, _, _ = _s_quadrature(8)
-        y = 1.1 + np.concatenate([-np.geomspace(2e-4, 0.7, 32),
-                                  np.geomspace(2e-4, 0.9, 32)])
-        pv = (1.1 * y[None, :] * (w * (2.0 - w) / (2.0 * s))[:, None]).ravel()
+        # plus one Laguerre PV block, where most entries converge within a
+        # few terms and a few need many
+        pv = _pv_block_z()
         z = np.concatenate([np.geomspace(1e-300, 1e-3, 50),
                             np.geomspace(1e-3, switch, 400),
                             pv[pv <= switch]])
@@ -173,6 +182,41 @@ class TestBesselI:
             if np.all(term <= 1e-17 * total):
                 break
         assert sf.bessel_i_scaled(nu, z).tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 0.5, 2.0, 3.5, 7.5, 30.0])
+    def test_retired_asymptotic_entries_match_the_whole_set_loop(self, nu):
+        # the asymptotic loop run over every entry until the slowest
+        # finishes, as before entries retired: the extra terms leave totals
+        # unchanged.  Half-integer orders end on a term of exactly 0
+        switch = max(30.0, 0.5 * nu * nu)
+        pv = _pv_block_z()
+        z = np.concatenate([np.geomspace(switch, 1e18, 2000)[1:],
+                            pv[pv > switch]])
+        term = np.ones_like(z)
+        total = np.ones_like(z)
+        prev = np.abs(term)
+        active = np.ones(z.shape, dtype=bool)
+        four_nu2 = 4.0 * nu * nu
+        for r in range(1, 120):
+            term = term * ((2 * r - 1) ** 2 - four_nu2) / (8.0 * r * z)
+            mag = np.abs(term)
+            active &= mag < prev
+            total = np.where(active, total + term, total)
+            prev = mag
+            if not active.any() or np.all(~active
+                                          | (mag <= 1e-18 * np.abs(total))):
+                break
+        expected = total / np.sqrt(2.0 * np.pi * z)
+        assert sf.bessel_i_scaled(nu, z).tobytes() == expected.tobytes()
+
+
+def _pv_block_z():
+    # the Bessel arguments z = x y (1 - s^2) / 2s of one Laguerre PV block:
+    # the 8-node s-rule for 64 y points about x = 1.1
+    s, w, _, _ = _s_quadrature(8)
+    y = 1.1 + np.concatenate([-np.geomspace(2e-4, 0.7, 32),
+                              np.geomspace(2e-4, 0.9, 32)])
+    return (1.1 * y[None, :] * (w * (2.0 - w) / (2.0 * s))[:, None]).ravel()
 
 
 class TestPolynomials:

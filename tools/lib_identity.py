@@ -11,15 +11,17 @@ warning it raised.  The items that differ are listed, and the exit code is
 1 if any do.
 
 The items: scaled Bessel arrays for 8 orders across the power-series and
-asymptotic regimes; the derivative kernel's three outputs on a production
-mesh; the Laguerre Riesz kernel with its route agreement at k = 1..4 on
-1-, 2-, 64-, 65- and 129-point y sets at 8 and 12 time nodes, and on the
-sweep of k = 1..5, seven alphas from -0.9 to 10 and five x from 0.05 to 20,
-64 y each, where ending the s-rule at t = 20 without a certificate moves
-last bits; the Hermite Riesz kernel for l <= k <= 4; pv_apply stage tables for both families;
-check_prop33 for each statement; lp_scan reports at k = 1..3 for three
-alphas; and riesz_apply_laguerre_spectral and synthesize called once per
-point, for both bases at the points of riesz.
+asymptotic regimes, on z up to 900, on z from the regime switch to 1e18
+shuffled among those, and on the z mesh of one Laguerre PV block; the
+derivative kernel's three outputs on a production mesh; the Laguerre Riesz
+kernel with its route agreement at k = 1..4 on 1-, 2-, 64-, 65- and
+129-point y sets at 8 and 12 time nodes, and on the sweep of k = 1..5,
+seven alphas from -0.9 to 10 and five x from 0.05 to 20, 64 y each, where
+ending the s-rule at t = 20 or 15 without a certificate moves last bits;
+the Hermite Riesz kernel for l <= k <= 4; pv_apply stage tables for both
+families; check_prop33 for each statement; lp_scan reports at k = 1..3 for
+three alphas; and riesz_apply_laguerre_spectral and synthesize called once
+per point, for both bases at the points of riesz.
 """
 
 from __future__ import annotations
@@ -55,12 +57,23 @@ def _items() -> dict:
     from rieszlag.specfun import bessel_i_scaled
 
     items = {}
+    s, w, _, _ = kernels._s_quadrature(8)
     z = np.geomspace(1e-6, 900.0, 500)
+    # the Bessel arguments of one PV block: 64 y about x = 1.4
+    pv_y = X + np.concatenate([-np.geomspace(2e-4, 0.7, 32),
+                               np.geomspace(2e-4, 0.9, 32)])
+    pv_z = (X * pv_y[None, :] * (w * (2.0 - w))[:, None]
+            / (2.0 * s[:, None]))
     for nu in (-0.5, 0.0, 0.3, 0.5, 1.5, 2.0, 4.5, 11.0):
         items[f"bessel_i_scaled nu={nu}"] = (
             lambda nu=nu: bessel_i_scaled(nu, z))
+        wide = np.random.default_rng(0).permutation(np.concatenate([
+            np.geomspace(max(30.0, 0.5 * nu * nu), 1e18, 500), z[::2]]))
+        items[f"bessel_i_scaled nu={nu} to 1e18"] = (
+            lambda nu=nu, wide=wide: bessel_i_scaled(nu, wide))
+        items[f"bessel_i_scaled nu={nu} pv block"] = (
+            lambda nu=nu: bessel_i_scaled(nu, pv_z))
 
-    s, w, _, _ = kernels._s_quadrature(8)
     mesh_y = np.array([0.05, X - 2e-4, X + 2e-4, 3.0, 12.0])
     for k in range(6):
         for a in ALPHAS:
