@@ -70,6 +70,11 @@ def _check_tolerance(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _alpha(args, laguerre: bool):
+    # a Laguerre family defaults to alpha 0; a Hermite one rejects --alpha
+    return 0.0 if laguerre and args.alpha is None else args.alpha
+
+
 def _default_bump(family: str, args):
     center = args.bump_center
     radius = args.bump_radius
@@ -138,8 +143,7 @@ def _load_sampled_function(path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_basis(args) -> int:
-    tag = BasisTag(args.family,
-                   args.alpha if args.family == "laguerre" else None)
+    tag = BasisTag(args.family, _alpha(args, args.family == "laguerre"))
     if args.mode == "samples":
         _check_points(args.points)
         for name in ("xmin", "xmax"):
@@ -163,7 +167,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_kernel_table(args) -> int:
     spec = KernelSpec(args.family, k=args.k, l=args.l, gamma=args.gamma,
-                      alpha=args.alpha if "laguerre" in args.family else None)
+                      alpha=_alpha(args, "laguerre" in args.family))
     xs = _float_list(args.x, "x")
     ys = _float_list(args.y, "y")
     # only the parameter the family uses can be given (Riesz: neither)
@@ -299,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="dump basis function samples or bump coefficients")
     common(p)
     p.add_argument("--family", choices=KINDS, required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--mode", choices=["samples", "coeffs"], default="samples")
     p.add_argument("--xmin", type=float, default=None)
@@ -314,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=kernels.FAMILIES, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--l", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--x", required=True, help="comma-separated x values")

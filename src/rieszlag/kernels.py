@@ -211,7 +211,9 @@ def heat_kernel_laguerre(t: float, x, y, alpha):
 
     Evaluated with the scaled Bessel function and the regrouped exponent
     -((x - y e^-t)^2 + (y - x e^-t)^2) / (2 (1 - e^-2t)), which stays
-    bounded as the Bessel argument grows.
+    bounded as the Bessel argument grows.  Raises RuntimeError where the
+    Bessel argument z = 2xy e^-t / (1 - e^-2t) is below the smallest normal
+    float: such a z has lost bits, and e^-t may have rounded on the way.
     """
     a = alpha_value(alpha)
     if not t > 0.0:
@@ -223,6 +225,14 @@ def heat_kernel_laguerre(t: float, x, y, alpha):
     em = math.exp(-t)
     den = -math.expm1(-2.0 * t)
     z = 2.0 * x * y * em / den
+    low = z < np.finfo(float).tiny
+    if np.any(low):
+        i = np.argmax(low)
+        xb, yb = np.broadcast_arrays(x, y)
+        raise RuntimeError(
+            f"Laguerre heat kernel at t={t}, x={xb.flat[i]}, y={yb.flat[i]}: "
+            f"the Bessel argument {z.flat[i]} is below the smallest normal "
+            "float")
     expo = -((x - y * em) ** 2 + (y - x * em) ** 2) / (2.0 * den)
     return (math.sqrt(2.0 * em / den) * np.sqrt(z)
             * bessel_i_scaled(a, z) * np.exp(expo))

@@ -31,6 +31,15 @@ class TestPointValues:
         with pytest.raises(ValueError):
             bs.phi_table(0, 0.0, -1.0)
 
+    def test_laguerre_minus_half_is_even_hermite(self):
+        # phi_n^{-1/2}(x) = (-1)^n sqrt(2) h_{2n}(x) on x > 0 (ROADMAP
+        # item 6): D_{-1/2} = d/dx + x and the eigenvalues 2n + 1/2 agree
+        x = np.geomspace(0.05, 8.0, 200)
+        even = math.sqrt(2.0) * bs.hermite_fn_table(80, x)[::2]
+        sign = (-1.0) ** np.arange(41)
+        diff = bs.phi_table(40, -0.5, x) - sign[:, None] * even
+        assert np.abs(diff).max() < 3e-14
+
 
 class TestOrthonormality:
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 2.5])

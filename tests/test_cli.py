@@ -58,6 +58,33 @@ class TestKernelTable:
                  "--alpha", "42", "--x", "32", "--y", "32", "--out", str(out)])
         assert not out.exists()
 
+    def test_heat_bessel_underflow_propagates(self, tmp_path):
+        # t, x and y are valid but the Bessel argument underflows: a
+        # numerical failure, not invalid input
+        out = tmp_path / "kt.csv"
+        with pytest.raises(RuntimeError, match="t=800.0, x=1.0, y=1.0"):
+            run(["kernel-table", "--family", "laguerre-heat", "--t", "800",
+                 "--alpha", "0.5", "--x", "1", "--y", "1", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "hermite-heat", "--t", "0.5"],
+        ["--family", "hermite-frac", "--gamma", "2"],
+        ["--family", "hermite-riesz", "--k", "1"],
+    ])
+    def test_alpha_rejected_for_hermite(self, tmp_path, capsys, argv):
+        # the table must not record a parameter the kernel never used
+        assert run(["kernel-table", *argv, "--alpha", "3", "--x", "1",
+                    "--y", "2", "--out", str(tmp_path / "kt.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {argv[1]} takes no alpha, got alpha=3.0"]
+
+    def test_laguerre_alpha_defaults_to_zero(self, tmp_path):
+        out = tmp_path / "kt.csv"
+        assert run(["kernel-table", "--family", "laguerre-heat", "--t", "0.5",
+                    "--x", "1", "--y", "2", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[3] == "0.0"
+
     @pytest.mark.parametrize("argv,expected", [
         (["--family", "hermite-heat", "--t", "0.5"], "0.5"),
         (["--family", "hermite-frac", "--gamma", "2"], "2.0"),
@@ -397,6 +424,22 @@ class TestBasisDump:
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == [
             f"invalid input: {message}"]
+
+    def test_alpha_rejected_for_hermite(self, tmp_path, capsys):
+        # the Hermite functions have no type parameter
+        out = tmp_path / "b.csv"
+        assert run(["basis", "--family", "hermite", "--alpha", "3",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: hermite basis takes no alpha"]
+
+    def test_laguerre_alpha_defaults_to_zero(self, tmp_path):
+        outs = [tmp_path / "default.csv", tmp_path / "zero.csv"]
+        for out, extra in zip(outs, ([], ["--alpha", "0"])):
+            assert run(["basis", "--family", "laguerre", "--n", "3",
+                        "--points", "5", *extra, "--out", str(out)]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
 
     def test_coeffs(self, tmp_path):
         out = tmp_path / "c.csv"

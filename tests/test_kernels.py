@@ -136,6 +136,29 @@ class TestHeatKernels:
         with pytest.raises(RuntimeError, match=r"order 60\.0 underflows"):
             kn.heat_kernel_laguerre(0.2, 15.0, 15.5, alpha=60)
 
+    @pytest.mark.parametrize("t", [745.1, 800.0])
+    def test_laguerre_bessel_argument_underflow_raises(self, t):
+        # a subnormal z has lost bits: at t = 745.1, e^-t rounds to the
+        # smallest subnormal and the closed form gives 3.61e-34 where
+        # mpmath gives 3.38e-34; at t = 800, z is 0
+        with pytest.raises(RuntimeError, match=fr"t={t}, x=1.0, y=1.0: the "
+                           "Bessel argument .* below the smallest normal"):
+            kn.heat_kernel_laguerre(t, 1.0, 1.0, -0.9)
+
+    def test_laguerre_tiny_normal_bessel_argument(self):
+        # z = 2e-304 is still normal: the closed form keeps its accuracy
+        import mpmath as mp
+        t, x, y, a = 700.0, 1.0, 1.0, -0.9
+        with mp.workdps(40):
+            em = mp.e ** -mp.mpf(t)
+            den = 1 - em ** 2
+            z = 2 * x * y * em / den
+            ref = (mp.sqrt(2 * em / den) * mp.sqrt(z) * mp.besseli(a, z)
+                   * mp.e ** (-z - ((x - y * em) ** 2 + (y - x * em) ** 2)
+                              / (2 * den)))
+        assert float(kn.heat_kernel_laguerre(t, x, y, a)) == pytest.approx(
+            float(ref), rel=1e-14)
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             kn.heat_kernel_hermite(0.0, 1.0, 1.0)
@@ -719,6 +742,21 @@ class TestRieszKernels:
                    - kernel("hermite-riesz", x, y, k=k, l=k))
         bound = (1.0 + math.sqrt(x / abs(x - y))) / x
         assert diff <= 10.0 * bound
+
+    @pytest.mark.parametrize("x", [0.6, 1.4, 3.0])
+    def test_laguerre_minus_half_is_even_hermite(self, x):
+        # K^{L,-1/2}_k(x, y) = K^H_k(x, y) + K^H_k(x, -y) (ROADMAP item 6),
+        # away from the diagonal; at k = 4, x = 3 the two sides differ by
+        # 3.1e-11 of max|K|
+        y = np.linspace(0.02, 8.0, 300)
+        y = y[np.abs(y - x) >= 0.2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1, 5):
+                lag, _ = kn.riesz_kernel_laguerre_vec(k, -0.5, x, y)
+                even = (kn.riesz_kernel_hermite_vec(k, k, x, y)
+                        + kn.riesz_kernel_hermite_vec(k, k, x, -y))
+                assert np.abs(lag - even).max() <= 1e-10 * np.abs(lag).max()
 
     def test_laguerre_diagonal_rejected(self):
         with pytest.raises(ValueError):
