@@ -30,21 +30,25 @@ Neither step changes a bit of any value.  A one-point call keeps the whole
 rule: numpy sums a one-column array pairwise, where skipping rows would move
 last bits.
 
-The Laguerre Riesz kernel's integrand D_alpha^k W_t^alpha decays like
-e^{-(2k+alpha+1)t}, so its rows beyond t = 15 (401 of the 880 of the 8-node
-rule) rarely change a sum.  A block of two or more y first sums the other
-rows; it leaves those out only where a certificate shows that each of their
-terms would round away.  The certificate is a bound on |wt_i F_i| over
-those rows, for all three sums: the two routes and route one's
-absolute-value companion.  The bound is separable: a factor per row,
-wt_i q_i^e1 c2_i^e2, maximized over the rows once per call, times a
-factor per column (see _laguerre_tail_bound).  The rows are left out where
-twice the bound, which covers rounding, is below a quarter of the spacing
-of every column's partial sum.  Adding a term that small to the partial sum,
-row by row, rounds back to it.  Rounding is absolute where that spacing is
-subnormal, so such a sum is never certified.  Otherwise the block goes on
-to add those rows to its sums, so no row is evaluated twice.  The Hermite
-families decay only like e^{-t/2} and keep the whole rule.
+The Riesz kernels' integrands decay fast in t: D_alpha^k W_t^alpha like
+e^{-(2k+alpha+1)t}, and (d/dx + x)^l W_t like e^{-(l+1/2)t}.  So the
+rows of the 8-node rule beyond a cut rarely change a sum: beyond t = 15
+for the Laguerre kernel (401 of its 880 rows), and beyond t_l = 45/(l+1/2)
+for the Hermite kernel with l raisings (269 rows at l = 1, 444 at l = 4;
+none at l = 0, whose cut lies past the rule's last node, so K_gamma and
+the l = 0 kernels keep the whole rule).  A block of two or more y first
+sums the other rows; it leaves those out only where a certificate shows
+that each of their terms would round away.  The certificate is a bound on
+|wt_i F_i| over those rows, for every sum: for the Laguerre kernel the two
+routes and route one's absolute-value companion.  The bound is separable:
+a factor per row, maximized over the rows once per call, times a factor
+per column (see _laguerre_tail_bound and _hermite_tail_bound).  The rows
+are left out where twice the bound, which covers rounding, is below a
+quarter of the spacing of every column's partial sum.  Adding a term that
+small to the partial sum, row by row, rounds back to it.  Rounding is
+absolute where that spacing is subnormal, so such a sum is never
+certified.  Otherwise the block goes on to add those rows to its sums, so
+no row is evaluated twice.
 
 Within a block the derivative kernel forms each factor its sums share once:
 the Bessel table, every power, and route two's Gaussian and Hermite
@@ -139,12 +143,18 @@ def _e_float(n: int, l: int) -> float:
 # ---------------------------------------------------------------------------
 
 def heat_kernel_hermite(t: float, x, y):
-    """Hermite heat kernel W_t(x, y) via the Mehler closed form."""
+    """Hermite heat kernel W_t(x, y) via the Mehler closed form.
+
+    Raises RuntimeError where e^-t is below the smallest normal float
+    (t above about 708.4): it has lost bits there, or is 0."""
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     em = math.exp(-t)
+    if em < np.finfo(float).tiny:
+        raise RuntimeError(f"Hermite heat kernel at t={t}, x={x}, y={y}: "
+                           f"e^-t = {em} is below the smallest normal float")
     den = -math.expm1(-2.0 * t)
     expo = (-0.5 * (x * x + y * y) * (1.0 + em * em) / den
             + 2.0 * x * y * em / den)
@@ -340,7 +350,8 @@ def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
 
 _Y_BLOCK = 64
 _EXPO_FLOOR = -800.0    # far below exp's underflow to exactly 0 at -745.14
-_T_CUT = 15.0           # the Laguerre kernel's certified end of the s-rule
+_LAGUERRE_T_CUT = 15.0  # the Laguerre kernel's certified end of the s-rule
+_HERMITE_DECAY = 45.0   # (l + 1/2) t_l, t_l being the Hermite kernel's end
 _LOG_ROUNDING = -40.0 * math.log(2.0)   # log of route two's rounding share
 
 
@@ -382,8 +393,7 @@ def _y_blocks(n: int) -> list:
     return [slice(a, b) for a, b in zip(starts or [0], starts[1:] + [n])]
 
 
-def _s_integral(integrand, wt, x: float, y, nodes: int,
-                tail_negligible=None) -> list:
+def _s_integral(integrand, wt, x: float, y, nodes: int, cut=None) -> list:
     """sum_i wt_i * F(s_i, y) over the s-rule of ``nodes``, for each array
     F of the tuple ``integrand(s, w, y)`` returns; one array per F.
 
@@ -391,9 +401,9 @@ def _s_integral(integrand, wt, x: float, y, nodes: int,
     over a C-contiguous (rows, block) array, so numpy adds its rows in s
     order, and it skips the rows whose exponent bound -(x - y)^2 / 4s lies
     below _EXPO_FLOOR for every y of the block, except the first.  With
-    ``tail_negligible``, a block of two or more y first sums its rows with
-    t <= _T_CUT; it adds the rest, continuing each sum row by row, unless
-    ``tail_negligible(yb, sums)`` holds for those partial sums."""
+    ``cut = (t_cut, log_bound)``, a block of two or more y first sums its
+    rows with t <= t_cut; it adds the rest, continuing each sum row by row,
+    unless _tail_negligible certifies them for those partial sums."""
     s, w, t, _ = _s_quadrature(nodes)
     blocks = []
     for cols in _y_blocks(len(y)):
@@ -403,15 +413,29 @@ def _s_integral(integrand, wt, x: float, y, nodes: int,
         if len(yb) > 1:
             rows = -np.min((x - yb) ** 2) / (4.0 * s) >= _EXPO_FLOOR
             rows[0] = True
-            if tail_negligible is not None:
-                tail = rows & (t > _T_CUT)
+            if cut is not None:
+                tail = rows & (t > cut[0])
         # an overflow shows as a non-finite sum, which _check_finite raises
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _rows_sum(integrand, wt, s, w, yb, rows & ~tail)
-            if tail.any() and not tail_negligible(yb, sums):
+            if tail.any() and not _tail_negligible(cut[1], yb, sums):
                 sums = _rows_sum(integrand, wt, s, w, yb, tail, sums)
         blocks.append(sums)
     return [np.concatenate(sums) for sums in zip(*blocks)]
+
+
+def _tail_negligible(log_bound, yb, sums) -> bool:
+    """Whether every term of the rows beyond the cut rounds away when added
+    to the partial ``sums`` of block ``yb``: ``log_bound(yb)`` gives, for
+    each sum, the log of a bound on those terms per column, and twice it
+    (for rounding) must lie below a quarter of the sum's spacing.  The
+    factor 2 covers rounding only in the normal range, so a sum whose
+    spacing is subnormal is never certified."""
+    gaps = [np.spacing(np.abs(v)) for v in sums]
+    if not all(np.all(g >= np.finfo(float).tiny) for g in gaps):
+        return False
+    return all(np.all(b < np.log(g) - math.log(8.0))
+               for b, g in zip(log_bound(yb), gaps))
 
 
 def _rows_sum(integrand, wt, s, w, yb, rows, start=None) -> list:
@@ -426,9 +450,10 @@ def _rows_sum(integrand, wt, s, w, yb, rows, start=None) -> list:
 
 
 def _laguerre_tail_bound(k: int, alpha: float, x: float, wt, nodes: int):
-    """log_bound(y) -> (b1, b2): per y, the logs of bounds on |wt_i F_i| at
-    every row with t_i > _T_CUT, for F route one of the derivative kernel or
-    its absolute-value sum (b1), and for F route two (b2).
+    """log_bound(y) -> [b1, b2, b1]: per y, the logs of bounds on |wt_i F_i|
+    at every row with t_i > _LAGUERRE_T_CUT, for F route one of the
+    derivative kernel (b1), route two (b2) and route one's absolute-value
+    sum (b1).
 
     On those rows, with q = (1 - s^2)/2s and c2 = w^2/4s, so that z = xyq
     and u = yq:
@@ -444,7 +469,7 @@ def _laguerre_tail_bound(k: int, alpha: float, x: float, wt, nodes: int):
     route one's, so b2 adds to b1 only its rounding, taken as 2^-40 of the
     sum of its own terms."""
     s, w, t, _ = _s_quadrature(nodes)
-    tail = t > _T_CUT
+    tail = t > _LAGUERRE_T_CUT
     s, w = s[tail], w[tail]
     q = w * (2.0 - w) / (2.0 * s)
     # one row per term: its coefficient, power of 1/2, Bessel order
@@ -492,7 +517,39 @@ def _laguerre_tail_bound(k: int, alpha: float, x: float, wt, nodes: int):
         b1, b2 = (np.where(finite, log_gauss + np.logaddexp.reduce(
             const + by * np.log(y) + log_bessel[p] + log_herm[deg], axis=0),
             np.inf) for const, by, p, deg in routes)
-        return b1, np.logaddexp(b1, b2 + _LOG_ROUNDING)
+        return [b1, np.logaddexp(b1, b2 + _LOG_ROUNDING), b1]
+
+    return log_bound
+
+
+def _hermite_tail_bound(l: int, x: float, wt, nodes: int):
+    """log_bound(y) -> [b]: per y, the log of a bound on |wt_i F_i| at every
+    row with t_i > t_l = _HERMITE_DECAY / (l + 1/2), for F = (d/dx + x)^l
+    W_t (see _raising_sw).
+
+    On those rows, with c2 = w^2/4s:
+    - the Gaussian is at most exp(-((x - y)^2 + s_T (x + y)^2) / 4), s_T
+      being the rows' least s;
+    - |H_l(a)| <= sum_m E_{l,m} |a|^(l-2m), and |a| <= (w_T |x| + 2|y|) / 2
+      sqrt(s_T), in |x| and |y| as Hermite points may be negative.
+    The rest of |wt_i F_i| is the row factor wt_i sqrt((1 - s_i^2)/4 pi s_i)
+    c2_i^(l/2), and its maximum over the rows is taken once, here."""
+    s, w, t, _ = _s_quadrature(nodes)
+    tail = t > _HERMITE_DECAY / (l + 0.5)
+    s, w = s[tail], w[tail]
+    log_row = float(np.max(
+        np.log(wt[tail]) + 0.5 * np.log(w * (2.0 - w) / (4.0 * math.pi * s))
+        + 0.5 * l * np.log(w * w / (4.0 * s))))
+    s_t, w_t = float(s.min()), float(w.max())
+
+    def log_bound(y):
+        a = (w_t * abs(x) + 2.0 * np.abs(y)) / (2.0 * math.sqrt(s_t))
+        herm = sum(_e_float(l, m) * a ** (l - 2 * m)
+                   for m in range(l // 2 + 1))
+        # H_l(a) is 0 only at a = 0, where the bound's log is exactly -inf
+        with np.errstate(divide="ignore"):
+            return [log_row - 0.25 * ((x - y) ** 2 + s_t * (x + y) ** 2)
+                    + np.log(herm)]
 
     return log_bound
 
@@ -514,8 +571,12 @@ def _hermite_time_integral(l: int, half_order: float, x: float, y,
     q = half_order, vectorized in y."""
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (half_order - 1.0)
+    t_cut = _HERMITE_DECAY / (l + 0.5)
+    # no row lies beyond the cut at l = 0, so no bound is built
+    cut = ((t_cut, _hermite_tail_bound(l, x, wt, nodes))
+           if t.max() > t_cut else None)
     vals, = _s_integral(lambda s, w, yb: (_dplusx_heat_sw(l, s, w, x, yb),),
-                        wt, x, y, nodes)
+                        wt, x, y, nodes, cut)
     _check_finite([vals], y, "Hermite time integral", l=l, q=half_order, x=x)
     return vals / gamma(half_order)
 
@@ -584,24 +645,9 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8):
         raise ValueError("x and y must be > 0")
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (0.5 * k - 1.0) / gamma(0.5 * k)
-    log_bound = _laguerre_tail_bound(k, a, x, wt, nodes)
-
-    def tail_negligible(yb, sums):
-        # twice each bound (for rounding) under a quarter of the spacing of
-        # its sums: every left-out term would round away.  The factor 2
-        # covers rounding only in the normal range, so a sum whose spacing
-        # is subnormal is not certified
-        gaps = [np.spacing(np.abs(v)) for v in sums]
-        if not all(np.all(g >= np.finfo(float).tiny) for g in gaps):
-            return False
-        cap = [np.log(g) - math.log(8.0) for g in gaps]
-        b1, b2 = log_bound(yb)
-        return bool(np.all(b1 < np.minimum(cap[0], cap[2]))
-                    and np.all(b2 < cap[1]))
-
     v1, v2, vabs = _s_integral(
         lambda s, w, yb: _dw_pair_sw(k, a, s, w, x, yb), wt, x, y, nodes,
-        tail_negligible)
+        (_LAGUERRE_T_CUT, _laguerre_tail_bound(k, a, x, wt, nodes)))
     _check_finite([v1, v2, vabs], y, "Riesz kernel", k=k, alpha=a, x=x)
     disagree, floor = _route_disagreement(v1, v2, vabs)
     if np.any(disagree > floor):

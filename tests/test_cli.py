@@ -67,6 +67,14 @@ class TestKernelTable:
                  "--alpha", "0.5", "--x", "1", "--y", "1", "--out", str(out)])
         assert not out.exists()
 
+    def test_hermite_heat_underflow_propagates(self, tmp_path):
+        # e^-t underflows at t = 800: the kernel printed 0.0 and exited 0
+        out = tmp_path / "kt.csv"
+        with pytest.raises(RuntimeError, match="t=800.0, x=1.0, y=1.0"):
+            run(["kernel-table", "--family", "hermite-heat", "--t", "800",
+                 "--x", "1", "--y", "1", "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--family", "hermite-heat", "--t", "0.5"],
         ["--family", "hermite-frac", "--gamma", "2"],

@@ -159,6 +159,29 @@ class TestHeatKernels:
         assert float(kn.heat_kernel_laguerre(t, x, y, a)) == pytest.approx(
             float(ref), rel=1e-14)
 
+    @pytest.mark.parametrize("t", [708.4, 740.0, 745.1, 800.0])
+    def test_hermite_e_minus_t_underflow_raises(self, t):
+        # a subnormal e^-t has lost bits: at t = 740 the closed form was
+        # 2.5e-4 relative off, and at t = 745.1 and 800 it gave 0.0 where
+        # mpmath gives 3.32e-163 and 3.98e-175
+        with pytest.raises(RuntimeError, match=fr"t={t}, x=1.0, y=1.0: "
+                           "e\\^-t = .* below the smallest normal"):
+            kn.heat_kernel_hermite(t, 1.0, 1.0)
+
+    @pytest.mark.parametrize("t", [700.0, 708.0])
+    def test_hermite_large_normal_t(self, t):
+        # e^-t is still normal: the closed form keeps its accuracy
+        import mpmath as mp
+        x, y = 1.0, -0.5
+        with mp.workdps(40):
+            em = mp.e ** -mp.mpf(t)
+            den = 1 - em ** 2
+            ref = mp.sqrt(em / (mp.pi * den)) * mp.e ** (
+                -(x * x + y * y) * (1 + em ** 2) / (2 * den)
+                + 2 * x * y * em / den)
+        assert float(kn.heat_kernel_hermite(t, x, y)) == pytest.approx(
+            float(ref), rel=1e-13)
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             kn.heat_kernel_hermite(0.0, 1.0, 1.0)
@@ -377,10 +400,11 @@ def _laguerre_whole_mesh(k, alpha, x, y):
                        wt, y)[0]
 
 
-def _hermite_whole_mesh(k, x, y):
+def _hermite_whole_mesh(k, x, y, l=None):
+    l = k if l is None else l
     _, _, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0)
-    return _whole_mesh(lambda s, w, yb: (kn._dplusx_heat_sw(k, s, w, x, yb),),
+    return _whole_mesh(lambda s, w, yb: (kn._dplusx_heat_sw(l, s, w, x, yb),),
                        wt, y)[0] / kn.gamma(0.5 * k)
 
 
@@ -396,28 +420,30 @@ def _rows_seen(monkeypatch, name):
     return seen
 
 
-def _meshes_seen(monkeypatch):
-    # the (s, w) rows of each _dw_pair_sw call, by the bytes of its y
-    seen, inner = {}, kn._dw_pair_sw
+def _meshes_seen(monkeypatch, name="_dw_pair_sw"):
+    # the (s, w) rows of each call of the integrand ``name``, whose last
+    # four arguments are s, w, x and y, by the bytes of its y
+    seen, inner = {}, getattr(kn, name)
 
-    def recorded(k, alpha, s, w, x, yb):
+    def recorded(*args):
+        s, w, _, yb = args[-4:]
         seen.setdefault(yb.tobytes(), []).append((s.ravel(), w.ravel()))
-        return inner(k, alpha, s, w, x, yb)
+        return inner(*args)
 
-    monkeypatch.setattr(kn, "_dw_pair_sw", recorded)
+    monkeypatch.setattr(kn, name, recorded)
     return seen
 
 
-def _calls_per_block(x, y, seen):
-    # each block of the Laguerre kernel is evaluated on its rows up to
-    # _T_CUT, then, if at all, on the disjoint rest; the calls per block
+def _calls_per_block(x, y, seen, t_cut=kn._LAGUERRE_T_CUT):
+    # each block of a Riesz kernel is evaluated on its rows up to t_cut,
+    # then, if at all, on the disjoint rest; the calls per block
     s, w, t, _ = kn._s_quadrature(8)
     blocks = kn._y_blocks(len(y))
     assert len(seen) == len(blocks)
     for cols, calls in zip(blocks, seen.values()):
         rows = -np.min((x - y[cols]) ** 2) / (4.0 * s) >= kn._EXPO_FLOOR
         rows[0] = True
-        parts = (rows & (t <= kn._T_CUT), rows & (t > kn._T_CUT))
+        parts = (rows & (t <= t_cut), rows & (t > t_cut))
         assert len(calls) <= 2
         for (s_seen, w_seen), part in zip(calls, parts):
             assert np.array_equal(s_seen, s[part])
@@ -474,9 +500,9 @@ class TestBlockedTimeIntegrals:
         y = np.concatenate([_BLOCK_TEST_Y, -_BLOCK_TEST_Y,
                             -np.linspace(20.0, 32.0, 64)])
         whole = _hermite_whole_mesh(k, x, y)
-        rows = _rows_seen(monkeypatch, "_dplusx_heat_sw")
+        seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
         vals = kn.riesz_kernel_hermite_vec(k, k, x, y)
-        assert len(rows) == 9 and min(rows) < len(kn._s_quadrature(8)[0])
+        _calls_per_block(x, y, seen, kn._HERMITE_DECAY / (k + 0.5))
         assert np.array_equal(vals, whole)
         pairs = [kn.riesz_kernel_hermite_vec(k, k, x, y[i:i + 2])
                  for i in range(0, len(y) - 1, 2)]
@@ -543,8 +569,8 @@ class TestBlockedTimeIntegrals:
         assert agreement == pytest.approx(0.01 / 1.01, rel=1e-6)
 
 
-# the sweep of k, alpha and x that shows a plain cut at _T_CUT moving last
-# bits at k <= 2; each x gets 16 y, near it and across (0.01, 40).  Alpha
+# the sweep of k, alpha and x that shows a plain cut at _LAGUERRE_T_CUT
+# moving last bits at k <= 2; each x gets 16 y, near it and across (0.01, 40).  Alpha
 # -0.9 at x = 20 has blocks whose tail rows are not negligible, and at the
 # smaller x the y near 40 have partial sums with subnormal spacing
 _SWEEP_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 2.0, 5.0, 10.0)
@@ -558,13 +584,28 @@ def _sweep_y(x):
 
 def _tail_rows(k, alpha, x, y):
     # wt, and |wt_i F_i| of the three integrands at every row beyond
-    # _T_CUT
+    # _LAGUERRE_T_CUT
     s, w, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
-    tail = t > kn._T_CUT
+    tail = t > kn._LAGUERRE_T_CUT
     parts = kn._dw_pair_sw(k, alpha, s[tail, None], w[tail, None], x,
                            y[None, :])
     return wt, [np.abs(wt[tail, None] * f) for f in parts]
+
+
+# the Hermite sweep: l = 1..4 at l = k and l < k; each x gets two blocks of
+# 64 y, one near x and one near -x (where x + y is about 0) and across
+# (-8, 8).  A plain cut at t_l moves last bits for every (k, l): at x = 26,
+# whose sums near y = -26 have subnormal spacing, and, at the larger l,
+# where tail rows are not negligible
+_HERMITE_SWEEP = [(k, l) for k in range(1, 6) for l in range(1, min(k, 4) + 1)]
+_HERMITE_SWEEP_X = (-1.5, 0.3, 2.0, 26.0)
+
+
+def _hermite_sweep_y(x):
+    near = np.array([-0.3, -0.1, -1e-2, -1e-3, 1e-3, 1e-2, 0.1, 0.3])
+    return np.concatenate([x + near, x + np.linspace(-1.0, 1.0, 56),
+                           -x + near, np.linspace(-8.0, 8.0, 56)])
 
 
 class TestCertifiedTail:
@@ -590,7 +631,7 @@ class TestCertifiedTail:
                 wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
                 head = _whole_mesh(
                     lambda s, w, yb: kn._dw_pair_sw(k, alpha, s, w, x, yb),
-                    np.where(t > kn._T_CUT, 0.0, wt), y)
+                    np.where(t > kn._LAGUERRE_T_CUT, 0.0, wt), y)
                 moved += np.count_nonzero(head[0] != whole)
                 # a partial sum whose spacing is subnormal is never
                 # certified; otherwise only the bound makes a block fall back
@@ -611,8 +652,9 @@ class TestCertifiedTail:
                 y = _sweep_y(x)
                 with np.errstate(all="ignore"):
                     wt, terms = _tail_rows(k, alpha, x, y)
-                b1, b2 = kn._laguerre_tail_bound(k, alpha, x, wt, 8)(y)
-                for term, bound in zip(terms, (b1, b2, b1)):
+                bounds = kn._laguerre_tail_bound(k, alpha, x, wt, 8)(y)
+                assert len(bounds) == len(terms)
+                for term, bound in zip(terms, bounds):
                     normal = term >= np.finfo(float).tiny
                     assert np.all(np.log(term[normal])
                                   <= np.broadcast_to(bound, term.shape)[normal])
@@ -641,6 +683,77 @@ class TestCertifiedTail:
             _laguerre_whole_mesh(1, 0.5, 1e-150, y)
         with pytest.raises(ValueError, match="argument must be > 0"):
             kn.riesz_kernel_laguerre_vec(1, 0.5, 1e-150, y)
+
+    @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
+    def test_hermite_sweep_equals_the_whole_rule(self, k, l, monkeypatch):
+        seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
+        _, _, t, weight = kn._s_quadrature(8)
+        wt = weight * t ** (0.5 * k - 1.0)
+        t_cut = kn._HERMITE_DECAY / (l + 0.5)
+        moved = certified = 0
+        for x in _HERMITE_SWEEP_X:
+            y = _hermite_sweep_y(x)
+            seen.clear()
+            vals = kn.riesz_kernel_hermite_vec(k, l, x, y)
+            calls = _calls_per_block(x, y, seen, t_cut)
+            whole = _hermite_whole_mesh(k, x, y, l)
+            assert vals.tobytes() == whole.tobytes()
+            # the same sums with the tail rows plainly cut: the blocks'
+            # partial sums
+            head = _whole_mesh(
+                lambda s, w, yb: (kn._dplusx_heat_sw(l, s, w, x, yb),),
+                np.where(t > t_cut, 0.0, wt), y)[0]
+            moved += np.count_nonzero(head / kn.gamma(0.5 * k) != whole)
+            for cols, n in zip(kn._y_blocks(len(y)), calls):
+                # a partial sum with subnormal spacing is never certified
+                subnormal = np.any(np.spacing(np.abs(head[cols]))
+                                   < np.finfo(float).tiny)
+                assert n == 2 or not subnormal
+                certified += n == 1
+        assert moved > 0 and certified > 0
+
+    @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
+    def test_hermite_bound_covers_every_tail_term(self, k, l):
+        # only normal computed terms are compared, as for the Laguerre bound
+        s, w, t, weight = kn._s_quadrature(8)
+        wt = weight * t ** (0.5 * k - 1.0)
+        tail = t > kn._HERMITE_DECAY / (l + 0.5)
+        for x in _HERMITE_SWEEP_X:
+            y = _hermite_sweep_y(x)
+            term = np.abs(wt[tail, None] * kn._dplusx_heat_sw(
+                l, s[tail, None], w[tail, None], x, y[None, :]))
+            bound, = kn._hermite_tail_bound(l, x, wt, 8)(y)
+            normal = term >= np.finfo(float).tiny
+            assert np.all(np.log(term[normal])
+                          <= np.broadcast_to(bound, term.shape)[normal])
+
+    def test_hermite_every_row_evaluated_once_per_block(self, monkeypatch):
+        # at x = 2 and k = 3, l = 2 the tail rows of the block near x are
+        # negligible, those of the block near y = -7 are not
+        x = 2.0
+        y = np.concatenate([x + np.delete(np.linspace(-1.0, 1.0, 65), 32),
+                            np.linspace(-8.0, -6.6, 64)])
+        seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
+        vals = kn.riesz_kernel_hermite_vec(3, 2, x, y)
+        assert _calls_per_block(x, y, seen, kn._HERMITE_DECAY / 2.5) == [1, 2]
+        assert vals.tobytes() == _hermite_whole_mesh(3, x, y, 2).tobytes()
+
+    def test_hermite_l_zero_has_no_tail_rows(self, monkeypatch):
+        # the cut at l = 0 lies past the rule's last node, so K_gamma and
+        # the l = 0 kernels build no bound and keep the whole rule
+        for nodes in (8, 12):
+            assert kn._s_quadrature(nodes)[2].max() < kn._HERMITE_DECAY / 0.5
+
+        def no_bound(*args):
+            raise AssertionError("a tail bound was built at l = 0")
+
+        monkeypatch.setattr(kn, "_hermite_tail_bound", no_bound)
+        seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
+        y = _hermite_sweep_y(0.3)
+        vals = kn.riesz_kernel_hermite_vec(2, 0, 0.3, y)
+        assert _calls_per_block(0.3, y, seen, math.inf) == [1, 1]
+        assert vals.tobytes() == _hermite_whole_mesh(2, 0.3, y, 0).tobytes()
+        kernel("hermite-frac", 0.3, 0.8, gamma=1.5)
 
 
 class TestFracKernel:

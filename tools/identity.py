@@ -28,7 +28,11 @@ kernel with its route agreement at k = 1..4 on 1-, 2-, 64-, 65- and
 129-point y sets at 8 and 12 time nodes, and on the sweep of k = 1..5,
 seven alphas from -0.9 to 10 and five x from 0.05 to 20, 64 y each, where
 ending the s-rule at t = 20 or 15 without a certificate moves last bits;
-the Hermite Riesz kernel for l <= k <= 4; pv_apply stage tables for both
+the Hermite Riesz kernel for l <= k <= 4, and on the sweep of l = 1..4 at
+l = k and l < k <= 5 and four x from -1.5 to 26, two 64-y blocks each (near
+x, and near -x and across (-8, 8)), where ending the s-rule at t_l =
+45/(l + 1/2) without a certificate moves last bits; pv_apply stage tables
+for both
 families; check_prop33 for each statement; lp_scan reports at k = 1..3 for
 three alphas; and riesz_apply_laguerre_spectral and synthesize called once
 per point, for both bases at the points of riesz.
@@ -101,6 +105,9 @@ JOBS = [
     # an uncaught RuntimeError: the Bessel argument underflows
     ["kernel-table", "--family", "laguerre-heat", "--t", "800", "--alpha",
      "0.5", "--x", "1", "--y", "1"],
+    # an uncaught RuntimeError where e^-t is subnormal (740) or 0 (800)
+    *[["kernel-table", "--family", "hermite-heat", "--t", t, "--x", "1",
+       "--y", "1"] for t in ("740", "800")],
     # --alpha is an error for the Hermite families
     ["kernel-table", "--family", "hermite-riesz", "--k", "1", "--alpha", "3",
      "--x", "0.3", "--y", "0.8"],
@@ -255,6 +262,16 @@ def _items(samples: str) -> dict:
             items[f"riesz_kernel_hermite_vec k={k} l={l}"] = (
                 lambda k=k, l=l: kernels.riesz_kernel_hermite_vec(
                     k, l, 0.3, herm_y))
+    near = np.array([-0.3, -0.1, -1e-2, -1e-3, 1e-3, 1e-2, 0.1, 0.3])
+    for k in range(1, 6):
+        for l in range(1, min(k, 4) + 1):
+            for x in (-1.5, 0.3, 2.0, 26.0):
+                y = np.concatenate([x + near, x + np.linspace(-1.0, 1.0, 56),
+                                    -x + near, np.linspace(-8.0, 8.0, 56)])
+                items[f"riesz_kernel_hermite_vec sweep k={k} l={l} "
+                      f"x={x}"] = (
+                    lambda k=k, l=l, x=x, y=y:
+                    kernels.riesz_kernel_hermite_vec(k, l, x, y))
 
     def stage_table(spec, f, x):
         r = operators.pv_apply(spec, f, x, stages=6)
