@@ -572,9 +572,10 @@ def _hermite_time_integral(l: int, half_order: float, x: float, y,
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (half_order - 1.0)
     t_cut = _HERMITE_DECAY / (l + 0.5)
-    # no row lies beyond the cut at l = 0, so no bound is built
+    # a one-point call keeps the whole rule, and at l = 0 no row lies
+    # beyond the cut: neither builds a bound
     cut = ((t_cut, _hermite_tail_bound(l, x, wt, nodes))
-           if t.max() > t_cut else None)
+           if len(y) > 1 and t.max() > t_cut else None)
     vals, = _s_integral(lambda s, w, yb: (_dplusx_heat_sw(l, s, w, x, yb),),
                         wt, x, y, nodes, cut)
     _check_finite([vals], y, "Hermite time integral", l=l, q=half_order, x=x)

@@ -740,7 +740,8 @@ class TestCertifiedTail:
 
     def test_hermite_l_zero_has_no_tail_rows(self, monkeypatch):
         # the cut at l = 0 lies past the rule's last node, so K_gamma and
-        # the l = 0 kernels build no bound and keep the whole rule
+        # the l = 0 kernels build no bound and keep the whole rule; nor
+        # does a one-point call, which keeps the whole rule at any l
         for nodes in (8, 12):
             assert kn._s_quadrature(nodes)[2].max() < kn._HERMITE_DECAY / 0.5
 
@@ -754,6 +755,7 @@ class TestCertifiedTail:
         assert _calls_per_block(0.3, y, seen, math.inf) == [1, 1]
         assert vals.tobytes() == _hermite_whole_mesh(2, 0.3, y, 0).tobytes()
         kernel("hermite-frac", 0.3, 0.8, gamma=1.5)
+        kernel("hermite-riesz", 0.3, 0.8, k=2)
 
 
 class TestFracKernel:
