@@ -646,9 +646,12 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8):
         raise ValueError("x and y must be > 0")
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (0.5 * k - 1.0) / gamma(0.5 * k)
+    # a one-point call keeps the whole rule and builds no bound
+    cut = ((_LAGUERRE_T_CUT, _laguerre_tail_bound(k, a, x, wt, nodes))
+           if len(y) > 1 else None)
     v1, v2, vabs = _s_integral(
         lambda s, w, yb: _dw_pair_sw(k, a, s, w, x, yb), wt, x, y, nodes,
-        (_LAGUERRE_T_CUT, _laguerre_tail_bound(k, a, x, wt, nodes)))
+        cut)
     _check_finite([v1, v2, vabs], y, "Riesz kernel", k=k, alpha=a, x=x)
     disagree, floor = _route_disagreement(v1, v2, vabs)
     if np.any(disagree > floor):

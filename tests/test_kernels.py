@@ -757,6 +757,13 @@ class TestCertifiedTail:
         kernel("hermite-frac", 0.3, 0.8, gamma=1.5)
         kernel("hermite-riesz", 0.3, 0.8, k=2)
 
+    def test_laguerre_one_point_call_builds_no_bound(self, monkeypatch):
+        def no_bound(*args):
+            raise AssertionError("a tail bound was built for one point")
+
+        monkeypatch.setattr(kn, "_laguerre_tail_bound", no_bound)
+        kernel("laguerre-riesz", 1.0, 2.0, k=2, alpha=0.5)
+
 
 class TestFracKernel:
     def test_symmetry(self):
