@@ -13,6 +13,7 @@ printed to stderr), 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -287,7 +288,10 @@ def _cmd_phi_limit(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every main call
+    (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="rieszlag",
         description="Riesz transforms for Hermite and Laguerre expansions")

@@ -22,6 +22,7 @@ from .specfun import (gamma, gauss_jacobi_01, gauss_legendre_panels,
                       geometric_edges, time_panels)
 
 __all__ = [
+    "PVAccuracyWarning",
     "PVResult",
     "TruncationTailWarning",
     "wk",
@@ -39,6 +40,16 @@ __all__ = [
 
 class TruncationTailWarning(UserWarning):
     """Spectral tail of an expansion is too large for the requested use."""
+
+
+class PVAccuracyWarning(UserWarning):
+    """A principal value whose extrapolation did not settle."""
+
+
+# err_estimate is the move of the last extrapolation step; above a tenth of
+# 1 + |value| not even the leading digit (the first decimal, for a value
+# below 1) of the extrapolated value is settled
+_PV_ACCURACY_BOUND = 0.1
 
 
 def wk(k: int) -> float:
@@ -296,7 +307,8 @@ def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8) -> PVResult:
     share one kernel evaluation pass (quadrature panels are aligned to
     every excision boundary), the limit is extrapolated polynomially in
     eps, and the even-order constant correction w_k f(x) is reported
-    separately.
+    separately.  A PVAccuracyWarning names k, alpha, x, the error estimate
+    and |value| when the estimate exceeds _PV_ACCURACY_BOUND (1 + |value|).
     """
     if spec.family not in ("hermite-riesz", "laguerre-riesz"):
         raise ValueError("pv_apply expects a Riesz kernel spec")
@@ -321,9 +333,17 @@ def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8) -> PVResult:
 
     values = _excised_integrals(kern, f, x, eps, (a, b))
     limit, err = extrapolate_to_zero(eps, values)
-    return PVResult(epsilons=eps, values=values, extrapolated=limit,
-                    err_estimate=err, wk_correction=wk(spec.k) * float(f(x)),
-                    kernel_agreement=agreement)
+    result = PVResult(epsilons=eps, values=values, extrapolated=limit,
+                      err_estimate=err, wk_correction=wk(spec.k) * float(f(x)),
+                      kernel_agreement=agreement)
+    # a NaN estimate or value warns too
+    if not err <= _PV_ACCURACY_BOUND * (1.0 + abs(result.total)):
+        alpha = "" if spec.alpha is None else f" alpha={spec.alpha}"
+        warnings.warn(
+            f"{spec.family} k={spec.k}{alpha} x={x}: err_estimate {err:.3e} "
+            f"against |value| {abs(result.total):.3e}; the extrapolation in "
+            "the excision radius did not settle", PVAccuracyWarning)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels, operators
-from .basis import BasisTag, analyze
-# gauss_legendre_panels has no use here; it stays imported because the
-# benchmark tracer (bench/spans.py) wraps verify.gauss_legendre_panels by name
+# analyze and gauss_legendre_panels have no use here; they stay imported
+# because the benchmark tracer (bench/spans.py) wraps verify.analyze and
+# verify.gauss_legendre_panels by name
+from .basis import BasisTag, analyze, analyze_all
 from .specfun import alpha_value, gauss_legendre_panels
 
 __all__ = [
@@ -243,7 +244,8 @@ def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
     family keeps earlier members fixed), with both norms taken over
     (0, 30) and R f_i from the Laguerre expansion of f_i to degree 600.
 
-    The images share their tables: for each term of the transform and each
+    The expansions come from analyze_all, a few bumps to a table.  The
+    images share their tables: for each term of the transform and each
     piece of weighted_norm's rule, one table serves every bump.  On each
     piece an image is the sum over the terms, in order, of x^p (d @ table),
     one whole-table product per term, so its norm is what weighted_norm
@@ -255,8 +257,8 @@ def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
     lo, hi = strong_type_range(k, a, p)
     rule = operators._norm_rule(p, delta, (0.0, 30.0))
     bumps = [_seeded_bump(seed, i) for i in range(family_size)]
-    terms = [operators._laguerre_terms(k, analyze(g, tag, 600), math.inf)
-             for g in bumps]
+    terms = [operators._laguerre_terms(k, coeffs, math.inf)
+             for coeffs in analyze_all(bumps, tag, 600)]
     images = [[np.zeros_like(x) for x, _ in rule] for _ in bumps]
     # terms outside, so that one table is alive at a time; every bump has
     # the same (power, shift) sequence

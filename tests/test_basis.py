@@ -265,3 +265,138 @@ class TestAnalyzeSynthesize:
             bs.BasisTag("hermite", 0.0)
         with pytest.raises(ValueError):
             bs.BasisTag("fourier")
+
+
+# The per-degree loops the tables were built with before they ran in place;
+# the tables must keep their bytes.
+def reference_hermite_table(nmax, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((nmax + 1, x.size))
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if nmax >= 1:
+        out[1] = math.sqrt(2.0) * x * out[0]
+    for n in range(1, nmax):
+        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * out[n]
+                      - math.sqrt(n / (n + 1.0)) * out[n - 1])
+    return out
+
+
+def reference_phi_table(nmax, a, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((nmax + 1, x.size))
+    x2 = x * x
+    out[0] = np.exp(0.5 * (math.log(2.0) - bs.log_gamma(a + 1.0))
+                    + (a + 0.5) * np.log(x) - 0.5 * x2)
+    if nmax >= 1:
+        out[1] = (1.0 + a - x2) / math.sqrt(1.0 + a) * out[0]
+    for n in range(1, nmax):
+        c1 = (2 * n + 1 + a - x2) / math.sqrt((n + 1.0) * (n + 1.0 + a))
+        c2 = math.sqrt(n * (n + a) / ((n + 1.0) * (n + 1.0 + a)))
+        out[n + 1] = c1 * out[n] - c2 * out[n - 1]
+    return out
+
+
+def reference_analyze(f, tag, nmax):
+    a, b = f.support
+    width = min(0.4, (b - a) / 8.0, 9.0 / math.sqrt(2.0 * nmax + 1.0))
+    panels = max(8, int(math.ceil((b - a) / width)))
+    nodes, weights = bs.gauss_legendre_panels(np.linspace(a, b, panels + 1),
+                                              14)
+    table = (reference_hermite_table(nmax, nodes) if tag.kind == "hermite"
+             else reference_phi_table(nmax, tag.alpha, nodes))
+    return table @ (weights * f(nodes))
+
+
+class TestInPlaceTables:
+    WIDTHS = (0, 1, 5, 112, 300)
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 600, 1600])
+    def test_tables_keep_their_bytes(self, nmax):
+        for width in self.WIDTHS:
+            # the seed e^(-x^2/2) underflows between |x| = 37 and 40
+            for x in (np.linspace(-40.0, 40.0, width),
+                      np.linspace(36.5, 40.0, width)):
+                assert (bs.hermite_fn_table(nmax, x).tobytes()
+                        == reference_hermite_table(nmax, x).tobytes())
+            for x in (np.geomspace(1e-8, 40.0, width),
+                      np.linspace(0.05, 12.0, width)):
+                for alpha in (-0.9, 0.0, 0.5, 2.0, 40.0):
+                    assert (bs.phi_table(nmax, alpha, x).tobytes()
+                            == reference_phi_table(nmax, alpha, x).tobytes())
+
+    @pytest.mark.parametrize("x", [[np.inf], [1.0, np.nan], [-np.inf, 0.5]])
+    def test_non_finite_x_raises(self, x):
+        with pytest.raises(ValueError, match="finite x"):
+            bs.hermite_fn_table(3, x)
+        with pytest.raises(ValueError):
+            bs.phi_table(3, 0.5, x)
+        for tag in (bs.BasisTag("hermite"), bs.BasisTag("laguerre", 0.5)):
+            with pytest.raises(ValueError):
+                bs.synthesize(bs.SpectralCoeffs(tag, np.ones(4)), x)
+
+
+def _family(kind, size):
+    """size bumps of radii 0.15 to 0.6, one of radius 5 (546 nodes at
+    degree 600) among them from size 3 on."""
+    rng = np.random.default_rng(size)
+    lo = 0.2 if kind == "laguerre" else -8.0
+    fs = [op.bump(lo + 0.7 + 8.0 * rng.uniform(), rng.uniform(0.15, 0.6))
+          for _ in range(size)]
+    if size >= 3:
+        fs[1] = op.bump(lo + 6.0, 5.0)
+    return fs
+
+
+class TestAnalyzeAll:
+    TAGS = (bs.BasisTag("hermite"), bs.BasisTag("laguerre", 0.5))
+
+    @pytest.mark.parametrize("size", [1, 3, 20])
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_equals_analyze_to_the_bit(self, tag, size):
+        fs = _family(tag.kind, size)
+        coeffs = bs.analyze_all(fs, tag, 600)
+        assert len(coeffs) == size
+        for f, c in zip(fs, coeffs):
+            assert c.basis == tag
+            assert (c.coeffs.tobytes()
+                    == bs.analyze(f, tag, 600).coeffs.tobytes())
+            assert (c.coeffs.tobytes()
+                    == reference_analyze(f, tag, 600).tobytes())
+
+    @pytest.mark.parametrize("cap", [230, bs._TABLE_COLUMNS, 500])
+    def test_table_widths(self, monkeypatch, cap):
+        # groups are taken in order while their nodes fit in the cap; only a
+        # single function may be wider
+        tag = self.TAGS[1]
+        fs = _family("laguerre", 20)
+        sizes = [bs._analysis_rule(f, 600)[0].size for f in fs]
+        widths = []
+        table = bs._basis_table
+
+        def counted(tag, nmax, x):
+            widths.append(np.size(x))
+            return table(tag, nmax, x)
+
+        monkeypatch.setattr(bs, "_basis_table", counted)
+        monkeypatch.setattr(bs, "_TABLE_COLUMNS", cap)
+        coeffs = bs.analyze_all(fs, tag, 600)
+        assert widths == [sum(g) for g in _greedy(sizes, cap)]
+        for group in _greedy(sizes, cap):
+            assert len(group) == 1 or sum(group) <= cap
+        assert max(sizes) > cap and len(widths) < len(fs)
+        for f, c in zip(fs, coeffs):
+            assert (c.coeffs.tobytes()
+                    == reference_analyze(f, tag, 600).tobytes())
+
+    def test_empty_family(self):
+        assert bs.analyze_all([], self.TAGS[0], 10) == []
+
+
+def _greedy(sizes, cap):
+    groups = []
+    for size in sizes:
+        if groups and sum(groups[-1]) + size <= cap:
+            groups[-1].append(size)
+        else:
+            groups.append([size])
+    return groups

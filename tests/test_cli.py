@@ -173,6 +173,31 @@ class TestRiesz:
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert float(np.max(data["abs_diff"])) < 1e-3
 
+    def test_unsettled_principal_value_warns(self, tmp_path):
+        # Laguerre k = 4: the extrapolation's own estimate is of the order
+        # of the value; the CSV is written as before and the exit code
+        # stays that of --max-abs-diff (none given here)
+        from rieszlag import operators as op
+        out = tmp_path / "r.csv"
+        with pytest.warns(op.PVAccuracyWarning) as caught:
+            rc = run(["riesz", "--family", "laguerre", "--k", "4",
+                      "--alpha", "0.5", "--out", str(out)])
+        assert rc == 0
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        assert len(data) == 5
+        for w in caught:
+            text = str(w.message)
+            assert text.startswith("laguerre-riesz k=4 alpha=0.5 x=")
+            assert "err_estimate" in text and "|value|" in text
+
+    def test_settled_principal_value_is_silent(self, tmp_path):
+        from rieszlag import operators as op
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", op.PVAccuracyWarning)
+            assert run(["riesz", "--family", "laguerre", "--k", "2",
+                        "--alpha", "0.5", "--out",
+                        str(tmp_path / "r.csv")]) == 0
+
     @pytest.mark.parametrize("points", [1, 2, 7])
     def test_hermite_spectral_column_uses_one_table(self, tmp_path,
                                                     monkeypatch, points):
@@ -502,6 +527,16 @@ class TestInputCSV:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid input: ")
         assert str(tmp_path) in err[0]
+
+
+def test_parser_built_once(tmp_path):
+    # the parser is built on the first main call and reused after it
+    _build_parser.cache_clear()
+    for n in (2, 3):
+        assert run(["basis", "--family", "hermite", "--n", str(n),
+                    "--points", "3", "--out", str(tmp_path / "b.csv")]) == 0
+    assert _build_parser.cache_info().misses == 1
+    assert _build_parser.cache_info().hits == 1
 
 
 def test_choices_are_the_package_tuples():

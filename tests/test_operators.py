@@ -167,6 +167,30 @@ class TestPVApply:
         with pytest.raises(ValueError):
             op.wk(0)
 
+    def test_accuracy_warning_bound(self, monkeypatch):
+        # the warning fires where err_estimate exceeds the bound times
+        # 1 + |value|, or is NaN, and moves nothing in the result
+        f = op.bump(0.0, 1.0)
+        spec = KernelSpec("hermite-riesz", k=2)
+        base = op.pv_apply(spec, f, 0.3, stages=3)
+        limit = base.extrapolated
+        edge = op._PV_ACCURACY_BOUND * (1.0 + abs(base.total))
+        for err, warns in ((edge, False), (np.nextafter(edge, np.inf), True),
+                           (math.nan, True)):
+            monkeypatch.setattr(op, "extrapolate_to_zero",
+                                lambda eps, values, err=err: (limit, err))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = op.pv_apply(spec, f, 0.3, stages=3)
+            named = [w for w in caught
+                     if issubclass(w.category, op.PVAccuracyWarning)]
+            assert len(named) == warns
+            assert res.values.tobytes() == base.values.tobytes()
+            assert res.total == base.total
+            if warns:
+                assert str(named[0].message).startswith(
+                    "hermite-riesz k=2 x=0.3: err_estimate ")
+
     def test_wk_correction_reported(self):
         f = op.bump(0.0, 1.0)
         res = op.pv_apply(KernelSpec("hermite-riesz", k=2), f, 0.3, stages=6)

@@ -83,10 +83,11 @@ class TestLpScan:
                                  (0.0, 30.0)))
         assert r3 == pytest.approx(r1, rel=1e-13)
 
-    @pytest.mark.parametrize("k,tables", [(1, 22), (2, 24)])
+    @pytest.mark.parametrize("k,tables", [(1, 12), (2, 14)])
     def test_tables_built_once_per_scan(self, monkeypatch, k, tables):
-        # one analyze table per bump, then one table per term and per piece
-        # of the norm rule (the Jacobi and the Gauss-Legendre nodes)
+        # one analysis table per two bumps (112 nodes each at seed 0), then
+        # one table per term and per piece of the norm rule (the Jacobi and
+        # the Gauss-Legendre nodes)
         calls = []
         table = bs.phi_table
 
@@ -98,7 +99,8 @@ class TestLpScan:
         monkeypatch.setattr(op, "phi_table", counted)
         vf.lp_scan(k, 0.0, 2.0, 0.0, 20)
         assert len(calls) == tables
-        assert sorted(set(calls[20:])) == [160, 480]
+        assert calls[:10] == [224] * 10
+        assert sorted(set(calls[10:])) == [160, 480]
 
     @pytest.mark.parametrize("k,alpha,p,delta", [
         (1, 0.0, 2.0, 0.0), (2, 0.5, 3.0, 0.5), (3, 2.0, 2.0, -0.5)])

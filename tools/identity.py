@@ -32,10 +32,13 @@ the Hermite Riesz kernel for l <= k <= 4, and on the sweep of l = 1..4 at
 l = k and l < k <= 5 and four x from -1.5 to 26, two 64-y blocks each (near
 x, and near -x and across (-8, 8)), where ending the s-rule at t_l =
 45/(l + 1/2) without a certificate moves last bits; pv_apply stage tables
-for both
-families; check_prop33 for each statement; lp_scan reports at k = 1..3 for
-three alphas; and riesz_apply_laguerre_spectral and synthesize called once
-per point, for both bases at the points of riesz.
+for both families; hermite_fn_table and phi_table (four alphas) at degrees
+0, 1 and 2, and at degree 1600 or 1200 on x from 36.5 to 40, where the seed
+e^(-x^2/2) underflows; check_prop33 for each statement; lp_scan reports at
+k = 1..3 for three alphas; and riesz_apply_laguerre_spectral and
+synthesize called once per point, for both bases at the points of riesz.
+The lp-scan jobs at --family-size 1, 4, 5 and 20 cover analyze_all's
+groups of bumps: one alone, pairs, and pairs with a lone last bump.
 """
 
 from __future__ import annotations
@@ -124,6 +127,10 @@ JOBS = [
     ["scan-bounds", "--statement", "prop31-l-table", "--k", "1", "--alpha",
      "7"],
     ["lp-scan", "--k", "1", "--family-size", "4"],
+    # analyze_all's groups at seed 0: one bump alone, and two pairs and a
+    # lone last bump
+    ["lp-scan", "--k", "1", "--family-size", "1"],
+    ["lp-scan", "--k", "2", "--family-size", "5"],
     ["lp-scan", "--k", "2", "--alpha", "0.5", "--p", "3", "--delta", "0.5",
      "--family-size", "4", "--seed", "3"],
     # the benchmark's k = 2 job, and k = 3 (three terms) at alpha 2
@@ -202,7 +209,8 @@ def _y_sets() -> dict:
 def _items(samples: str) -> dict:
     """name -> zero-argument callable; built inside the tree's process."""
     from rieszlag import kernels, operators, verify
-    from rieszlag.basis import BasisTag, analyze, synthesize
+    from rieszlag.basis import (BasisTag, analyze, hermite_fn_table,
+                                phi_table, synthesize)
     from rieszlag.specfun import bessel_i_scaled
 
     items = {}
@@ -272,6 +280,23 @@ def _items(samples: str) -> dict:
                       f"x={x}"] = (
                     lambda k=k, l=l, x=x, y=y:
                     kernels.riesz_kernel_hermite_vec(k, l, x, y))
+
+    # the tables' first degrees, and the seed e^(-x^2/2) underflowing to 0
+    # between |x| = 38 and 39 at high degree
+    small = np.linspace(0.05, 4.0, 9)
+    edge = np.linspace(36.5, 40.0, 29)
+    for nmax in (0, 1, 2):
+        items[f"hermite_fn_table nmax={nmax}"] = (
+            lambda nmax=nmax: hermite_fn_table(nmax, np.concatenate(
+                [-small[::-1], small])))
+        for a in ALPHAS:
+            items[f"phi_table nmax={nmax} alpha={a}"] = (
+                lambda nmax=nmax, a=a: phi_table(nmax, a, small))
+    items["hermite_fn_table nmax=1600 underflow edge"] = (
+        lambda: hermite_fn_table(1600, np.concatenate([-edge, edge])))
+    for a in ALPHAS:
+        items[f"phi_table nmax=1200 alpha={a} underflow edge"] = (
+            lambda a=a: phi_table(1200, a, edge))
 
     def stage_table(spec, f, x):
         r = operators.pv_apply(spec, f, x, stages=6)
