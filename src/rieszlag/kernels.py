@@ -8,8 +8,9 @@ fractional-power kernel K_gamma and the Riesz kernels.
 
 ``kernel_value(KernelSpec(...), x, y, t)`` evaluates any of the kernel
 families named in ``FAMILIES`` at a point; for the integrated families that
-is a one-point view on their evaluators vectorized in y,
-``riesz_kernel_*_vec`` for the Riesz kernels.
+is a one-point view on their evaluators at point pairs,
+``riesz_kernel_*_vec`` for the Riesz kernels, which take x as a scalar or as
+an array broadcast against y.
 
 Time integrals are computed after the substitution t = log((1+s)/(1-s)):
 s in (0, 1) with panels refined geometrically toward both endpoints and a
@@ -17,38 +18,30 @@ split at s = 1/2.  Near s = 1 the complement w = 1 - s is the integration
 variable, so no 1 - s cancellation ever occurs.  Scaled Bessel evaluations
 keep every exponential combined analytically; e^{+z} is never formed.
 
-The (s x y) mesh of a time integral is evaluated in blocks of 64 y points,
-which keeps its temporaries small, and the sum over s of a block runs row by
-row in s order, as over the whole mesh.  Both kernels' exponents satisfy
-expo <= -(x - y)^2 / 4s, so a block skips every s-row where that bound lies
-below -800 for all its y: exp is exactly 0 there, so the row adds exactly +-0
-to every column of a sum that numpy starts from +0, provided its other
-factors are finite.  Those grow as s falls, so the first row, at the smallest
-s, is always kept: where they overflow (0 * inf = NaN, as at Laguerre k >= 9)
-it overflows too, and the sum is NaN as over the whole mesh, which raises.
-Neither step changes a bit of any value.  A one-point call keeps the whole
-rule: numpy sums a one-column array pairwise, where skipping rows would move
-last bits.
+The (s x pairs) mesh of a time integral is evaluated in blocks of 64 (x, y)
+pairs, which keeps its temporaries small.  Each pair's sum over s runs row
+by row in s order, whatever its block: numpy adds the rows of a block of
+two or more columns so, and a one-column block is accumulated the same way
+(_column_sums).  So a pair's value does not depend on which pairs share its
+call, and a one-point call is that pair's column of any larger call.  Both
+kernels' exponents satisfy expo <= -(x - y)^2 / 4s, so a block skips every
+s-row where that bound lies below -800 for all its pairs: exp is exactly 0
+there, so the row adds exactly +-0 to every column of a sum that numpy
+starts from +0, provided its other factors are finite.  Those grow as s
+falls, so the first row, at the smallest s, is always kept: where they
+overflow (0 * inf = NaN, as at Laguerre k >= 9) it overflows too, and the
+sum is NaN as over the whole mesh, which raises.  Skipping changes no bit.
 
 The Riesz kernels' integrands decay fast in t: D_alpha^k W_t^alpha like
-e^{-(2k+alpha+1)t}, and (d/dx + x)^l W_t like e^{-(l+1/2)t}.  So the
-rows of the 8-node rule beyond a cut rarely change a sum: beyond t = 15
-for the Laguerre kernel (401 of its 880 rows), and beyond t_l = 45/(l+1/2)
-for the Hermite kernel with l raisings (269 rows at l = 1, 444 at l = 4;
-none at l = 0, whose cut lies past the rule's last node, so K_gamma and
-the l = 0 kernels keep the whole rule).  A block of two or more y first
-sums the other rows; it leaves those out only where a certificate shows
-that each of their terms would round away.  The certificate is a bound on
-|wt_i F_i| over those rows, for every sum: for the Laguerre kernel the two
-routes and route one's absolute-value companion.  The bound is separable:
-a factor per row, maximized over the rows once per call, times a factor
-per column (see _laguerre_tail_bound and _hermite_tail_bound).  The rows
-are left out where twice the bound, which covers rounding, is below a
-quarter of the spacing of every column's partial sum.  Adding a term that
-small to the partial sum, row by row, rounds back to it.  Rounding is
-absolute where that spacing is subnormal, so such a sum is never
-certified.  Otherwise the block goes on to add those rows to its sums, so
-no row is evaluated twice.
+e^{-(2k+alpha+1)t}, and (d/dx + x)^l W_t like e^{-(l+1/2)t}.  So each
+kernel ends the s-rule at a fixed cut: t = 15 for the Laguerre kernel
+(401 of the 880 rows of the 8-node rule lie beyond it), and t_l =
+45/(l+1/2) for the Hermite kernel with l raisings (269 rows at l = 1, 444
+at l = 4; none at l = 0, whose cut lies past the rule's last node, so
+K_gamma and the l = 0 kernels keep the whole rule).  The guard,
+TestPlainCut in tests/test_kernels.py, sums the whole rule on sweeps of k,
+alpha, l, x and y: the cut moves no value by more than 1e-13 of the
+largest |K| of its call.
 
 Within a block the derivative kernel forms each factor its sums share once:
 the Bessel table, every power, and route two's Gaussian and Hermite
@@ -350,9 +343,8 @@ def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
 
 _Y_BLOCK = 64
 _EXPO_FLOOR = -800.0    # far below exp's underflow to exactly 0 at -745.14
-_LAGUERRE_T_CUT = 15.0  # the Laguerre kernel's certified end of the s-rule
+_LAGUERRE_T_CUT = 15.0  # the Laguerre kernel's end of the s-rule
 _HERMITE_DECAY = 45.0   # (l + 1/2) t_l, t_l being the Hermite kernel's end
-_LOG_ROUNDING = -40.0 * math.log(2.0)   # log of route two's rounding share
 
 
 @lru_cache(maxsize=16)
@@ -383,202 +375,82 @@ def _s_quadrature(nodes: int):
 
 
 def _y_blocks(n: int) -> list:
-    """Slices of _Y_BLOCK consecutive y points covering range(n).  A lone
-    last point joins the block before it: numpy sums a one-column array
-    pairwise, a wider one row by row, so only a one-point call has a
-    one-column block."""
+    """Slices of _Y_BLOCK consecutive columns covering range(n).  A lone
+    last column joins the block before it, which saves an integrand call,
+    so only a one-point call has a one-column block."""
     starts = list(range(0, n, _Y_BLOCK))
     if n > 1 and n % _Y_BLOCK == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts or [0], starts[1:] + [n])]
 
 
-def _s_integral(integrand, wt, x: float, y, nodes: int, cut=None) -> list:
-    """sum_i wt_i * F(s_i, y) over the s-rule of ``nodes``, for each array
-    F of the tuple ``integrand(s, w, y)`` returns; one array per F.
+def _pairs(x, y):
+    """x and y as float arrays of y's shape, one (x, y) pair per entry: x a
+    scalar or an array that broadcasts against y, copied out of the
+    broadcast so that every block slices contiguous x."""
+    y = np.asarray(y, dtype=float)
+    return np.broadcast_to(np.asarray(x, dtype=float), y.shape).copy(), y
 
-    Evaluated in y-blocks (see the module docstring): each block's sum runs
-    over a C-contiguous (rows, block) array, so numpy adds its rows in s
-    order, and it skips the rows whose exponent bound -(x - y)^2 / 4s lies
-    below _EXPO_FLOOR for every y of the block, except the first.  With
-    ``cut = (t_cut, log_bound)``, a block of two or more y first sums its
-    rows with t <= t_cut; it adds the rest, continuing each sum row by row,
-    unless _tail_negligible certifies them for those partial sums."""
+
+def _column_sums(terms) -> np.ndarray:
+    """Sums over the rows of each column of ``terms``, row by row in order
+    from +0: numpy adds a C-contiguous array of two or more columns so, and
+    a lone column by the same sequential accumulation (its own sum would
+    run pairwise); adding 0.0 turns a -0 total into +0, as sum gives."""
+    if terms.shape[1] > 1:
+        return terms.sum(axis=0)
+    return np.cumsum(terms, axis=0)[-1] + 0.0
+
+
+def _s_integral(integrand, wt, x, y, nodes: int, t_cut: float) -> list:
+    """sum_i wt_i * F(s_i, x, y) over the rows of the s-rule of ``nodes``
+    with t_i <= t_cut, for each array F of the tuple ``integrand(s, w, x,
+    y)`` returns; one array per F, one entry per (x, y) pair.
+
+    Evaluated in blocks of pairs (see the module docstring): each column's
+    sum runs row by row in s order, and a block skips the rows whose
+    exponent bound -(x - y)^2 / 4s lies below _EXPO_FLOOR for every pair
+    of the block, except the first row."""
     s, w, t, _ = _s_quadrature(nodes)
+    kept = t <= t_cut
     blocks = []
     for cols in _y_blocks(len(y)):
-        yb = y[cols]
-        rows = np.ones(len(s), dtype=bool)
-        tail = np.zeros(len(s), dtype=bool)
-        if len(yb) > 1:
-            rows = -np.min((x - yb) ** 2) / (4.0 * s) >= _EXPO_FLOOR
-            rows[0] = True
-            if cut is not None:
-                tail = rows & (t > cut[0])
-        # an overflow shows as a non-finite sum, which _check_finite raises
+        xb, yb = x[cols], y[cols]
+        rows = kept & (-np.min((xb - yb) ** 2) / (4.0 * s) >= _EXPO_FLOOR)
+        rows[0] = True
+        # an overflow shows as a non-finite sum, which _check_finite raises;
+        # the integrand's arrays die with the block, so that they do not add
+        # to the next block's peak
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _rows_sum(integrand, wt, s, w, yb, rows & ~tail)
-            if tail.any() and not _tail_negligible(cut[1], yb, sums):
-                sums = _rows_sum(integrand, wt, s, w, yb, tail, sums)
-        blocks.append(sums)
+            blocks.append([_column_sums(wt[rows, None] * f) for f in integrand(
+                s[rows, None], w[rows, None], xb[None, :], yb[None, :])])
     return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
-def _tail_negligible(log_bound, yb, sums) -> bool:
-    """Whether every term of the rows beyond the cut rounds away when added
-    to the partial ``sums`` of block ``yb``: ``log_bound(yb)`` gives, for
-    each sum, the log of a bound on those terms per column, and twice it
-    (for rounding) must lie below a quarter of the sum's spacing.  The
-    factor 2 covers rounding only in the normal range, so a sum whose
-    spacing is subnormal is never certified."""
-    gaps = [np.spacing(np.abs(v)) for v in sums]
-    if not all(np.all(g >= np.finfo(float).tiny) for g in gaps):
-        return False
-    return all(np.all(b < np.log(g) - math.log(8.0))
-               for b, g in zip(log_bound(yb), gaps))
-
-
-def _rows_sum(integrand, wt, s, w, yb, rows, start=None) -> list:
-    """The column sums of wt * F over the given rows, added row by row to
-    ``start`` (one array per F) if given."""
-    parts = integrand(s[rows, None], w[rows, None], yb[None, :])
-    terms = [wt[rows, None] * f for f in parts]
-    if start is None:
-        return [f.sum(axis=0) for f in terms]
-    return [np.concatenate([s0[None, :], f]).sum(axis=0)
-            for s0, f in zip(start, terms)]
-
-
-def _laguerre_tail_bound(k: int, alpha: float, x: float, wt, nodes: int):
-    """log_bound(y) -> [b1, b2, b1]: per y, the logs of bounds on |wt_i F_i|
-    at every row with t_i > _LAGUERRE_T_CUT, for F route one of the
-    derivative kernel (b1), route two (b2) and route one's absolute-value
-    sum (b1).
-
-    On those rows, with q = (1 - s^2)/2s and c2 = w^2/4s, so that z = xyq
-    and u = yq:
-    - both Gaussians are at most exp(-((x - y)^2 + s_T (x + y)^2) / 4), s_T
-      being the rows' least s;
-    - e^-z I_nu(z) <= (z/2)^nu exp(z_T^2 / 4(nu+1)) / Gamma(nu+1), as
-      (nu+1)_m >= (nu+1)^m for nu > -1, z_T being their largest z;
-    - |H_l(a)| <= sum_m E_{l,m} |a|^(l-2m), and |a| <= (w_T x + 2y) / 2
-      sqrt(s_T).
-    Each term of either route is then a constant times x^a y^b times
-    wt_i q_i^e1 c2_i^e2, and the maximum of that over the rows is taken
-    once, here.  b1 sums route one's terms.  Route two's exact value is
-    route one's, so b2 adds to b1 only its rounding, taken as 2^-40 of the
-    sum of its own terms."""
-    s, w, t, _ = _s_quadrature(nodes)
-    tail = t > _LAGUERRE_T_CUT
-    s, w = s[tail], w[tail]
-    q = w * (2.0 - w) / (2.0 * s)
-    # one row per term: its coefficient, power of 1/2, Bessel order
-    # alpha + p, Hermite degree, and powers of x, y, q and c2
-    terms = ([], [])
-    for j in range(k + 1):
-        for n in range(j // 2 + 1):
-            p = j - n
-            for m in range((k - j) // 2 + 1):
-                terms[0].append((
-                    math.comb(k, j) * _e_float(j, n) * _e_float(k - j, m),
-                    alpha + 2 * p, p, 0, k - 2 * m - 2 * n + alpha + 0.5,
-                    2 * p + alpha + 0.5, 2 * p + alpha + 1.0, k - j - m))
-            for l in range(2 * n, j + 1):
-                e = alpha + 0.5 + l - 2 * n
-                terms[1].append((
-                    math.comb(k, j) * math.comb(j, l) * _e_float(l, n),
-                    alpha + 2 * (l - n), l - n, k - j, e, e + j, e + j + 0.5,
-                    0.5 * (k - j)))
-    routes = []
-    for route in terms:
-        coef, half, p, deg, ax, by, e1, e2 = np.array(route).T
-        rows = (np.log(wt[tail]) + e1[:, None] * np.log(q)
-                + e2[:, None] * np.log(w * w / (4.0 * s)))
-        const = (np.log(coef) - half * math.log(2.0) + ax * math.log(x)
-                 - [math.lgamma(alpha + v + 1.0) for v in p]
-                 + rows.max(axis=1))
-        routes.append((const[:, None], by[:, None], p.astype(int),
-                       deg.astype(int)))
-    s_t, w_t, q_t, q_lo = (float(v) for v in (s.min(), w.max(), q.max(),
-                                               q.min()))
-    nu_1 = alpha + 1.0 + np.arange(k + 1)[:, None]
-
-    def log_bound(y):
-        z_t = x * y * q_t
-        log_bessel = z_t * z_t / (4.0 * nu_1)
-        a = (w_t * x + 2.0 * y) / (2.0 * math.sqrt(s_t))
-        log_herm = np.log([sum(_e_float(l, m) * a ** (l - 2 * m)
-                               for m in range(l // 2 + 1))
-                           for l in range(k + 1)])
-        log_gauss = -0.25 * ((x - y) ** 2 + s_t * (x + y) ** 2)
-        # no bound where the rows' z underflows or z^(1/2 - k) overflows:
-        # their terms raise or are not finite, as over the whole rule
-        finite = (x * y * q_lo) ** (k + 0.5) > 1e-300
-        b1, b2 = (np.where(finite, log_gauss + np.logaddexp.reduce(
-            const + by * np.log(y) + log_bessel[p] + log_herm[deg], axis=0),
-            np.inf) for const, by, p, deg in routes)
-        return [b1, np.logaddexp(b1, b2 + _LOG_ROUNDING), b1]
-
-    return log_bound
-
-
-def _hermite_tail_bound(l: int, x: float, wt, nodes: int):
-    """log_bound(y) -> [b]: per y, the log of a bound on |wt_i F_i| at every
-    row with t_i > t_l = _HERMITE_DECAY / (l + 1/2), for F = (d/dx + x)^l
-    W_t (see _raising_sw).
-
-    On those rows, with c2 = w^2/4s:
-    - the Gaussian is at most exp(-((x - y)^2 + s_T (x + y)^2) / 4), s_T
-      being the rows' least s;
-    - |H_l(a)| <= sum_m E_{l,m} |a|^(l-2m), and |a| <= (w_T |x| + 2|y|) / 2
-      sqrt(s_T), in |x| and |y| as Hermite points may be negative.
-    The rest of |wt_i F_i| is the row factor wt_i sqrt((1 - s_i^2)/4 pi s_i)
-    c2_i^(l/2), and its maximum over the rows is taken once, here."""
-    s, w, t, _ = _s_quadrature(nodes)
-    tail = t > _HERMITE_DECAY / (l + 0.5)
-    s, w = s[tail], w[tail]
-    log_row = float(np.max(
-        np.log(wt[tail]) + 0.5 * np.log(w * (2.0 - w) / (4.0 * math.pi * s))
-        + 0.5 * l * np.log(w * w / (4.0 * s))))
-    s_t, w_t = float(s.min()), float(w.max())
-
-    def log_bound(y):
-        a = (w_t * abs(x) + 2.0 * np.abs(y)) / (2.0 * math.sqrt(s_t))
-        herm = sum(_e_float(l, m) * a ** (l - 2 * m)
-                   for m in range(l // 2 + 1))
-        # H_l(a) is 0 only at a = 0, where the bound's log is exactly -inf
-        with np.errstate(divide="ignore"):
-            return [log_row - 0.25 * ((x - y) ** 2 + s_t * (x + y) ** 2)
-                    + np.log(herm)]
-
-    return log_bound
-
-
-def _check_finite(sums, y, what: str, **params) -> None:
-    """Raise at the first y where a kernel sum is not finite (0 * inf = NaN
-    at the smallest s, as at Laguerre k >= 9), naming the kernel ``what``
-    and its parameters."""
+def _check_finite(sums, x, y, what: str, **params) -> None:
+    """Raise at the first pair (x, y) where a kernel sum is not finite
+    (0 * inf = NaN at the smallest s, as at Laguerre k >= 9), naming the
+    kernel ``what``, its parameters and the pair."""
     bad = ~np.all([np.isfinite(v) for v in sums], axis=0)
     if np.any(bad):
+        i = np.argmax(bad)
         named = ", ".join(f"{key}={value}" for key, value in params.items())
         raise QuadratureConvergenceError(
-            f"{what} at {named}, y={y[np.argmax(bad)]} is not finite")
+            f"{what} at {named}, x={x[i]}, y={y[i]} is not finite")
 
 
-def _hermite_time_integral(l: int, half_order: float, x: float, y,
+def _hermite_time_integral(l: int, half_order: float, x, y,
                            nodes: int) -> np.ndarray:
     """(1/Gamma(q)) * integral of t^{q-1} (d/dx + x)^l W_t(x, y) dt,
-    q = half_order, vectorized in y."""
+    q = half_order, at the pairs (x, y), ended at t_l (at l = 0 past the
+    rule's last node)."""
+    x, y = _pairs(x, y)
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (half_order - 1.0)
-    t_cut = _HERMITE_DECAY / (l + 0.5)
-    # a one-point call keeps the whole rule, and at l = 0 no row lies
-    # beyond the cut: neither builds a bound
-    cut = ((t_cut, _hermite_tail_bound(l, x, wt, nodes))
-           if len(y) > 1 and t.max() > t_cut else None)
-    vals, = _s_integral(lambda s, w, yb: (_dplusx_heat_sw(l, s, w, x, yb),),
-                        wt, x, y, nodes, cut)
-    _check_finite([vals], y, "Hermite time integral", l=l, q=half_order, x=x)
+    vals, = _s_integral(
+        lambda s, w, xb, yb: (_dplusx_heat_sw(l, s, w, xb, yb),), wt, x, y,
+        nodes, _HERMITE_DECAY / (l + 0.5))
+    _check_finite([vals], x, y, "Hermite time integral", l=l, q=half_order)
     return vals / gamma(half_order)
 
 
@@ -598,7 +470,8 @@ def _frac_tail(q: float, nodes: int) -> float:
 
 def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str):
     """(value, est_err) of a scalar kernel, a one-point view on its vector
-    path ``vec(y, nodes)``, which returns the kernel at the points y and a
+    path ``vec(y, nodes)`` (the column of the pair (x, y) in any call that
+    holds it), which returns the kernel at the points y and a
     relative error it knows of: the disagreement of its routes, or K_gamma's
     tail share (_frac_tail).  The value is taken at 12 time nodes; est_err
     is the change from 8, or that relative error times |value| if larger.
@@ -617,49 +490,49 @@ def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str):
 # Integrated kernels
 # ---------------------------------------------------------------------------
 
-def riesz_kernel_hermite_vec(k: int, l: int, x: float, y, *, nodes: int = 8):
-    """Hermite Riesz-type kernel with l raising derivatives, vectorized in y."""
+def riesz_kernel_hermite_vec(k: int, l: int, x, y, *, nodes: int = 8):
+    """Hermite Riesz-type kernel with l raising derivatives at the pairs
+    (x, y), x a scalar or an array broadcast against y."""
     if k < 1 or not 0 <= l <= k:
         raise ValueError(f"need k >= 1 and 0 <= l <= k, got k={k}, l={l}")
-    y = np.asarray(y, dtype=float)
+    x, y = _pairs(x, y)
     if l >= k - 1 and np.any(y == x):
         raise ValueError("kernel singular on the diagonal for l >= k-1")
     return _hermite_time_integral(l, 0.5 * k, x, y, nodes)
 
 
-def riesz_kernel_laguerre_vec(k: int, alpha, x: float, y, *, nodes: int = 8):
-    """Laguerre Riesz kernel vectorized in y, with the largest relative
-    disagreement of its two routes: returns (values, agreement).
+def riesz_kernel_laguerre_vec(k: int, alpha, x, y, *, nodes: int = 8):
+    """Laguerre Riesz kernel at the pairs (x, y), x a scalar or an array
+    broadcast against y, with the largest relative disagreement of its two
+    routes: returns (values, agreement).
 
     Both derivative-kernel routes are integrated and compared in
     production.  The warning threshold allows for the cancellation floor of
     the alternating sums (tracked through an absolute-value companion
-    integral), so only genuine formula-level disagreement fires.
+    integral), so only genuine formula-level disagreement fires; it names
+    the worst pair.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     a = alpha_value(alpha)
-    y = np.asarray(y, dtype=float)
+    x, y = _pairs(x, y)
     if np.any(y == x):
         raise ValueError("Riesz kernel requires x != y")
-    if not (x > 0 and np.all(y > 0)):
+    if not (np.all(x > 0) and np.all(y > 0)):
         raise ValueError("x and y must be > 0")
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (0.5 * k - 1.0) / gamma(0.5 * k)
-    # a one-point call keeps the whole rule and builds no bound
-    cut = ((_LAGUERRE_T_CUT, _laguerre_tail_bound(k, a, x, wt, nodes))
-           if len(y) > 1 else None)
     v1, v2, vabs = _s_integral(
-        lambda s, w, yb: _dw_pair_sw(k, a, s, w, x, yb), wt, x, y, nodes,
-        cut)
-    _check_finite([v1, v2, vabs], y, "Riesz kernel", k=k, alpha=a, x=x)
+        lambda s, w, xb, yb: _dw_pair_sw(k, a, s, w, xb, yb), wt, x, y, nodes,
+        _LAGUERRE_T_CUT)
+    _check_finite([v1, v2, vabs], x, y, "Riesz kernel", k=k, alpha=a)
     disagree, floor = _route_disagreement(v1, v2, vabs)
     if np.any(disagree > floor):
         idx = int(np.argmax(disagree - floor))
         warnings.warn(
             f"Riesz kernel routes disagree ({disagree[idx]:.2e} relative, "
             f"conditioning floor {floor[idx]:.2e}) at (k={k}, alpha={a}, "
-            f"x={x}, y={y.ravel()[idx]})", KernelAgreementWarning)
+            f"x={x[idx]}, y={y[idx]})", KernelAgreementWarning)
     return v1, float(disagree.max()) if disagree.size else 0.0
 
 

@@ -19,7 +19,7 @@ from . import kernels
 from .basis import SpectralCoeffs, _column_dots, _support_of, phi_table
 from .kernels import KernelSpec
 from .specfun import (gamma, gauss_jacobi_01, gauss_legendre_panels,
-                      geometric_edges, time_panels)
+                      gauss_legendre_spans, geometric_edges, time_panels)
 
 __all__ = [
     "PVAccuracyWarning",
@@ -250,47 +250,54 @@ def _eps_schedule(stages: int) -> np.ndarray:
 
 def _pv_segments(x: float, eps: np.ndarray, support):
     """12-node Gauss-Legendre segments outside |y - x| > eps[-1], aligned so
-    that every excision radius in the schedule is a segment boundary."""
+    that every excision radius in the schedule is a segment boundary.
+
+    Returns the nodes and the weights of all segments, one segment after
+    the other, and per segment its strip index (-1 for the far field) and
+    the end of its nodes.  The panels of all segments are formed at once."""
     a, b = float(support[0]), float(support[1])
-    segs = []  # (strip_index or -1 for far field, nodes, weights)
     eps0 = eps[0]
-
-    def add(index, edges):
-        # a piece a few ulps wide, where x +- eps_i meets a support end,
-        # has no distinct edges; it holds a few ulps times max |K f|
-        if np.all(np.diff(edges) > 0):
-            segs.append((index, *gauss_legendre_panels(edges, 12)))
-
+    far = []
     for lo, hi, toward in ((a, x - eps0, "right"), (x + eps0, b, "left")):
         if hi > lo:
             floor = min(0.3, max(1e-9, eps0 / (3.0 * (hi - lo))))
-            add(-1, geometric_edges(lo, hi, toward=toward, floor=floor))
-    for i in range(len(eps) - 1):
-        hi, lo = eps[i], eps[i + 1]
-        for y0, y1 in ((max(a, x - hi), min(b, x - lo)),
-                       (max(a, x + lo), min(b, x + hi))):
-            if y1 > y0:
-                add(i, np.linspace(y0, y1, 3))
-    return segs
+            far.append(geometric_edges(lo, hi, toward=toward, floor=floor))
+    # the strips eps_{i+1} < |y - x| <= eps_i, left then right for each i,
+    # each split into two panels where np.linspace(y0, y1, 3) splits it
+    y0 = np.ravel([np.maximum(a, x - eps[:-1]), np.maximum(a, x + eps[1:])],
+                  order="F")
+    y1 = np.ravel([np.minimum(b, x - eps[1:]), np.minimum(b, x + eps[:-1])],
+                  order="F")
+    mid = y0 + (y1 - y0) / 2
+    strip_lo, strip_hi = np.column_stack([y0, mid]), np.column_stack([mid, y1])
+    # a piece a few ulps wide, where x +- eps_i meets a support end, has no
+    # distinct edges; it holds a few ulps times max |K f|
+    far = [e for e in far if np.all(np.diff(e) > 0)]
+    keep = np.all(strip_hi > strip_lo, axis=1)
+    nodes, weights = gauss_legendre_spans(
+        np.concatenate([e[:-1] for e in far] + [strip_lo[keep].ravel()]),
+        np.concatenate([e[1:] for e in far] + [strip_hi[keep].ravel()]), 12)
+    index = [-1] * len(far) + (np.flatnonzero(keep) // 2).tolist()
+    ends = np.cumsum([12 * (len(e) - 1) for e in far] + [24] * keep.sum())
+    return nodes, weights, list(zip(index, ends.tolist()))
 
 
 def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray,
                        support) -> np.ndarray:
     """Integrals of kern_vec(y) f(y) over the support minus |y - x| <= eps_i,
     one per excision radius, from a single kernel evaluation on the
-    segments of :func:`_pv_segments`."""
-    segs = _pv_segments(x, eps, support)
+    segments of :func:`_pv_segments`, with one dot product per segment."""
+    ally, ws, segs = _pv_segments(x, eps, support)
     if not segs:
         raise ValueError(f"the support {tuple(support)} lies within the "
                          f"smallest excision radius {eps[-1]} of x={x}")
-    ally = np.concatenate([s[1] for s in segs])
     contrib = kern_vec(ally) * np.asarray(f(ally), dtype=float)
     far_total = 0.0
     strip_total = np.zeros(len(eps) - 1)
     pos = 0
-    for idx, xs, ws in segs:
-        seg_val = float(ws @ contrib[pos:pos + len(xs)])
-        pos += len(xs)
+    for idx, end in segs:
+        seg_val = float(ws[pos:end] @ contrib[pos:end])
+        pos = end
         if idx < 0:
             far_total += seg_val
         else:

@@ -25,6 +25,7 @@ __all__ = [
     "hermite_poly",
     "hermite_polys",
     "gauss_legendre_panels",
+    "gauss_legendre_spans",
     "time_panels",
     "gauss_jacobi_01",
     "geometric_edges",
@@ -270,9 +271,15 @@ def gauss_legendre_panels(edges, nodes: int):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
+    return gauss_legendre_spans(edges[:-1], edges[1:], nodes)
+
+
+def gauss_legendre_spans(lo, hi, nodes: int):
+    """Gauss-Legendre nodes/weights on the panels [lo_i, hi_i], panel after
+    panel; the panels need not be adjacent."""
     xb, wb = _gl_base(nodes)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
+    a = np.asarray(lo, dtype=float)[:, None]
+    b = np.asarray(hi, dtype=float)[:, None]
     x = (0.5 * (b - a) * xb[None, :] + 0.5 * (b + a)).ravel()
     w = (0.5 * (b - a) * wb[None, :]).ravel()
     return x, w

@@ -108,22 +108,19 @@ def _check_sampling(levels: int, **counts) -> None:
 def _refined_sup(level_scan, levels: int):
     """Sup, argmax and per-level history of a scan refined ``levels`` times.
 
-    ``level_scan(mult)`` gives the points of the level at sample density
-    ``mult`` (1, 2, 4, ...) and a row function mapping a point x to the
-    ratios |kernel| / bound at the sampled y and those y; the rows of a
-    level run in order of x.
+    ``level_scan(mult)`` gives the level at sample density ``mult`` (1, 2,
+    4, ...) as three flat arrays, in order of x and then of y: the sampled
+    x, the sampled y and the ratios |kernel| / bound there.  Ties go to the
+    first pair in that order.
     """
     history = []
     argmax = (math.nan, math.nan)
-    sup = 0.0
     for level in range(levels):
-        xs, row = level_scan(2 ** level)
-        sup = 0.0
-        for x, (r, y) in zip(xs, map(row, xs)):
-            j = int(np.argmax(r))
-            if r[j] > sup:
-                sup = float(r[j])
-                argmax = (float(x), float(y[j]))
+        x, y, r = level_scan(2 ** level)
+        j = int(np.argmax(r))
+        sup = max(float(r[j]), 0.0)
+        if sup > 0.0:
+            argmax = (float(x[j]), float(y[j]))
         history.append(sup)
     return sup, argmax, history
 
@@ -162,16 +159,17 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
     _check_sampling(levels, nx=nx, ny=ny)
 
     def level_scan(mult):
-        ratios = _ratio_sample(statement, ny * mult)
-
-        def row(x):
-            y = x * ratios
-            kern = kernels.riesz_kernel_laguerre_vec(k, a, float(x), y)[0]
-            if statement == "prop33-iii":
-                kern = kern - kernels.riesz_kernel_hermite_vec(k, k, float(x), y)
-            return np.abs(kern) / bound(x, y, a), y
-
-        return np.geomspace(x_range[0], x_range[1], nx * mult), row
+        # one kernel call for every (x, y) pair of the level; the bound is
+        # taken row by row at each x as a scalar, since a scalar's power
+        # can differ from an array's in the last bit
+        xs = np.geomspace(x_range[0], x_range[1], nx * mult)
+        ys = np.multiply.outer(xs, _ratio_sample(statement, ny * mult))
+        x, y = np.repeat(xs, ys.shape[1]), ys.ravel()
+        kern = kernels.riesz_kernel_laguerre_vec(k, a, x, y)[0]
+        if statement == "prop33-iii":
+            kern = kern - kernels.riesz_kernel_hermite_vec(k, k, x, y)
+        bounds = np.concatenate([bound(xi, yi, a) for xi, yi in zip(xs, ys)])
+        return x, y, np.abs(kern) / bounds
 
     sup, argmax, history = _refined_sup(level_scan, levels)
     return BoundCheckReport(
@@ -201,15 +199,13 @@ def check_prop31(k: int, l: int, *, levels: int = 2) -> BoundCheckReport:
         return 1.0 / d
 
     def level_scan(mult):
+        # one kernel call for every (x, y) pair of the level
         dists = np.geomspace(dist_range[0], dist_range[1], nd * mult)
-
-        def row(x):
-            y = np.concatenate([x - dists, x + dists])
-            kern = kernels.riesz_kernel_hermite_vec(k, l, float(x), y)
-            b = bound(np.concatenate([dists, dists]))
-            return np.abs(kern) / b, y
-
-        return x_values, row
+        x = np.repeat(x_values, 2 * len(dists))
+        y = np.ravel([(v - dists, v + dists) for v in x_values])
+        kern = kernels.riesz_kernel_hermite_vec(k, l, x, y)
+        b = np.tile(bound(np.concatenate([dists, dists])), len(x_values))
+        return x, y, np.abs(kern) / b
 
     sup, argmax, history = _refined_sup(level_scan, levels)
     return BoundCheckReport(

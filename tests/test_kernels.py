@@ -385,27 +385,29 @@ class TestDerivativeKernelBits:
         assert counts == {name: n * sum(rows) for name, n in once.items()}
 
 
-def _whole_mesh(integrand, wt, y, nodes=8):
-    # one (s x y) mesh over the whole rule, summed as one array, as before
-    # the y-blocks: row by row for two or more columns, pairwise for one
-    s, w, _, _ = kn._s_quadrature(nodes)
-    parts = integrand(s[:, None], w[:, None], y[None, :])
-    return [(wt[:, None] * f).sum(axis=0) for f in parts]
+def _whole_mesh(integrand, wt, y, nodes=8, t_cut=math.inf):
+    # one (s x y) mesh over the rule's rows with t <= t_cut, summed as one
+    # array of two or more columns: row by row
+    s, w, t, _ = kn._s_quadrature(nodes)
+    rows = t <= t_cut
+    parts = integrand(s[rows, None], w[rows, None], y[None, :])
+    return [(wt[rows, None] * f).sum(axis=0) for f in parts]
 
 
-def _laguerre_whole_mesh(k, alpha, x, y):
+def _laguerre_whole_mesh(k, alpha, x, y, t_cut=kn._LAGUERRE_T_CUT):
     _, _, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
     return _whole_mesh(lambda s, w, yb: kn._dw_pair_sw(k, alpha, s, w, x, yb),
-                       wt, y)[0]
+                       wt, y, t_cut=t_cut)[0]
 
 
-def _hermite_whole_mesh(k, x, y, l=None):
+def _hermite_whole_mesh(k, x, y, l=None, t_cut=None):
     l = k if l is None else l
+    t_cut = kn._HERMITE_DECAY / (l + 0.5) if t_cut is None else t_cut
     _, _, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0)
     return _whole_mesh(lambda s, w, yb: (kn._dplusx_heat_sw(l, s, w, x, yb),),
-                       wt, y)[0] / kn.gamma(0.5 * k)
+                       wt, y, t_cut=t_cut)[0] / kn.gamma(0.5 * k)
 
 
 def _rows_seen(monkeypatch, name):
@@ -434,21 +436,19 @@ def _meshes_seen(monkeypatch, name="_dw_pair_sw"):
     return seen
 
 
-def _calls_per_block(x, y, seen, t_cut=kn._LAGUERRE_T_CUT):
-    # each block of a Riesz kernel is evaluated on its rows up to t_cut,
-    # then, if at all, on the disjoint rest; the calls per block
+def _check_block_rows(x, y, seen, t_cut=kn._LAGUERRE_T_CUT):
+    # each block of a Riesz kernel is evaluated once, on its rows up to
+    # t_cut less those below the exponent floor for all its pairs
     s, w, t, _ = kn._s_quadrature(8)
+    x = np.broadcast_to(x, np.shape(y))
     blocks = kn._y_blocks(len(y))
     assert len(seen) == len(blocks)
     for cols, calls in zip(blocks, seen.values()):
-        rows = -np.min((x - y[cols]) ** 2) / (4.0 * s) >= kn._EXPO_FLOOR
+        rows = -np.min((x[cols] - y[cols]) ** 2) / (4.0 * s) >= kn._EXPO_FLOOR
         rows[0] = True
-        parts = (rows & (t <= t_cut), rows & (t > t_cut))
-        assert len(calls) <= 2
-        for (s_seen, w_seen), part in zip(calls, parts):
-            assert np.array_equal(s_seen, s[part])
-            assert np.array_equal(w_seen, w[part])
-    return [len(calls) for calls in seen.values()]
+        (s_seen, w_seen), = calls
+        assert np.array_equal(s_seen, s[rows & (t <= t_cut)])
+        assert np.array_equal(w_seen, w[rows & (t <= t_cut)])
 
 
 # four 64-point blocks; the points far from x lose s-rows, and in the last
@@ -469,8 +469,20 @@ class TestBlockedTimeIntegrals:
             assert n == 1 or 1 not in widths
 
     def test_column_sums_start_from_plus_zero(self):
-        # a skipped row adds +-0; numpy's sum never yields -0 from it
+        # a skipped row adds +-0; numpy's sum never yields -0 from it, nor
+        # does the sequential sum of a lone column
         assert not np.signbit(np.full((3, 2), -0.0).sum(axis=0)).any()
+        assert not np.signbit(kn._column_sums(np.full((3, 1), -0.0)))[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 479, 880])
+    def test_lone_column_summed_row_by_row(self, n):
+        # numpy sums one column pairwise, which differs from row by row in
+        # the last bits at some n; _column_sums adds it as a wider block
+        terms = np.random.default_rng(n).standard_normal((n, 1)) * 10.0 ** (
+            np.random.default_rng(n + 1).uniform(-30, 30, (n, 1)))
+        wide = np.concatenate([terms, terms], axis=1)
+        assert kn._column_sums(terms).tobytes() == \
+            kn._column_sums(wide)[:1].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
@@ -480,15 +492,15 @@ class TestBlockedTimeIntegrals:
         whole = _laguerre_whole_mesh(k, alpha, x, y)
         seen = _meshes_seen(monkeypatch)
         vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
-        _calls_per_block(x, y, seen)     # asserts each block's rows
+        _check_block_rows(x, y, seen)
         assert np.array_equal(vals, whole)
         pairs = [kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 2])[0]
                  for i in range(0, len(y) - 1, 2)]
         assert np.array_equal(np.concatenate(pairs), whole[:len(y) // 2 * 2])
+        # a one-point call is its column of the block
         for i in (0, 160, 200):
-            assert np.array_equal(
-                kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 1])[0],
-                _laguerre_whole_mesh(k, alpha, x, y[i:i + 1]))
+            one, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 1])
+            assert one.tobytes() == whole[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("x", [0.3, 26.0])
@@ -502,15 +514,14 @@ class TestBlockedTimeIntegrals:
         whole = _hermite_whole_mesh(k, x, y)
         seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
         vals = kn.riesz_kernel_hermite_vec(k, k, x, y)
-        _calls_per_block(x, y, seen, kn._HERMITE_DECAY / (k + 0.5))
+        _check_block_rows(x, y, seen, kn._HERMITE_DECAY / (k + 0.5))
         assert np.array_equal(vals, whole)
         pairs = [kn.riesz_kernel_hermite_vec(k, k, x, y[i:i + 2])
                  for i in range(0, len(y) - 1, 2)]
         assert np.array_equal(np.concatenate(pairs), whole[:len(y) // 2 * 2])
         for i in (0, 160, 350):
-            assert np.array_equal(
-                kn.riesz_kernel_hermite_vec(k, k, x, y[i:i + 1]),
-                _hermite_whole_mesh(k, x, y[i:i + 1]))
+            assert kn.riesz_kernel_hermite_vec(
+                k, k, x, y[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
 
     def test_overflow_stays_nan(self):
         # at k = 9 the smallest-s rows overflow (0 * inf); the whole mesh
@@ -521,8 +532,8 @@ class TestBlockedTimeIntegrals:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             vals = kn._s_integral(
-                lambda s, w, yb: kn._dw_pair_sw(9, 0.5, s, w, 1.4, yb),
-                wt, 1.4, y, 8)[0]
+                lambda s, w, xb, yb: kn._dw_pair_sw(9, 0.5, s, w, xb, yb),
+                wt, *kn._pairs(1.4, y), 8, kn._LAGUERRE_T_CUT)[0]
             whole = _laguerre_whole_mesh(9, 0.5, 1.4, y)
         assert np.isnan(whole).all()
         assert np.array_equal(vals, whole, equal_nan=True)
@@ -569,10 +580,112 @@ class TestBlockedTimeIntegrals:
         assert agreement == pytest.approx(0.01 / 1.01, rel=1e-6)
 
 
-# the sweep of k, alpha and x that shows a plain cut at _LAGUERRE_T_CUT
-# moving last bits at k <= 2; each x gets 16 y, near it and across (0.01, 40).  Alpha
-# -0.9 at x = 20 has blocks whose tail rows are not negligible, and at the
-# smaller x the y near 40 have partial sums with subnormal spacing
+# pairs at four x, 40 y near each of the first three and across (0.02, 40),
+# 9 y at the last: 129 pairs, so the two blocks straddle changes of x and
+# the lone last column joins the second block
+_PAIR_X = np.array([0.3, 1.4, 6.0, 20.0])
+_PAIR_Y = [np.concatenate([x * (1.0 + np.geomspace(1e-3, 0.5, 10)),
+                           x * (1.0 - np.geomspace(1e-3, 0.5, 10)),
+                           np.geomspace(0.02, 40.0, 20)]) for x in _PAIR_X[:3]]
+_PAIR_Y.append(np.geomspace(9.0, 30.0, 9))
+
+
+def _pair_arrays():
+    x = np.repeat(_PAIR_X, [len(y) for y in _PAIR_Y])
+    return x, np.concatenate(_PAIR_Y)
+
+
+class TestPairCalls:
+    def test_layout(self):
+        x, y = _pair_arrays()
+        blocks = kn._y_blocks(len(y))
+        assert [b.stop - b.start for b in blocks] == [64, 65]
+        assert [len(np.unique(x[b])) for b in blocks] == [2, 3]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.0])
+    def test_laguerre_pairs_equal_per_x_calls(self, k, alpha):
+        x, y = _pair_arrays()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", kn.KernelAgreementWarning)
+            vals, agreement = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
+            per_x = [kn.riesz_kernel_laguerre_vec(k, alpha, float(xi), yi)
+                     for xi, yi in zip(_PAIR_X, _PAIR_Y)]
+            one = [kn.riesz_kernel_laguerre_vec(k, alpha, xi, [yi])[0]
+                   for xi, yi in zip(x[::17], y[::17])]
+        assert vals.tobytes() == np.concatenate(
+            [v for v, _ in per_x]).tobytes()
+        assert agreement == max(a for _, a in per_x)
+        assert np.concatenate(one).tobytes() == vals[::17].tobytes()
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (3, 3), (4, 0)])
+    def test_hermite_pairs_equal_per_x_calls(self, k, l):
+        x, y = _pair_arrays()
+        x, y = np.concatenate([x, -x]), np.concatenate([y, 1.0 - y])
+        vals = kn.riesz_kernel_hermite_vec(k, l, x, y)
+        per_x = [kn.riesz_kernel_hermite_vec(k, l, xi, yi)
+                 for xi, yi in zip(np.concatenate([_PAIR_X, -_PAIR_X]),
+                                   _PAIR_Y + [1.0 - v for v in _PAIR_Y])]
+        assert vals.tobytes() == np.concatenate(per_x).tobytes()
+        one = [kn.riesz_kernel_hermite_vec(k, l, xi, [yi])
+               for xi, yi in zip(x[::13], y[::13])]
+        assert np.concatenate(one).tobytes() == vals[::13].tobytes()
+
+    def test_block_rows_follow_every_pair(self, monkeypatch):
+        x, y = _pair_arrays()
+        seen = _meshes_seen(monkeypatch)
+        kn.riesz_kernel_laguerre_vec(2, 0.5, x, y)
+        _check_block_rows(x, y, seen)
+
+    def test_agreement_warning_names_the_worst_pair(self, monkeypatch):
+        pair = kn._dw_pair_sw
+
+        def perturbed(k, alpha, s, w, x, y):
+            # route two off by 1% at (6, 2) and by 0.1% at (1.4, 2)
+            dw1, dw2, dwabs = pair(k, alpha, s, w, x, y)
+            scale = np.where(y != 2.0, 1.0, np.where(
+                x == 6.0, 1.01, np.where(x == 1.4, 1.001, 1.0)))
+            return dw1, dw2 * scale, dwabs
+
+        monkeypatch.setattr(kn, "_dw_pair_sw", perturbed)
+        x = np.repeat([0.3, 1.4, 6.0], 40)
+        y = np.tile(np.linspace(0.5, 3.5, 40), 3)
+        y[[10, 50, 90]] = 2.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            kn.riesz_kernel_laguerre_vec(2, 0.5, x, y)
+        assert [w.category for w in caught] == [kn.KernelAgreementWarning]
+        assert str(caught[0].message).endswith(
+            "at (k=2, alpha=0.5, x=6.0, y=2.0)")
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: kn.riesz_kernel_laguerre_vec(
+            9, 0.5, [2.0, 1.4, 1.4], [3.0, 1.0, 2.0]),
+         r"Riesz kernel at k=9, alpha=0\.5, x=2\.0, y=3\.0 is not finite"),
+        (lambda: kn.riesz_kernel_hermite_vec(
+            40, 40, [0.3, -2.0], [0.5, -1.0]),
+         r"Hermite time integral at l=40, q=20\.0, x=0\.3, y=0\.5 is not "
+         r"finite"),
+    ], ids=["laguerre", "hermite"])
+    def test_non_finite_sum_names_the_pair(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(kn.QuadratureConvergenceError, match=message):
+                call()
+
+    def test_x_must_broadcast_against_y(self):
+        with pytest.raises(ValueError):
+            kn.riesz_kernel_laguerre_vec(1, 0.5, [1.0, 2.0], [3.0, 4.0, 5.0])
+        with pytest.raises(ValueError, match="requires x != y"):
+            kn.riesz_kernel_laguerre_vec(1, 0.5, [1.0, 2.0], [3.0, 2.0])
+        with pytest.raises(ValueError, match="singular on the diagonal"):
+            kn.riesz_kernel_hermite_vec(1, 1, [1.0, 2.0], [3.0, 2.0])
+        with pytest.raises(ValueError, match="x and y must be > 0"):
+            kn.riesz_kernel_laguerre_vec(1, 0.5, [1.0, -2.0], [3.0, 2.0])
+
+
+# the sweep of k, alpha and x on which a plain cut at _LAGUERRE_T_CUT moves
+# last bits at k <= 2; each x gets 16 y, near it and across (0.01, 40)
 _SWEEP_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 2.0, 5.0, 10.0)
 _SWEEP_X = (0.05, 0.3, 1.4, 6.0, 20.0)
 
@@ -582,22 +695,9 @@ def _sweep_y(x):
                            np.geomspace(0.01, 40.0, 12)])
 
 
-def _tail_rows(k, alpha, x, y):
-    # wt, and |wt_i F_i| of the three integrands at every row beyond
-    # _LAGUERRE_T_CUT
-    s, w, t, weight = kn._s_quadrature(8)
-    wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
-    tail = t > kn._LAGUERRE_T_CUT
-    parts = kn._dw_pair_sw(k, alpha, s[tail, None], w[tail, None], x,
-                           y[None, :])
-    return wt, [np.abs(wt[tail, None] * f) for f in parts]
-
-
 # the Hermite sweep: l = 1..4 at l = k and l < k; each x gets two blocks of
 # 64 y, one near x and one near -x (where x + y is about 0) and across
-# (-8, 8).  A plain cut at t_l moves last bits for every (k, l): at x = 26,
-# whose sums near y = -26 have subnormal spacing, and, at the larger l,
-# where tail rows are not negligible
+# (-8, 8)
 _HERMITE_SWEEP = [(k, l) for k in range(1, 6) for l in range(1, min(k, 4) + 1)]
 _HERMITE_SWEEP_X = (-1.5, 0.3, 2.0, 26.0)
 
@@ -608,161 +708,72 @@ def _hermite_sweep_y(x):
                            -x + near, np.linspace(-8.0, 8.0, 56)])
 
 
-class TestCertifiedTail:
+# the guard on the cuts: no value moves by more than this share of the
+# largest |K| of its call against the whole rule
+_CUT_GUARD = 1e-13
+
+
+class TestPlainCut:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_sweep_equals_the_whole_rule(self, k, monkeypatch):
-        rows = _rows_seen(monkeypatch, "_dw_pair_sw")
-        moved = bound_fails = 0
+    def test_laguerre_sweep_within_guard_of_the_whole_rule(self, k):
+        # the sweep in one pair call per alpha; a move is measured against
+        # the largest |K| at its x
+        worst = 0.0
+        x = np.repeat(_SWEEP_X, 16)
+        y = np.concatenate([_sweep_y(v) for v in _SWEEP_X])
         for alpha in _SWEEP_ALPHAS:
-            for x in _SWEEP_X:
-                y = _sweep_y(x)
-                before = len(rows)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", kn.KernelAgreementWarning)
-                    vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
-                # one block per kernel call, which evaluates its tail rows
-                # in a second call where they are not negligible
-                fell_back = len(rows) - before == 2
-                whole = _laguerre_whole_mesh(k, alpha, x, y)
-                assert vals.tobytes() == whole.tobytes()
-                # the same sums with the tail rows plainly cut: the
-                # block's partial sums
-                _, _, t, weight = kn._s_quadrature(8)
-                wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
-                head = _whole_mesh(
-                    lambda s, w, yb: kn._dw_pair_sw(k, alpha, s, w, x, yb),
-                    np.where(t > kn._LAGUERRE_T_CUT, 0.0, wt), y)
-                moved += np.count_nonzero(head[0] != whole)
-                # a partial sum whose spacing is subnormal is never
-                # certified; otherwise only the bound makes a block fall back
-                subnormal = any(np.any(np.spacing(np.abs(v))
-                                       < np.finfo(float).tiny) for v in head)
-                assert fell_back or not subnormal
-                bound_fails += fell_back and not subnormal
-        assert (bound_fails > 0) == (k <= 2)
-        assert (moved > 0) == (k <= 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", kn.KernelAgreementWarning)
+                vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
+            for xi, got in zip(_SWEEP_X, vals.reshape(len(_SWEEP_X), 16)):
+                yi = _sweep_y(xi)
+                whole = _laguerre_whole_mesh(k, alpha, xi, yi, math.inf)
+                assert got.tobytes() == _laguerre_whole_mesh(
+                    k, alpha, xi, yi).tobytes()
+                worst = max(worst, np.abs(got - whole).max()
+                            / np.abs(whole).max())
+        assert worst <= _CUT_GUARD
+        # the cut rows change a sum only at k <= 2
+        assert (worst > 0) == (k <= 2)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_bound_covers_every_tail_term(self, k):
-        # route one, route two and route one's absolute sum; a computed
-        # subnormal term carries absolute rounding, so only normal ones
-        # are compared
-        for alpha in _SWEEP_ALPHAS:
-            for x in _SWEEP_X:
-                y = _sweep_y(x)
-                with np.errstate(all="ignore"):
-                    wt, terms = _tail_rows(k, alpha, x, y)
-                bounds = kn._laguerre_tail_bound(k, alpha, x, wt, 8)(y)
-                assert len(bounds) == len(terms)
-                for term, bound in zip(terms, bounds):
-                    normal = term >= np.finfo(float).tiny
-                    assert np.all(np.log(term[normal])
-                                  <= np.broadcast_to(bound, term.shape)[normal])
+    @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
+    def test_hermite_sweep_within_guard_of_the_whole_rule(self, k, l):
+        worst = 0.0
+        for x in _HERMITE_SWEEP_X:
+            y = _hermite_sweep_y(x)
+            got = kn.riesz_kernel_hermite_vec(k, l, x, y)
+            assert got.tobytes() == _hermite_whole_mesh(k, x, y, l).tobytes()
+            whole = _hermite_whole_mesh(k, x, y, l, math.inf)
+            worst = max(worst, np.abs(got - whole).max() / np.abs(whole).max())
+        assert 0 < worst <= _CUT_GUARD
 
-    def test_every_row_evaluated_once_per_block(self, monkeypatch):
-        # at x = 20 and alpha -0.9 the tail rows of the far block are not
-        # negligible, those of the near block are
-        x = 20.0
-        y = np.concatenate([np.geomspace(0.02, 2.0, 64),
-                            x + np.delete(np.linspace(-1.0, 1.0, 65), 32)])
-        seen = _meshes_seen(monkeypatch)
-        kn.riesz_kernel_laguerre_vec(2, -0.9, x, y)
-        assert _calls_per_block(x, y, seen) == [2, 1]
-
-    def test_tail_rows_kept_where_they_fail(self):
-        # only in the tail rows does z^(1/2 - k) overflow to a NaN sum
-        # (k = 8, x = 1e-30) or z underflow to 0, which the Bessel function
-        # rejects (x = 1e-150): the kernel fails as the whole rule does
+    def test_tiny_x(self):
+        # the rows where z^(1/2 - k) overflows (k = 8, x = 1e-30) or z
+        # underflows to 0 (x = 1e-150) lie beyond the cut: at 1e-30 the
+        # values are finite and the routes agree; at 1e-150 |K| is about
+        # 1e-450, and the sum is exactly 0
         with np.errstate(all="ignore"):
-            assert np.isnan(_laguerre_whole_mesh(8, 0.5, 1e-30,
-                                                 np.array([3.0, 4.0]))).all()
-        with pytest.raises(kn.QuadratureConvergenceError):
-            kn.riesz_kernel_laguerre_vec(8, 0.5, 1e-30, [3.0, 4.0])
-        y = np.array([2e-150, 3e-150])
-        with pytest.raises(ValueError, match="argument must be > 0"):
-            _laguerre_whole_mesh(1, 0.5, 1e-150, y)
-        with pytest.raises(ValueError, match="argument must be > 0"):
-            kn.riesz_kernel_laguerre_vec(1, 0.5, 1e-150, y)
+            assert np.isnan(_laguerre_whole_mesh(
+                8, 0.5, 1e-30, np.array([3.0, 4.0]), math.inf)).all()
+        vals, agreement = kn.riesz_kernel_laguerre_vec(8, 0.5, 1e-30,
+                                                       [3.0, 4.0])
+        assert np.all(np.isfinite(vals)) and agreement <= 1e-11
+        vals, agreement = kn.riesz_kernel_laguerre_vec(
+            1, 0.5, 1e-150, [2e-150, 3e-150])
+        assert vals.tolist() == [0.0, 0.0] and agreement == 0.0
+        assert not np.signbit(vals).any()
 
-    @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
-    def test_hermite_sweep_equals_the_whole_rule(self, k, l, monkeypatch):
-        seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
-        _, _, t, weight = kn._s_quadrature(8)
-        wt = weight * t ** (0.5 * k - 1.0)
-        t_cut = kn._HERMITE_DECAY / (l + 0.5)
-        moved = certified = 0
-        for x in _HERMITE_SWEEP_X:
-            y = _hermite_sweep_y(x)
-            seen.clear()
-            vals = kn.riesz_kernel_hermite_vec(k, l, x, y)
-            calls = _calls_per_block(x, y, seen, t_cut)
-            whole = _hermite_whole_mesh(k, x, y, l)
-            assert vals.tobytes() == whole.tobytes()
-            # the same sums with the tail rows plainly cut: the blocks'
-            # partial sums
-            head = _whole_mesh(
-                lambda s, w, yb: (kn._dplusx_heat_sw(l, s, w, x, yb),),
-                np.where(t > t_cut, 0.0, wt), y)[0]
-            moved += np.count_nonzero(head / kn.gamma(0.5 * k) != whole)
-            for cols, n in zip(kn._y_blocks(len(y)), calls):
-                # a partial sum with subnormal spacing is never certified
-                subnormal = np.any(np.spacing(np.abs(head[cols]))
-                                   < np.finfo(float).tiny)
-                assert n == 2 or not subnormal
-                certified += n == 1
-        assert moved > 0 and certified > 0
-
-    @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
-    def test_hermite_bound_covers_every_tail_term(self, k, l):
-        # only normal computed terms are compared, as for the Laguerre bound
-        s, w, t, weight = kn._s_quadrature(8)
-        wt = weight * t ** (0.5 * k - 1.0)
-        tail = t > kn._HERMITE_DECAY / (l + 0.5)
-        for x in _HERMITE_SWEEP_X:
-            y = _hermite_sweep_y(x)
-            term = np.abs(wt[tail, None] * kn._dplusx_heat_sw(
-                l, s[tail, None], w[tail, None], x, y[None, :]))
-            bound, = kn._hermite_tail_bound(l, x, wt, 8)(y)
-            normal = term >= np.finfo(float).tiny
-            assert np.all(np.log(term[normal])
-                          <= np.broadcast_to(bound, term.shape)[normal])
-
-    def test_hermite_every_row_evaluated_once_per_block(self, monkeypatch):
-        # at x = 2 and k = 3, l = 2 the tail rows of the block near x are
-        # negligible, those of the block near y = -7 are not
-        x = 2.0
-        y = np.concatenate([x + np.delete(np.linspace(-1.0, 1.0, 65), 32),
-                            np.linspace(-8.0, -6.6, 64)])
-        seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
-        vals = kn.riesz_kernel_hermite_vec(3, 2, x, y)
-        assert _calls_per_block(x, y, seen, kn._HERMITE_DECAY / 2.5) == [1, 2]
-        assert vals.tobytes() == _hermite_whole_mesh(3, x, y, 2).tobytes()
-
-    def test_hermite_l_zero_has_no_tail_rows(self, monkeypatch):
+    def test_hermite_l_zero_keeps_the_whole_rule(self, monkeypatch):
         # the cut at l = 0 lies past the rule's last node, so K_gamma and
-        # the l = 0 kernels build no bound and keep the whole rule; nor
-        # does a one-point call, which keeps the whole rule at any l
+        # the l = 0 kernels keep every row
         for nodes in (8, 12):
             assert kn._s_quadrature(nodes)[2].max() < kn._HERMITE_DECAY / 0.5
-
-        def no_bound(*args):
-            raise AssertionError("a tail bound was built at l = 0")
-
-        monkeypatch.setattr(kn, "_hermite_tail_bound", no_bound)
         seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
         y = _hermite_sweep_y(0.3)
         vals = kn.riesz_kernel_hermite_vec(2, 0, 0.3, y)
-        assert _calls_per_block(0.3, y, seen, math.inf) == [1, 1]
-        assert vals.tobytes() == _hermite_whole_mesh(2, 0.3, y, 0).tobytes()
-        kernel("hermite-frac", 0.3, 0.8, gamma=1.5)
-        kernel("hermite-riesz", 0.3, 0.8, k=2)
-
-    def test_laguerre_one_point_call_builds_no_bound(self, monkeypatch):
-        def no_bound(*args):
-            raise AssertionError("a tail bound was built for one point")
-
-        monkeypatch.setattr(kn, "_laguerre_tail_bound", no_bound)
-        kernel("laguerre-riesz", 1.0, 2.0, k=2, alpha=0.5)
+        _check_block_rows(0.3, y, seen, math.inf)
+        assert vals.tobytes() == _hermite_whole_mesh(
+            2, 0.3, y, 0, math.inf).tobytes()
 
 
 class TestFracKernel:

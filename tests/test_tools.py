@@ -3,8 +3,10 @@ library values across two source trees."""
 
 import argparse
 import importlib
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rieszlag.cli import _build_parser
@@ -27,3 +29,32 @@ def test_jobs_are_distinct(identity):
     # each job names its items, and two equal jobs would give one name
     names = [" ".join(argv) for argv in identity.JOBS]
     assert len(set(names)) == len(names)
+
+
+def test_value_report_measures_a_known_move(identity):
+    old = np.array([1.0, -4.0, 2e-20, np.nan, 5.0])
+    new = np.array([1.0, -4.0 + 4e-12, 3e-20, np.nan, 5.0])
+    # moves of 4e-12 (1e-12 of its entry, 8e-13 of the largest |value|, 5)
+    # and of 1e-20 (half its entry); NaN against NaN is no move
+    assert identity.value_report(old, new) == (
+        "2 of 5 numbers move: largest 4.00e-12 absolute, 5.00e-01 relative "
+        "to its entry, 8.00e-13 relative to max |value|")
+    assert identity.value_report(old, old.copy()) == "0 of 5 numbers move"
+    assert identity.value_report(old, new[:3]) == "5 numbers against 3"
+    assert identity.value_report(np.array([1.0]), np.array([np.nan])) == (
+        "1 of 1 numbers move: largest inf absolute, inf relative to its "
+        "entry, inf relative to max |value|")
+    both_inf = np.array([np.inf, 0.0])
+    assert identity.value_report(both_inf, both_inf.copy()) == (
+        "0 of 2 numbers move")
+    assert identity.value_report(both_inf, np.array([np.inf, 1e-300])) == (
+        "1 of 2 numbers move: largest 1.00e-300 absolute, inf relative to "
+        "its entry, inf relative to max |value|")
+
+
+def test_numbers_of_results_and_text(identity):
+    # "inf" inside a word is no number
+    np.testing.assert_array_equal(identity._numbers(
+        ("est err 5.1e-63 at (1e-30, 3.0); x=-2 inf nan infinite",
+         np.array([[1.5, 2.0]]), 7, [0.25])),
+        [5.1e-63, 1e-30, 3.0, -2.0, math.inf, math.nan, 1.5, 2.0, 7.0, 0.25])

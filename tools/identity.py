@@ -10,6 +10,15 @@ shape and buffer, floats by their IEEE bits) and the category and text of
 every warning it raised; a raise is part of the result.  The items that
 differ are listed by name, and the exit code is 1 if any do.
 
+Each differing item also gets a value report.  Every number it holds is
+taken in order: the entries of its arrays and floats, and the numbers
+written in its text, its warnings' and its raise's included.  Where both
+trees give the same count, the report gives how many moved, the largest
+absolute move, the largest move relative to the entry's parent value, and
+the largest absolute move relative to the item's largest parent |value|; a
+NaN on one side only counts as a move of inf.  Otherwise it gives the two
+counts.
+
 CLI items: each job of JOBS runs once through ``rieszlag.cli.main`` and
 gives three items, its exit code, its stdout and its stderr, so a
 difference names the part that moved.  An argparse error counts with its
@@ -27,11 +36,11 @@ derivative kernel's three outputs on a production mesh; the Laguerre Riesz
 kernel with its route agreement at k = 1..4 on 1-, 2-, 64-, 65- and
 129-point y sets at 8 and 12 time nodes, and on the sweep of k = 1..5,
 seven alphas from -0.9 to 10 and five x from 0.05 to 20, 64 y each, where
-ending the s-rule at t = 20 or 15 without a certificate moves last bits;
+the cut of the s-rule at t = 15 moves last bits against the whole rule;
 the Hermite Riesz kernel for l <= k <= 4, and on the sweep of l = 1..4 at
 l = k and l < k <= 5 and four x from -1.5 to 26, two 64-y blocks each (near
-x, and near -x and across (-8, 8)), where ending the s-rule at t_l =
-45/(l + 1/2) without a certificate moves last bits; pv_apply stage tables
+x, and near -x and across (-8, 8)), where the cut of the s-rule at t_l =
+45/(l + 1/2) moves last bits against the whole rule; pv_apply stage tables
 for both families; hermite_fn_table and phi_table (four alphas) at degrees
 0, 1 and 2, and at degree 1600 or 1200 on x from 36.5 to 40, where the seed
 e^(-x^2/2) underflows; check_prop33 for each statement; lp_scan reports at
@@ -48,7 +57,9 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -62,6 +73,9 @@ import numpy as np
 
 # the --input-csv jobs name their sample files under this placeholder
 SAMPLES = "<samples>"
+# a number written in text: a decimal with optional exponent, inf or nan
+NUMBER = re.compile(
+    r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\binf\b|\bnan\b")
 
 
 def _riesz(family: str, k: int, *extra: str) -> list:
@@ -375,37 +389,78 @@ def _feed(h, obj) -> None:
         h.update(f"{type(obj).__name__}:{obj!r}".encode())
 
 
-def run_items(samples: str) -> None:
+def _numbers(obj) -> list:
+    """The numbers an item's result holds, in order (see the docstring)."""
+    if isinstance(obj, np.ndarray):
+        return obj.astype(float).ravel().tolist()
+    if isinstance(obj, (bool, int, float, np.number)):
+        return [float(obj)]
+    if isinstance(obj, (tuple, list)):
+        return [v for part in obj for v in _numbers(part)]
+    if isinstance(obj, str):
+        return [float(v) for v in NUMBER.findall(obj)]
+    return []
+
+
+def value_report(old: np.ndarray, new: np.ndarray) -> str:
+    """The moves from the parent's numbers to the change's."""
+    if old.shape != new.shape:
+        return f"{old.size} numbers against {new.size}"
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        move = np.where(same, 0.0, np.abs(new - old))
+        move[np.isnan(move)] = math.inf
+        moved = move > 0
+        rel = move[moved] / np.abs(old[moved])
+    if not moved.any():
+        return f"0 of {old.size} numbers move"
+    top = np.max(np.abs(old[np.isfinite(old)]), initial=0.0)
+    return (f"{np.count_nonzero(moved)} of {old.size} numbers move: largest "
+            f"{move.max():.2e} absolute, {rel.max():.2e} relative to its "
+            f"entry, {move.max() / top if top else math.inf:.2e} relative "
+            "to max |value|")
+
+
+def run_items(samples: str, values: str) -> None:
     """Evaluate every item with the rieszlag of the tree in the working
-    directory and print the digests by name as JSON."""
+    directory, print the digests by name as JSON and save the numbers of
+    each item, in the same order, to the .npz file ``values``."""
     import rieszlag
 
     if not rieszlag.__file__.startswith(os.getcwd()):
         raise RuntimeError(f"{os.getcwd()}: imported {rieszlag.__file__}")
-    digests = {}
+    digests, numbers = {}, []
     for name, fn in _items(samples).items():
         h = hashlib.sha256()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                _feed(h, fn())
+                result = fn()
             except Exception as exc:  # a raise is part of the result
-                _feed(h, f"{type(exc).__name__}: {exc}")
+                result = f"{type(exc).__name__}: {exc}"
+            _feed(h, result)
         for text in _warning_texts(caught):
             _feed(h, text)
         digests[name] = h.hexdigest()
+        numbers.append(np.array(_numbers([result, _warning_texts(caught)])))
+    np.savez(values, *numbers)
     sys.stdout.write(json.dumps(digests))
 
 
-def _tree_digests(tree: Path, samples: str) -> dict:
+def _tree_digests(tree: Path, samples: str, values: Path) -> tuple:
+    """The digests of a tree's items by name, and their numbers."""
     env = {**os.environ, "COLUMNS": "80",
            "PYTHONPATH": os.pathsep.join([str(tree / "src"),
                                           str(Path(__file__).parent)])}
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, identity; identity.run_items(sys.argv[1])", samples],
-        cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(res.stdout)
+         "import sys, identity; identity.run_items(*sys.argv[1:])", samples,
+         str(values)], cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
+        check=True)
+    digests = json.loads(res.stdout)
+    with np.load(values) as saved:
+        numbers = [saved[f"arr_{i}"] for i in range(len(digests))]
+    return digests, dict(zip(digests, numbers))
 
 
 def main(argv=None) -> int:
@@ -413,14 +468,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as samples:
-        _write_samples(Path(samples))
-        parent = _tree_digests(args.parent.resolve(), samples)
-        change = _tree_digests(args.change.resolve(), samples)
+    with tempfile.TemporaryDirectory() as scratch:
+        samples = Path(scratch) / "samples"
+        samples.mkdir()
+        _write_samples(samples)
+        parent, old = _tree_digests(args.parent.resolve(), str(samples),
+                                    Path(scratch) / "parent.npz")
+        change, new = _tree_digests(args.change.resolve(), str(samples),
+                                    Path(scratch) / "change.npz")
     names = list(parent) + [n for n in change if n not in parent]
     differ = [n for n in names if parent.get(n) != change.get(n)]
     for name in differ:
-        print(f"differs: {name}")
+        report = (value_report(old[name], new[name])
+                  if name in old and name in new else "only in one tree")
+        print(f"differs: {name}: {report}")
     print(f"{len(names)} items: {len(names) - len(differ)} identical, "
           f"{len(differ)} differ")
     return 1 if differ else 0
