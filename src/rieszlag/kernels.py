@@ -39,9 +39,9 @@ kernel ends the s-rule at a fixed cut: t = 15 for the Laguerre kernel
 45/(l+1/2) for the Hermite kernel with l raisings (269 rows at l = 1, 444
 at l = 4; none at l = 0, whose cut lies past the rule's last node, so
 K_gamma and the l = 0 kernels keep the whole rule).  The guard,
-TestPlainCut in tests/test_kernels.py, sums the whole rule on sweeps of k,
-alpha, l, x and y: the cut moves no value by more than 1e-13 of the
-largest |K| of its call.
+TestCertifiedTail in tests/test_kernels.py, sums the whole rule on sweeps
+of k, alpha, l, x and y: neither a value's move nor the absolute sum of
+the rows beyond the cut exceeds 1e-13 of the largest |K| of its call.
 
 Within a block the derivative kernel forms each factor its sums share once:
 the Bessel table, every power, and route two's Gaussian and Hermite

@@ -713,11 +713,24 @@ def _hermite_sweep_y(x):
 _CUT_GUARD = 1e-13
 
 
-class TestPlainCut:
+def _laguerre_tail_terms(k, alpha, x, y):
+    # |wt_i F_i| of the three integrands at every row beyond _LAGUERRE_T_CUT
+    s, w, t, weight = kn._s_quadrature(8)
+    wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
+    tail = t > kn._LAGUERRE_T_CUT
+    parts = kn._dw_pair_sw(k, alpha, s[tail, None], w[tail, None], x,
+                           y[None, :])
+    return [np.abs(wt[tail, None] * f) for f in parts]
+
+
+class TestCertifiedTail:
+    # the s-rule's tail beyond each plain cut, certified once by the guard
+    # on fixed sweeps rather than per call
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_laguerre_sweep_within_guard_of_the_whole_rule(self, k):
-        # the sweep in one pair call per alpha; a move is measured against
-        # the largest |K| at its x
+    def test_sweep_equals_the_whole_rule(self, k):
+        # the sweep in one pair call per alpha equals the whole rule cut
+        # at _LAGUERRE_T_CUT bit for bit, and the uncut rule within the
+        # guard; a move is measured against the largest |K| at its x
         worst = 0.0
         x = np.repeat(_SWEEP_X, 16)
         y = np.concatenate([_sweep_y(v) for v in _SWEEP_X])
@@ -736,16 +749,31 @@ class TestPlainCut:
         # the cut rows change a sum only at k <= 2
         assert (worst > 0) == (k <= 2)
 
-    @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
-    def test_hermite_sweep_within_guard_of_the_whole_rule(self, k, l):
-        worst = 0.0
-        for x in _HERMITE_SWEEP_X:
-            y = _hermite_sweep_y(x)
-            got = kn.riesz_kernel_hermite_vec(k, l, x, y)
-            assert got.tobytes() == _hermite_whole_mesh(k, x, y, l).tobytes()
-            whole = _hermite_whole_mesh(k, x, y, l, math.inf)
-            worst = max(worst, np.abs(got - whole).max() / np.abs(whole).max())
-        assert 0 < worst <= _CUT_GUARD
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_bound_covers_every_tail_term(self, k):
+        # route one, route two and route one's absolute sum: the absolute
+        # sum of the rows beyond the cut, at every y of the sweep, is
+        # within the guard of the largest |K| at its x
+        for alpha in _SWEEP_ALPHAS:
+            for x in _SWEEP_X:
+                y = _sweep_y(x)
+                whole = _laguerre_whole_mesh(k, alpha, x, y, math.inf)
+                bound = _CUT_GUARD * np.abs(whole).max()
+                terms = _laguerre_tail_terms(k, alpha, x, y)
+                assert len(terms) == 3
+                for term in terms:
+                    assert np.all(term.sum(axis=0) <= bound)
+
+    def test_every_row_evaluated_once_per_block(self, monkeypatch):
+        # at x = 20 and alpha -0.9, one block far from x and one near it:
+        # each is evaluated once, on its rows up to the cut
+        x = 20.0
+        y = np.concatenate([np.geomspace(0.02, 2.0, 64),
+                            x + np.delete(np.linspace(-1.0, 1.0, 65), 32)])
+        seen = _meshes_seen(monkeypatch)
+        vals, _ = kn.riesz_kernel_laguerre_vec(2, -0.9, x, y)
+        _check_block_rows(x, y, seen)
+        assert vals.tobytes() == _laguerre_whole_mesh(2, -0.9, x, y).tobytes()
 
     def test_tiny_x(self):
         # the rows where z^(1/2 - k) overflows (k = 8, x = 1e-30) or z
@@ -763,7 +791,47 @@ class TestPlainCut:
         assert vals.tolist() == [0.0, 0.0] and agreement == 0.0
         assert not np.signbit(vals).any()
 
-    def test_hermite_l_zero_keeps_the_whole_rule(self, monkeypatch):
+    @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
+    def test_hermite_sweep_equals_the_whole_rule(self, k, l):
+        # equal to the whole rule cut at t_l bit for bit, and within the
+        # guard of the uncut rule
+        worst = 0.0
+        for x in _HERMITE_SWEEP_X:
+            y = _hermite_sweep_y(x)
+            got = kn.riesz_kernel_hermite_vec(k, l, x, y)
+            assert got.tobytes() == _hermite_whole_mesh(k, x, y, l).tobytes()
+            whole = _hermite_whole_mesh(k, x, y, l, math.inf)
+            worst = max(worst, np.abs(got - whole).max() / np.abs(whole).max())
+        assert 0 < worst <= _CUT_GUARD
+
+    @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
+    def test_hermite_bound_covers_every_tail_term(self, k, l):
+        # the absolute sum of the rows beyond t_l, at every y of the sweep,
+        # is within the guard of the largest |K| at its x
+        s, w, t, weight = kn._s_quadrature(8)
+        wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
+        tail = t > kn._HERMITE_DECAY / (l + 0.5)
+        assert tail.any()
+        for x in _HERMITE_SWEEP_X:
+            y = _hermite_sweep_y(x)
+            term = np.abs(wt[tail, None] * kn._dplusx_heat_sw(
+                l, s[tail, None], w[tail, None], x, y[None, :]))
+            whole = _hermite_whole_mesh(k, x, y, l, math.inf)
+            assert np.all(term.sum(axis=0)
+                          <= _CUT_GUARD * np.abs(whole).max())
+
+    def test_hermite_every_row_evaluated_once_per_block(self, monkeypatch):
+        # at x = 2 and k = 3, l = 2: the block near x and the block near
+        # y = -7 are each evaluated once, on the rows up to t_2
+        x = 2.0
+        y = np.concatenate([x + np.delete(np.linspace(-1.0, 1.0, 65), 32),
+                            np.linspace(-8.0, -6.6, 64)])
+        seen = _meshes_seen(monkeypatch, "_dplusx_heat_sw")
+        vals = kn.riesz_kernel_hermite_vec(3, 2, x, y)
+        _check_block_rows(x, y, seen, kn._HERMITE_DECAY / 2.5)
+        assert vals.tobytes() == _hermite_whole_mesh(3, x, y, 2).tobytes()
+
+    def test_hermite_l_zero_has_no_tail_rows(self, monkeypatch):
         # the cut at l = 0 lies past the rule's last node, so K_gamma and
         # the l = 0 kernels keep every row
         for nodes in (8, 12):
