@@ -13,6 +13,7 @@ printed to stderr), 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -388,7 +389,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _pad_heap() -> None:
+    """Keep 16 MiB of freed heap (glibc's M_TOP_PAD), so that kernel blocks
+    do not fault their temporaries in again; allocation moves no value."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-2, 16 << 20)  # M_TOP_PAD
+
+
 def main(argv=None) -> int:
+    _pad_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,13 +1,20 @@
 import argparse
+import ctypes
 import json
+import subprocess
+import sys
+import textwrap
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rieszlag import basis, kernels, verify
+from rieszlag import basis, cli, kernels, verify
 from rieszlag.cli import _build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(args):
@@ -537,6 +544,87 @@ def test_parser_built_once(tmp_path):
                     "--points", "3", "--out", str(tmp_path / "b.csv")]) == 0
     assert _build_parser.cache_info().misses == 1
     assert _build_parser.cache_info().hits == 1
+
+
+def _python(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter on src/."""
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": SRC}).stdout
+
+
+try:
+    HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
+except (OSError, TypeError):
+    HAS_MALLOPT = False
+
+
+class TestHeapPad:
+    @pytest.mark.skipif(not HAS_MALLOPT, reason="no glibc mallopt")
+    def test_second_run_reuses_the_heap(self):
+        # without the pad each Laguerre block faults its temporaries in
+        # again (3,500 faults here); the counts repeat exactly
+        out = _python("""
+            import contextlib, io, resource
+            from rieszlag.cli import main
+            argv = ["riesz", "--family", "laguerre", "--k", "2", "--alpha",
+                    "0.5", "--points", "2", "--stages", "4"]
+            for _ in range(2):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """)
+        assert int(out) < 200
+
+    def test_import_leaves_the_heap_alone(self):
+        # only the first main call sets the pad, and it sets nothing else
+        out = _python("""
+            import contextlib, ctypes, io, json
+            calls, real = [], ctypes.CDLL
+
+            class Recording:
+                def __init__(self, *args, **kwargs):
+                    self.lib = real(*args, **kwargs)
+
+                def __getattr__(self, name):
+                    if name != "mallopt":
+                        return getattr(self.lib, name)
+                    return lambda *args: calls.append(args)
+
+            ctypes.CDLL = Recording
+            import rieszlag
+            import rieszlag.cli
+            seen = [len(calls)]
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rieszlag.cli.main(["phi-limit", "--k", "2"])
+                seen.append(list(calls))
+            print(json.dumps(seen))
+            """)
+        pad = [-2, 16 << 20]  # M_TOP_PAD, 16 MiB
+        assert json.loads(out) == [0, [pad], [pad]]
+
+    @pytest.mark.parametrize("cdll", ["raises", "no-symbol"])
+    def test_no_glibc_same_bytes(self, cdll, monkeypatch, capsys):
+        argv = ["kernel-table", "--family", "laguerre-riesz", "--k", "1",
+                "--alpha", "0.5", "--x", "1.0", "--y", "2.0,3.0"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+
+        def missing(*args, **kwargs):
+            if cdll == "raises":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", missing)
+        cli._pad_heap.cache_clear()
+        try:
+            assert run(argv) == 0
+            assert cli._pad_heap.cache_info().misses == 1
+        finally:
+            cli._pad_heap.cache_clear()
+        assert capsys.readouterr().out == expected
 
 
 def test_choices_are_the_package_tuples():

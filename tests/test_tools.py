@@ -58,3 +58,34 @@ def test_numbers_of_results_and_text(identity):
         ("est err 5.1e-63 at (1e-30, 3.0); x=-2 inf nan infinite",
          np.array([[1.5, 2.0]]), 7, [0.25])),
         [5.1e-63, 1e-30, 3.0, -2.0, math.inf, math.nan, 1.5, 2.0, 7.0, 0.25])
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "tools"))
+    return importlib.import_module("bench_pairs")
+
+
+def test_run_bench_records_child_faults_and_system_time(bench_pairs,
+                                                        tmp_path):
+    # a stand-in bench/run.py that touches 4096 fresh pages (16 MiB) in the
+    # child; the delta must count them there and nothing of this process
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import mmap\n"
+        "m = mmap.mmap(-1, 4096 * 4096)\n"
+        "for i in range(0, len(m), 4096):\n"
+        "    m[i] = 1\n"
+        "print('# env {}')\n"
+        "print('value_drift 0.0 rel')\n"
+        "print('{\"correct\": true, \"attempted\": 1, \"failed\": 0, "
+        "\"metrics\": {}}')\n")
+    run = bench_pairs.run_bench(tmp_path, "w", 0, 1, 0)
+    assert run["minflt"] >= 4096
+    assert run["stime_s"] >= 0.0
+    assert (run["correct"], run["value_drift"], run["metrics"]) == (
+        True, 0.0, {})
+    again = bench_pairs.run_bench(tmp_path, "w", 0, 1, 0)
+    # each run counts its own child only, not the total so far
+    assert again["minflt"] < 2 * run["minflt"]

@@ -4,8 +4,11 @@ Each tree is a source checkout with its own bench/ and src/.  Pair i runs
 both trees on the workload with seed 100 + i for the change tree's
 BENCHMARK.json run_seconds, parent first on even i and change first on odd
 i, so drift in machine speed over the session falls on both sides.  The
-compared metrics and which way each is better come from the same file.  One --trace 1 run per side and workload
-gives the per-layer rows, and the tier-1 suite is timed once per side.
+compared metrics and which way each is better come from the same file.
+Each side's row also lists every run's minor page faults and system CPU
+seconds, taken over bench/run.py and the fresh interpreters it waits for.
+One --trace 1 run per side and workload gives the per-layer rows, and the
+tier-1 suite is timed once per side.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs lag_riesz=10 --pairs her_riesz=10 --pairs scans=10 \\
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -35,12 +39,14 @@ MIN_PAIRS = 10
 
 def run_bench(tree: Path, workload: str, seed: int, seconds,
               trace: int) -> dict:
-    """One bench/run.py run: its # env line, printed metric lines and the
-    final JSON object."""
+    """One bench/run.py run: its # env line, printed metric lines, the final
+    JSON object and the run's minor faults and system CPU seconds."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     res = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = res.stdout.splitlines()
     env = next(json.loads(l[len("# env "):]) for l in lines
                if l.startswith("# env "))
@@ -56,6 +62,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds,
     return {"env": env, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "value_drift": printed["value_drift"],
+            "minflt": after.ru_minflt - before.ru_minflt,
+            "stime_s": after.ru_stime - before.ru_stime,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -124,7 +132,9 @@ def main(argv=None) -> int:
                 "correct": all(r["correct"] for r in runs[side]),
                 "value_drift": max(r["value_drift"] for r in runs[side]),
                 "failed": sum(r["failed"] for r in runs[side]),
-                "attempted": sum(r["attempted"] for r in runs[side])}
+                "attempted": sum(r["attempted"] for r in runs[side]),
+                "minflt_runs": [r["minflt"] for r in runs[side]],
+                "stime_s_runs": [r["stime_s"] for r in runs[side]]}
             row[side]["fail_frac"] = (row[side]["failed"]
                                       / row[side]["attempted"])
         row["per_layer"] = {}
