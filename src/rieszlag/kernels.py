@@ -19,7 +19,8 @@ variable, so no 1 - s cancellation ever occurs.  Scaled Bessel evaluations
 keep every exponential combined analytically; e^{+z} is never formed.
 
 The (s x pairs) mesh of a time integral is evaluated in blocks of 64 (x, y)
-pairs, which keeps its temporaries small.  Each pair's sum over s runs row
+pairs, which keeps its temporaries small; in a CLI process the next block
+reuses them from the heap (cli._pad_heap).  Each pair's sum over s runs row
 by row in s order, whatever its block: numpy adds the rows of a block of
 two or more columns so, and a one-column block is accumulated the same way
 (_column_sums).  So a pair's value does not depend on which pairs share its
