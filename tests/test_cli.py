@@ -1,6 +1,7 @@
 import argparse
 import ctypes
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -550,7 +551,7 @@ def _python(code: str) -> str:
     """Standard output of `code` run in a fresh interpreter on src/."""
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
                           capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": SRC}).stdout
+                          env={**os.environ, "PYTHONPATH": SRC}).stdout
 
 
 try:
@@ -563,7 +564,8 @@ class TestHeapPad:
     @pytest.mark.skipif(not HAS_MALLOPT, reason="no glibc mallopt")
     def test_second_run_reuses_the_heap(self):
         # without the pad each Laguerre block faults its temporaries in
-        # again (3,500 faults here); the counts repeat exactly
+        # again: 3,502 faults with glibc 2.36 on x86-64, against 0 with
+        # it.  The counts repeat exactly
         out = _python("""
             import contextlib, io, resource
             from rieszlag.cli import main
