@@ -2,8 +2,9 @@
 
 The Mehler closed forms of the Hermite and Laguerre heat kernels, the
 raising-operator derivatives (d/dx + x)^l W_t, the k-fold first-order
-Laguerre derivative of the Laguerre heat kernel (evaluated two independent
-ways that are cross-checked in production), and their time integrals: the
+Laguerre derivative of the Laguerre heat kernel (one explicit triple sum;
+an independent second expansion, against the Hermite raising derivatives,
+is the tests' oracle in tests/conftest.py), and their time integrals: the
 fractional-power kernel K_gamma and the Riesz kernels.
 
 ``kernel_value(KernelSpec(...), x, y, t)`` evaluates any of the kernel
@@ -45,15 +46,14 @@ of k, alpha, l, x and y: neither a value's move nor the absolute sum of
 the rows beyond the cut exceeds 1e-13 of the largest |K| of its call.
 
 Within a block the derivative kernel forms each factor its sums share once:
-the Bessel table, every power, and route two's Gaussian and Hermite
-recurrence.  Each product keeps its left-to-right order and leaves out only
-factors that are exactly 1.0, so this moves no bit either.
+the Bessel table of k + 1 orders and every power.  Each product keeps its
+left-to-right order and leaves out only factors that are exactly 1.0, so
+this moves no bit either.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from . import combinat
 from .specfun import (alpha_value, bessel_i_scaled, gamma, hermite_poly,
-                      hermite_polys, time_panels)
+                      time_panels)
 
 __all__ = [
     "FAMILIES",
@@ -70,7 +70,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "heat_kernel_hermite",
     "heat_kernel_laguerre",
-    "d_alpha_pow_k_heat_pair",
     "kernel_value",
 ]
 
@@ -79,8 +78,9 @@ FAMILIES = ("hermite-heat", "laguerre-heat", "hermite-frac",
 
 
 class KernelAgreementWarning(UserWarning):
-    """The two independent evaluations of the Laguerre derivative kernel
-    disagree beyond the production threshold at some point."""
+    """Once raised where two evaluations of the Laguerre derivative kernel
+    disagreed.  Only one evaluation runs now, so nothing raises it; it stays
+    defined while bench/run.py counts it."""
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -200,16 +200,6 @@ def _dplusx_heat_sw(l: int, s, w, x, y):
     return _times(val, (-1.0) ** l, lam ** (0.5 * l), hermite_poly(l, arg))
 
 
-def _dplusx_heat_orders_sw(k: int, s, w, x, y) -> list:
-    """[(d/dx + x)^l W_t(x, y) for l = 0..k], each bit for bit as
-    _dplusx_heat_sw(l, ...) gives it, from one Gaussian and one pass of the
-    Hermite recurrence."""
-    val = _heat_sw(s, w, x, y)
-    lam, arg = _raising_sw(s, w, x, y)
-    return [val] + [_times(val, (-1.0) ** l, lam ** (0.5 * l), h)
-                    for l, h in enumerate(hermite_polys(k, arg)) if l]
-
-
 def heat_kernel_laguerre(t: float, x, y, alpha):
     """Laguerre heat kernel W_t^alpha(x, y) via its Mehler closed form.
 
@@ -247,13 +237,9 @@ def heat_kernel_laguerre(t: float, x, y, alpha):
 # ---------------------------------------------------------------------------
 
 def _dw_pair_sw(k: int, alpha: float, s, w, x, y):
-    """Both independent evaluations of the k-fold derivative kernel.
-
-    Route one is the explicit triple sum over (j, n, m) with Bessel orders
-    alpha + j - n; route two expands against the Hermite heat kernel's
-    raising derivatives with Bessel orders alpha - n + l.  The scaled
-    Bessel table and the powers are shared between the two.
-    """
+    """The k-fold derivative kernel D_alpha^k W_t^alpha in substituted time:
+    the explicit triple sum over (j, n, m) with Bessel orders alpha + j - n,
+    each scaled Bessel order and each power formed once."""
     s, w, x, y = (np.asarray(v, dtype=float) for v in (s, w, x, y))
     one_m_s2 = w * (2.0 - w)
     z = x * y * one_m_s2 / (2.0 * s)
@@ -261,17 +247,12 @@ def _dw_pair_sw(k: int, alpha: float, s, w, x, y):
     c2 = w * w / (4.0 * s)
     isc = [bessel_i_scaled(alpha + d, z) for d in range(k + 1)]
     zpow = [z ** (0.5 - d) for d in range(k + 1)]   # z^{1/2 - d}
-    upow = _powers(u, {*range(k + 1), *range(0, 2 * k + 1, 2)})
+    upow = _powers(u, range(0, 2 * k + 1, 2))
     c2pow = _powers(c2, range(k + 1))
     xpow = _powers(x, range(k + 1))
-    zneg = _powers(z, range(0, -(k // 2) - 1, -1))  # z^{-n}
-
-    # route one; the same sum with absolute values tracks the cancellation
-    # conditioning, which bounds the achievable route agreement
     expo = -(((1.0 + s) * x - w * y) ** 2 + ((1.0 + s) * y - w * x) ** 2) / (8.0 * s)
     pref = np.sqrt(one_m_s2 / (2.0 * s)) * np.exp(expo)
     acc = 0.0
-    acc_abs = 0.0
     for j in range(k + 1):
         for n in range(j // 2 + 1):
             base = _times(math.comb(k, j) * _e_float(j, n) / 2.0 ** (j - n),
@@ -282,60 +263,7 @@ def _dw_pair_sw(k: int, alpha: float, s, w, x, y):
                               isc[j - n])
                 # (-1)^e * term, exactly
                 acc = acc - term if (k - j - m) % 2 else acc + term
-                acc_abs = acc_abs + term
-    dw1 = pref * acc
-    dw1_abs = pref * acc_abs
-    # free the mesh arrays route two does not use, for a lower peak
-    del expo, pref, acc, acc_abs, zpow[1:]
-
-    # route two; a product whose coefficient is 1.0 is the same for every j
-    # it occurs at, so it is formed once
-    raised = _dplusx_heat_orders_sw(k, s, w, x, y)
-    unit = {}
-    dw2 = 0.0
-    for j in range(k + 1):
-        inner = 0.0
-        for n in range(j // 2 + 1):
-            for l in range(2 * n, j + 1):
-                coef = ((-1.0) ** l * math.comb(j, l) * _e_float(l, n)
-                        / 2.0 ** (l - n))
-                if coef != 1.0:
-                    term = _times(coef, zpow[0], zneg[-n], isc[l - n])
-                elif (n, l) in unit:
-                    term = unit[n, l]
-                else:
-                    term = unit[n, l] = _times(zpow[0], zneg[-n], isc[l - n])
-                inner = inner + term
-        dw2 = dw2 + _times((-1.0) ** j * math.comb(k, j), raised[k - j],
-                           upow[j], inner)
-    dw2 = math.sqrt(2.0 * math.pi) * dw2
-    return dw1, dw2, dw1_abs
-
-
-_AGREEMENT_TOL = 1e-8
-
-
-def _route_disagreement(v1, v2, vabs):
-    """Relative disagreement of the two routes and the floor it may reach:
-    1e-8 plus the cancellation floor 1e-12 * vabs / scale of the alternating
-    sums, vabs being the same sum taken over absolute values."""
-    scale = np.maximum(np.maximum(np.abs(v1), np.abs(v2)), 1e-300)
-    return np.abs(v1 - v2) / scale, _AGREEMENT_TOL + 1e-12 * vabs / scale
-
-
-def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
-    """Both evaluation routes of the k-fold first-order Laguerre derivative
-    of the Laguerre heat kernel W_t^alpha at one point (x, y)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if not (x > 0 and y > 0):
-        raise ValueError("x and y must be > 0")
-    em = math.exp(-t)  # s = tanh(t/2) and w = 1 - s, free of cancellation
-    s, w = -math.expm1(-t) / (1.0 + em), 2.0 * em / (1.0 + em)
-    dw1, dw2, _ = _dw_pair_sw(k, alpha_value(alpha), s, w, x, y)
-    return float(dw1), float(dw2)
+    return pref * acc
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +400,11 @@ def _frac_tail(q: float, nodes: int) -> float:
 def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str):
     """(value, est_err) of a scalar kernel, a one-point view on its vector
     path ``vec(y, nodes)`` (the column of the pair (x, y) in any call that
-    holds it), which returns the kernel at the points y and a
-    relative error it knows of: the disagreement of its routes, or K_gamma's
-    tail share (_frac_tail).  The value is taken at 12 time nodes; est_err
-    is the change from 8, or that relative error times |value| if larger.
-    est_err above rel_tol * |value| raises (never, for rel_tol None)."""
+    holds it), which returns the kernel at the points y and a relative
+    error it knows of: K_gamma's tail share (_frac_tail), else 0.  The
+    value is taken at 12 time nodes; est_err is the change from 8, or that
+    relative error times |value| if larger.  est_err above rel_tol *
+    |value| raises (never, for rel_tol None)."""
     y1 = np.array([float(y)])
     coarse, agree = vec(y1, 8)
     val = float(vec(y1, 12)[0][0])
@@ -504,15 +432,7 @@ def riesz_kernel_hermite_vec(k: int, l: int, x, y, *, nodes: int = 8):
 
 def riesz_kernel_laguerre_vec(k: int, alpha, x, y, *, nodes: int = 8):
     """Laguerre Riesz kernel at the pairs (x, y), x a scalar or an array
-    broadcast against y, with the largest relative disagreement of its two
-    routes: returns (values, agreement).
-
-    Both derivative-kernel routes are integrated and compared in
-    production.  The warning threshold allows for the cancellation floor of
-    the alternating sums (tracked through an absolute-value companion
-    integral), so only genuine formula-level disagreement fires; it names
-    the worst pair.
-    """
+    broadcast against y."""
     if k < 1:
         raise ValueError("k must be >= 1")
     a = alpha_value(alpha)
@@ -523,18 +443,11 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x, y, *, nodes: int = 8):
         raise ValueError("x and y must be > 0")
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (0.5 * k - 1.0) / gamma(0.5 * k)
-    v1, v2, vabs = _s_integral(
-        lambda s, w, xb, yb: _dw_pair_sw(k, a, s, w, xb, yb), wt, x, y, nodes,
-        _LAGUERRE_T_CUT)
-    _check_finite([v1, v2, vabs], x, y, "Riesz kernel", k=k, alpha=a)
-    disagree, floor = _route_disagreement(v1, v2, vabs)
-    if np.any(disagree > floor):
-        idx = int(np.argmax(disagree - floor))
-        warnings.warn(
-            f"Riesz kernel routes disagree ({disagree[idx]:.2e} relative, "
-            f"conditioning floor {floor[idx]:.2e}) at (k={k}, alpha={a}, "
-            f"x={x[idx]}, y={y[idx]})", KernelAgreementWarning)
-    return v1, float(disagree.max()) if disagree.size else 0.0
+    vals, = _s_integral(
+        lambda s, w, xb, yb: (_dw_pair_sw(k, a, s, w, xb, yb),), wt, x, y,
+        nodes, _LAGUERRE_T_CUT)
+    _check_finite([vals], x, y, "Riesz kernel", k=k, alpha=a)
+    return vals
 
 
 def kernel_value(spec: KernelSpec, x: float, y: float,
@@ -565,6 +478,6 @@ def kernel_value(spec: KernelSpec, x: float, y: float,
                                                     ys, nodes=n), 0.0),
             x, y, None, "Riesz kernel")
     return _at_point(
-        lambda ys, n: riesz_kernel_laguerre_vec(spec.k, spec.alpha, float(x),
-                                                ys, nodes=n),
+        lambda ys, n: (riesz_kernel_laguerre_vec(spec.k, spec.alpha, float(x),
+                                                 ys, nodes=n), 0.0),
         x, y, 1e-4, "Riesz kernel")

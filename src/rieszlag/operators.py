@@ -73,7 +73,9 @@ def wk(k: int) -> float:
 @dataclass(frozen=True)
 class PVResult:
     """Excised integrals over a decreasing excision schedule and their
-    extrapolated limit."""
+    extrapolated limit.  ``kernel_agreement`` is always 0.0: the Laguerre
+    kernel has one route, and the field stays while bench/spans.py reads
+    it."""
 
     epsilons: np.ndarray
     values: np.ndarray
@@ -328,21 +330,16 @@ def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8) -> PVResult:
         raise ValueError(f"x={x} must lie strictly inside the support ({a}, {b})")
 
     eps = _eps_schedule(stages)
-    agreement = 0.0
 
     def kern(y):
-        nonlocal agreement
         if spec.family == "hermite-riesz":
             return kernels.riesz_kernel_hermite_vec(spec.k, spec.k, x, y)
-        vals, agreement = kernels.riesz_kernel_laguerre_vec(
-            spec.k, spec.alpha, x, y)
-        return vals
+        return kernels.riesz_kernel_laguerre_vec(spec.k, spec.alpha, x, y)
 
     values = _excised_integrals(kern, f, x, eps, (a, b))
     limit, err = extrapolate_to_zero(eps, values)
     result = PVResult(epsilons=eps, values=values, extrapolated=limit,
-                      err_estimate=err, wk_correction=wk(spec.k) * float(f(x)),
-                      kernel_agreement=agreement)
+                      err_estimate=err, wk_correction=wk(spec.k) * float(f(x)))
     # a NaN estimate or value warns too
     if not err <= _PV_ACCURACY_BOUND * (1.0 + abs(result.total)):
         alpha = "" if spec.alpha is None else f" alpha={spec.alpha}"

@@ -23,7 +23,6 @@ __all__ = [
     "log_gamma",
     "bessel_i_scaled",
     "hermite_poly",
-    "hermite_polys",
     "gauss_legendre_panels",
     "gauss_legendre_spans",
     "time_panels",
@@ -154,18 +153,23 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _bessel_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    # e^{-z} I_nu(z) ~ sum_r (-1)^r [nu,r] (2z)^{-r} / sqrt(2 pi z), truncated
-    # at the smallest term (the series is divergent).  An entry stops adding
-    # terms for good once its term no longer falls, and it is finished then
-    # or once |term| <= 1e-18 |total|: that term is below half an ulp of the
-    # total, and every later term it would add is smaller still, so they
-    # leave the total unchanged.  Finished entries are stored and dropped
-    # from the live set once they make up half of it; until then they
-    # iterate on with their totals fixed.
+    # e^{-z} I_nu(z) ~ sum_r (-1)^r [nu,r] (2z)^{-r} / sqrt(2 pi z).  The
+    # series is divergent, but in this regime, z > max(30, nu^2/2), its term
+    # ratio |(2r - 1)^2 - 4 nu^2| / (8 r z) is below max(r / 2z, nu^2 / 2rz)
+    # < 1 for every r < 2z, so the terms fall in magnitude up to r = 2z > 60.
+    # An entry is finished once |term| <= 1e-18 |total|, and every entry of
+    # the regime is by r = 22 (at z just above 30), so the loop ends long
+    # before any term stops falling.  A finished entry's term is below half
+    # an ulp of its total, and so is every later term, so they leave the
+    # total unchanged: each term is added with no mask, and the test runs
+    # only on every second term.  (An older loop stopped adding at the first
+    # term that did not fall; tests/test_specfun.py checks this one against
+    # it, bit for bit, on a sweep of nu in [-0.99, 300] and z from the
+    # regime switch to 1e300.)  Finished entries are stored and dropped from
+    # the live set once they make up half of it; until then they iterate on,
+    # adding terms that leave their totals unchanged.
     term = np.ones_like(z)
     total = np.ones_like(z)
-    prev = np.abs(term)
-    active = np.ones(z.shape, dtype=bool)
     out = np.empty_like(z)
     live = np.arange(z.size)
     zl = z
@@ -173,17 +177,15 @@ def _bessel_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     for r in range(1, 120):
         term *= (2 * r - 1) ** 2 - four_nu2
         term /= 8.0 * r * zl
-        mag = np.abs(term)
-        active &= mag < prev
-        np.add(total, term, out=total, where=active)
-        prev = mag
-        done = ~active | (mag <= 1e-18 * np.abs(total))
+        total += term
+        if r % 2:
+            continue
+        done = np.abs(term) <= 1e-18 * np.abs(total)
         if 2 * np.count_nonzero(done) >= live.size:
             out[live[done]] = total[done]
             keep = ~done
-            live, term, total, prev, active, zl = (
-                live[keep], term[keep], total[keep], prev[keep],
-                active[keep], zl[keep])
+            live, term, total, zl = (live[keep], term[keep], total[keep],
+                                     zl[keep])
             if not live.size:
                 break
     out[live] = total
@@ -242,16 +244,6 @@ def hermite_poly(n: int, x):
     p = next(itertools.islice(_hermite_sequence(np.asarray(x, dtype=float)),
                               n, None))
     return p if p.ndim else float(p)
-
-
-def hermite_polys(n: int, x):
-    """Iterator over H_0(x), ..., H_n(x), one pass of the recurrence that
-    holds two degrees at a time; each equals hermite_poly(l, x) bit for bit
-    on array x."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return itertools.islice(_hermite_sequence(np.asarray(x, dtype=float)),
-                            n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def check_prop33(statement: str, k: int, alpha, *, nx: int = 8, ny: int = 6,
         xs = np.geomspace(x_range[0], x_range[1], nx * mult)
         ys = np.multiply.outer(xs, _ratio_sample(statement, ny * mult))
         x, y = np.repeat(xs, ys.shape[1]), ys.ravel()
-        kern = kernels.riesz_kernel_laguerre_vec(k, a, x, y)[0]
+        kern = kernels.riesz_kernel_laguerre_vec(k, a, x, y)
         if statement == "prop33-iii":
             kern = kern - kernels.riesz_kernel_hermite_vec(k, k, x, y)
         bounds = np.concatenate([bound(xi, yi, a) for xi, yi in zip(xs, ys)])

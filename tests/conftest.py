@@ -1,7 +1,8 @@
 """Shared test oracles: exact-rational Hermite polynomial values,
 Richardson-extrapolated finite differences, high-precision heat-kernel
-series, basis-function derivatives by the ladder relations, and
-full-domain quadrature nodes for integrals of basis functions."""
+series, basis-function derivatives by the ladder relations, full-domain
+quadrature nodes for integrals of basis functions, the Laguerre derivative
+kernel's second route, and the asymptotic Bessel loop as first written."""
 
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rieszlag import kernels as kn
 from rieszlag.basis import hermite_fn_table, phi_table
-from rieszlag.specfun import (bessel_i_scaled, gauss_jacobi_01,
+from rieszlag.specfun import (alpha_value, bessel_i_scaled, gauss_jacobi_01,
                               gauss_legendre_panels)
 
 
@@ -179,3 +181,91 @@ def mp_heat_series(t, x, y, nmax=80, alpha=None, dps=40):
         for n in range(nmax + 1):
             total += weights[n] * hx[n] * hy[n]
         return float(total)
+
+
+def laguerre_dw_routes(k, alpha, s, w, x, y):
+    """D_alpha^k W_t^alpha in substituted time by two independent routes, as
+    first written, every power and sign formed per term: (route one, route
+    two, route one's sum over absolute values).
+
+    Route one is the explicit triple sum over (j, n, m) with Bessel orders
+    alpha + j - n, the production form (kernels._dw_pair_sw, which equals it
+    bit for bit).  Route two expands against the Hermite heat kernel's
+    raising derivatives with Bessel orders alpha - n + l.  The absolute sum
+    tracks route one's cancellation."""
+    s, w, x, y = (np.asarray(v, dtype=float) for v in (s, w, x, y))
+    one_m_s2 = w * (2.0 - w)
+    z = x * y * one_m_s2 / (2.0 * s)
+    u = y * one_m_s2 / (2.0 * s)
+    c2 = w * w / (4.0 * s)
+    isc = [bessel_i_scaled(alpha + d, z) for d in range(k + 1)]
+    zpow = [z ** (0.5 - d) for d in range(k + 1)]
+    expo = -(((1.0 + s) * x - w * y) ** 2
+             + ((1.0 + s) * y - w * x) ** 2) / (8.0 * s)
+    pref = np.sqrt(one_m_s2 / (2.0 * s)) * np.exp(expo)
+    acc = 0.0
+    acc_abs = 0.0
+    for j in range(k + 1):
+        for n in range(j // 2 + 1):
+            base = (math.comb(k, j) * kn._e_float(j, n) / 2.0 ** (j - n)
+                    * u ** (2 * (j - n)))
+            for m in range((k - j) // 2 + 1):
+                term = (base * kn._e_float(k - j, m) * c2 ** (k - j - m)
+                        * x ** (k - 2 * m - 2 * n) * zpow[j - n]
+                        * isc[j - n])
+                acc = acc + ((-1.0) ** (k - j - m)) * term
+                acc_abs = acc_abs + term
+    dw2 = 0.0
+    for j in range(k + 1):
+        inner = 0.0
+        for n in range(j // 2 + 1):
+            for l in range(2 * n, j + 1):
+                inner = inner + ((-1.0) ** l * math.comb(j, l)
+                                 * kn._e_float(l, n) / 2.0 ** (l - n)
+                                 * zpow[0] * z ** (-n) * isc[l - n])
+        dw2 = dw2 + ((-1.0) ** j * math.comb(k, j)
+                     * kn._dplusx_heat_sw(k - j, s, w, x, y) * u ** j * inner)
+    return pref * acc, math.sqrt(2.0 * math.pi) * dw2, pref * acc_abs
+
+
+def d_alpha_pow_k_heat_pair(k: int, t: float, x: float, y: float, alpha):
+    """(production route, route two) of D_alpha^k W_t^alpha at one point,
+    with s = tanh(t/2) and w = 1 - s formed free of cancellation."""
+    em = math.exp(-t)
+    s, w = -math.expm1(-t) / (1.0 + em), 2.0 * em / (1.0 + em)
+    a = alpha_value(alpha)
+    return (float(kn._dw_pair_sw(k, a, s, w, x, y)),
+            float(laguerre_dw_routes(k, a, s, w, x, y)[1]))
+
+
+def bessel_asymptotic_masked(nu: float, z: np.ndarray) -> np.ndarray:
+    """The large-argument loop of bessel_i_scaled as first written: an entry
+    stops adding terms for good once its term no longer falls, and is
+    finished then or once |term| <= 1e-18 |total|; finished entries leave
+    the live set once they make up half of it."""
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    prev = np.abs(term)
+    active = np.ones(z.shape, dtype=bool)
+    out = np.empty_like(z)
+    live = np.arange(z.size)
+    zl = z
+    four_nu2 = 4.0 * nu * nu
+    for r in range(1, 120):
+        term *= (2 * r - 1) ** 2 - four_nu2
+        term /= 8.0 * r * zl
+        mag = np.abs(term)
+        active &= mag < prev
+        np.add(total, term, out=total, where=active)
+        prev = mag
+        done = ~active | (mag <= 1e-18 * np.abs(total))
+        if 2 * np.count_nonzero(done) >= live.size:
+            out[live[done]] = total[done]
+            keep = ~done
+            live, term, total, prev, active, zl = (
+                live[keep], term[keep], total[keep], prev[keep],
+                active[keep], zl[keep])
+            if not live.size:
+                break
+    out[live] = total
+    return out / np.sqrt(2.0 * np.pi * z)

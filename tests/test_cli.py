@@ -56,6 +56,19 @@ class TestKernelTable:
                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_laguerre_riesz_at_tiny_x(self, tmp_path):
+        # at x = 1e-30 the kernel, about 5.09e-3 x^2, is printed with exit 0
+        # and no warning
+        out = tmp_path / "kt.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["kernel-table", "--family", "laguerre-riesz", "--k",
+                        "1", "--alpha", "0.5", "--x", "1e-30", "--y", "3",
+                        "--out", str(out)]) == 0
+        row = out.read_text().strip().splitlines()[1].split(",")
+        assert float(row[-2]) == pytest.approx(5.0888886040661e-63,
+                                               rel=1e-12)
+
     def test_bessel_non_convergence_propagates(self, tmp_path):
         # a numerical failure of the library is not invalid input: like
         # QuadratureConvergenceError it propagates, and nothing is written
@@ -314,7 +327,7 @@ class TestRiesz:
         # a NaN kernel makes pv and abs_diff NaN; NaN compares False against
         # any tolerance, and must fail the check
         def nan_kernel(k, alpha, x, y):
-            return np.full(np.shape(y), np.nan), 0.0
+            return np.full(np.shape(y), np.nan)
 
         monkeypatch.setattr(kernels, "riesz_kernel_laguerre_vec", nan_kernel)
         out = tmp_path / "r.csv"

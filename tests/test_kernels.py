@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -8,8 +7,8 @@ import pytest
 from rieszlag import basis as bs
 from rieszlag import kernels as kn
 from rieszlag.specfun import gauss_legendre_panels, geometric_edges
-from conftest import (bessel_i, fd_derivative, full_domain_rule,
-                      mp_heat_series)
+from conftest import (bessel_i, d_alpha_pow_k_heat_pair, fd_derivative,
+                      full_domain_rule, laguerre_dw_routes, mp_heat_series)
 
 
 def dplusx_heat(l, t, x, y):
@@ -217,7 +216,7 @@ class TestDerivativeKernel:
     def test_k_zero_reduces_to_heat(self):
         # at large t, w = 1 - tanh(t/2) must not be formed by subtraction
         for t in (0.5, 20.0, 40.0, 200.0):
-            got = kn.d_alpha_pow_k_heat_pair(0, t, 1.0, 1.3, 0.5)[0]
+            got = d_alpha_pow_k_heat_pair(0, t, 1.0, 1.3, 0.5)[0]
             ref = float(kn.heat_kernel_laguerre(t, 1.0, 1.3, 0.5))
             assert got == pytest.approx(ref, rel=1e-14)
 
@@ -227,7 +226,7 @@ class TestDerivativeKernel:
                            x, 1)
         oracle = (-(a + 0.5) / x + x) * float(
             kn.heat_kernel_laguerre(t, x, y, a)) + fd
-        assert kn.d_alpha_pow_k_heat_pair(1, t, x, y, a)[0] == pytest.approx(
+        assert d_alpha_pow_k_heat_pair(1, t, x, y, a)[0] == pytest.approx(
             oracle, rel=1e-6)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -236,7 +235,7 @@ class TestDerivativeKernel:
         for t in (0.3, 1.0, 2.5):
             for x in (0.5, 1.0, 2.0):
                 for y in (0.6, 1.1, 1.8):
-                    d1, d2 = kn.d_alpha_pow_k_heat_pair(k, t, x, y, alpha)
+                    d1, d2 = d_alpha_pow_k_heat_pair(k, t, x, y, alpha)
                     assert abs(d1 - d2) <= 1e-10 * max(abs(d1), abs(d2))
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -244,34 +243,10 @@ class TestDerivativeKernel:
         # both negative makes the Bessel argument positive, so only an
         # explicit check keeps the kernel from returning a value
         with pytest.raises(ValueError, match="x and y must be > 0"):
-            kn.d_alpha_pow_k_heat_pair(k, 0.5, -1.0, -2.0, 0.5)
-
-    def test_agreement_monitor_is_quiet_on_sane_points(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", kn.KernelAgreementWarning)
-            kn.riesz_kernel_laguerre_vec(2, 0.5, 1.0, np.array([1.3]))
-
-    def test_agreement_monitor_warns_once_at_the_worst_point(self,
-                                                              monkeypatch):
-        pair = kn._dw_pair_sw
-
-        def perturbed(k, alpha, s, w, x, y):
-            # route two off by 1% at y = 1.3 and by 0.1% at y = 2.0
-            dw1, dw2, dwabs = pair(k, alpha, s, w, x, y)
-            return dw1, dw2 * np.array([1.0, 1.01, 1.001]), dwabs
-
-        monkeypatch.setattr(kn, "_dw_pair_sw", perturbed)
-        for _ in range(2):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                _, agreement = kn.riesz_kernel_laguerre_vec(
-                    2, 0.5, 1.0, np.array([0.6, 1.3, 2.0]))
-            assert [w.category for w in caught] == [kn.KernelAgreementWarning]
-            assert re.fullmatch(
-                r"Riesz kernel routes disagree \(9\.90e-03 relative, "
-                r"conditioning floor \d\.\d\de-\d\d\) at \(k=2, "
-                r"alpha=0\.5, x=1\.0, y=1\.3\)", str(caught[0].message))
-            assert agreement == pytest.approx(0.01 / 1.01, rel=1e-6)
+            if k:
+                kn.riesz_kernel_laguerre_vec(k, 0.5, -1.0, [-2.0])
+            else:
+                kn.heat_kernel_laguerre(0.5, -1.0, -2.0, 0.5)
 
     def test_stalled_quadrature_raises(self, monkeypatch):
         # the 8- and 12-node values differ by 4, far above 1e-5 relative
@@ -283,11 +258,20 @@ class TestDerivativeKernel:
                                  r"\(0\.5, 0\.7\): est err 4\.0$"):
             kernel("hermite-frac", 0.5, 0.7, gamma=2.0)
 
-    def test_vector_form_returns_values_and_agreement(self):
-        vals, agreement = kn.riesz_kernel_laguerre_vec(1, 0.5, 1.0,
-                                                       np.array([0.5, 2.0]))
+    def test_vector_form_returns_values(self):
+        # the values alone, like the Hermite kernel's vector form
+        vals = kn.riesz_kernel_laguerre_vec(1, 0.5, 1.0, np.array([0.5, 2.0]))
         assert isinstance(vals, np.ndarray) and vals.shape == (2,)
-        assert isinstance(agreement, float) and 0.0 <= agreement < 1e-8
+        assert np.all(np.isfinite(vals))
+
+    def test_tiny_x_scales_like_x_to_alpha_plus_three_halves(self):
+        # K(x, 3) ~ c x^(alpha + 3/2) as x -> 0 at k = 1, so the quotient
+        # is the same at 1e-6, 1e-12 and 1e-30; route two is no oracle
+        # here, being off by 1e-10, 4.7e-5 and 1.0 at these x
+        x = np.array([1e-6, 1e-12, 1e-30])
+        vals = kn.riesz_kernel_laguerre_vec(1, 0.5, x, np.full(3, 3.0))
+        ratio = vals / x ** 2.0
+        assert np.abs(ratio / ratio[-1] - 1.0).max() <= 1e-9
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_bessel_argument_derivative_formula(self, j):
@@ -307,44 +291,6 @@ class TestDerivativeKernel:
         assert got == pytest.approx(ref, rel=1e-5)
 
 
-def _dw_pair_per_term(k, alpha, s, w, x, y):
-    # the derivative kernel as first written: route one forms every power
-    # and sign per term, route two each raising derivative in its own call
-    s, w, x, y = (np.asarray(v, dtype=float) for v in (s, w, x, y))
-    one_m_s2 = w * (2.0 - w)
-    z = x * y * one_m_s2 / (2.0 * s)
-    u = y * one_m_s2 / (2.0 * s)
-    c2 = w * w / (4.0 * s)
-    isc = [kn.bessel_i_scaled(alpha + d, z) for d in range(k + 1)]
-    zpow = [z ** (0.5 - d) for d in range(k + 1)]
-    expo = -(((1.0 + s) * x - w * y) ** 2
-             + ((1.0 + s) * y - w * x) ** 2) / (8.0 * s)
-    pref = np.sqrt(one_m_s2 / (2.0 * s)) * np.exp(expo)
-    acc = 0.0
-    acc_abs = 0.0
-    for j in range(k + 1):
-        for n in range(j // 2 + 1):
-            base = (math.comb(k, j) * kn._e_float(j, n) / 2.0 ** (j - n)
-                    * u ** (2 * (j - n)))
-            for m in range((k - j) // 2 + 1):
-                term = (base * kn._e_float(k - j, m) * c2 ** (k - j - m)
-                        * x ** (k - 2 * m - 2 * n) * zpow[j - n]
-                        * isc[j - n])
-                acc = acc + ((-1.0) ** (k - j - m)) * term
-                acc_abs = acc_abs + term
-    dw2 = 0.0
-    for j in range(k + 1):
-        inner = 0.0
-        for n in range(j // 2 + 1):
-            for l in range(2 * n, j + 1):
-                inner = inner + ((-1.0) ** l * math.comb(j, l)
-                                 * kn._e_float(l, n) / 2.0 ** (l - n)
-                                 * zpow[0] * z ** (-n) * isc[l - n])
-        dw2 = dw2 + ((-1.0) ** j * math.comb(k, j)
-                     * kn._dplusx_heat_sw(k - j, s, w, x, y) * u ** j * inner)
-    return pref * acc, math.sqrt(2.0 * math.pi) * dw2, pref * acc_abs
-
-
 class TestDerivativeKernelBits:
     @pytest.mark.parametrize("k", range(6))
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
@@ -355,18 +301,18 @@ class TestDerivativeKernelBits:
         assert s[0] < 1e-18 and w[-1] < 1e-25
         y = np.array([[1.4 - 2e-4, 1.4 + 2e-4, 0.05, 3.0, 25.0]])
         got = kn._dw_pair_sw(k, alpha, s[:, None], w[:, None], 1.4, y)
-        want = _dw_pair_per_term(k, alpha, s[:, None], w[:, None], 1.4, y)
-        for g, r in zip(got, want):
-            assert g.shape == r.shape == (len(s), 5)
-            assert g.tobytes() == r.tobytes()
+        want = laguerre_dw_routes(k, alpha, s[:, None], w[:, None], 1.4, y)[0]
+        assert got.shape == want.shape == (len(s), 5)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_route_two_shares_one_gaussian_and_hermite_pass(self, k,
-                                                            monkeypatch):
-        # counts the s-rows each factor is formed on: once per row evaluated
+    def test_one_bessel_call_per_order_and_row(self, k, monkeypatch):
+        # counts the s-rows each factor is formed on: the k + 1 Bessel
+        # orders once per row evaluated, through the kernels namespace, and
+        # no Hermite raising derivative
         counts = {}
-        for name in ("_heat_sw", "_raising_sw", "hermite_polys",
-                     "_dplusx_heat_sw", "bessel_i_scaled"):
+        for name in ("_heat_sw", "_dplusx_heat_sw", "hermite_poly",
+                     "bessel_i_scaled"):
             def counted(*args, _name=name, _inner=getattr(kn, name)):
                 rows = np.broadcast_shapes(*map(np.shape, args))[0]
                 counts[_name] = counts.get(_name, 0) + rows
@@ -376,13 +322,11 @@ class TestDerivativeKernelBits:
         s, w, _, _ = kn._s_quadrature(8)
         kn._dw_pair_sw(k, 0.5, s[:, None], w[:, None], 1.4,
                        np.array([[0.7, 2.0]]))
-        once = {"_heat_sw": 1, "_raising_sw": 1, "hermite_polys": 1,
-                "bessel_i_scaled": k + 1}
-        assert counts == {name: n * len(s) for name, n in once.items()}
+        assert counts == {"bessel_i_scaled": (k + 1) * len(s)}
         counts.clear()
         rows = _rows_seen(monkeypatch, "_dw_pair_sw")
         kn.riesz_kernel_laguerre_vec(k, 0.5, 1.4, _BLOCK_TEST_Y)
-        assert counts == {name: n * sum(rows) for name, n in once.items()}
+        assert counts == {"bessel_i_scaled": (k + 1) * sum(rows)}
 
 
 def _whole_mesh(integrand, wt, y, nodes=8, t_cut=math.inf):
@@ -397,8 +341,9 @@ def _whole_mesh(integrand, wt, y, nodes=8, t_cut=math.inf):
 def _laguerre_whole_mesh(k, alpha, x, y, t_cut=kn._LAGUERRE_T_CUT):
     _, _, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
-    return _whole_mesh(lambda s, w, yb: kn._dw_pair_sw(k, alpha, s, w, x, yb),
-                       wt, y, t_cut=t_cut)[0]
+    return _whole_mesh(
+        lambda s, w, yb: (kn._dw_pair_sw(k, alpha, s, w, x, yb),), wt, y,
+        t_cut=t_cut)[0]
 
 
 def _hermite_whole_mesh(k, x, y, l=None, t_cut=None):
@@ -491,15 +436,15 @@ class TestBlockedTimeIntegrals:
         x, y = 1.4, _BLOCK_TEST_Y
         whole = _laguerre_whole_mesh(k, alpha, x, y)
         seen = _meshes_seen(monkeypatch)
-        vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
+        vals = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
         _check_block_rows(x, y, seen)
         assert np.array_equal(vals, whole)
-        pairs = [kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 2])[0]
+        pairs = [kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 2])
                  for i in range(0, len(y) - 1, 2)]
         assert np.array_equal(np.concatenate(pairs), whole[:len(y) // 2 * 2])
         # a one-point call is its column of the block
         for i in (0, 160, 200):
-            one, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 1])
+            one = kn.riesz_kernel_laguerre_vec(k, alpha, x, y[i:i + 1])
             assert one.tobytes() == whole[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -532,7 +477,7 @@ class TestBlockedTimeIntegrals:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             vals = kn._s_integral(
-                lambda s, w, xb, yb: kn._dw_pair_sw(9, 0.5, s, w, xb, yb),
+                lambda s, w, xb, yb: (kn._dw_pair_sw(9, 0.5, s, w, xb, yb),),
                 wt, *kn._pairs(1.4, y), 8, kn._LAGUERRE_T_CUT)[0]
             whole = _laguerre_whole_mesh(9, 0.5, 1.4, y)
         assert np.isnan(whole).all()
@@ -554,30 +499,6 @@ class TestBlockedTimeIntegrals:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(kn.QuadratureConvergenceError, match=message):
                 call()
-
-    def test_agreement_warning_names_the_worst_y_in_a_later_block(
-            self, monkeypatch):
-        pair = kn._dw_pair_sw
-
-        def perturbed(k, alpha, s, w, x, y):
-            # route two off by 1% at y = 2.0 and by 0.1% at y = 0.6
-            dw1, dw2, dwabs = pair(k, alpha, s, w, x, y)
-            scale = np.where(y == 2.0, 1.01, np.where(y == 0.6, 1.001, 1.0))
-            return dw1, dw2 * scale, dwabs
-
-        monkeypatch.setattr(kn, "_dw_pair_sw", perturbed)
-        y = np.concatenate([[0.6], np.linspace(0.3, 0.9, 150), [2.0],
-                            np.linspace(2.2, 3.0, 49)])
-        assert list(y).index(2.0) >= 2 * kn._Y_BLOCK
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _, agreement = kn.riesz_kernel_laguerre_vec(2, 0.5, 1.0, y)
-        assert [w.category for w in caught] == [kn.KernelAgreementWarning]
-        assert re.fullmatch(
-            r"Riesz kernel routes disagree \(9\.90e-03 relative, "
-            r"conditioning floor \d\.\d\de-\d\d\) at \(k=2, "
-            r"alpha=0\.5, x=1\.0, y=2\.0\)", str(caught[0].message))
-        assert agreement == pytest.approx(0.01 / 1.01, rel=1e-6)
 
 
 # pairs at four x, 40 y near each of the first three and across (0.02, 40),
@@ -606,16 +527,12 @@ class TestPairCalls:
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.0])
     def test_laguerre_pairs_equal_per_x_calls(self, k, alpha):
         x, y = _pair_arrays()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", kn.KernelAgreementWarning)
-            vals, agreement = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
-            per_x = [kn.riesz_kernel_laguerre_vec(k, alpha, float(xi), yi)
-                     for xi, yi in zip(_PAIR_X, _PAIR_Y)]
-            one = [kn.riesz_kernel_laguerre_vec(k, alpha, xi, [yi])[0]
-                   for xi, yi in zip(x[::17], y[::17])]
-        assert vals.tobytes() == np.concatenate(
-            [v for v, _ in per_x]).tobytes()
-        assert agreement == max(a for _, a in per_x)
+        vals = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
+        per_x = [kn.riesz_kernel_laguerre_vec(k, alpha, float(xi), yi)
+                 for xi, yi in zip(_PAIR_X, _PAIR_Y)]
+        one = [kn.riesz_kernel_laguerre_vec(k, alpha, xi, [yi])
+               for xi, yi in zip(x[::17], y[::17])]
+        assert vals.tobytes() == np.concatenate(per_x).tobytes()
         assert np.concatenate(one).tobytes() == vals[::17].tobytes()
 
     @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (3, 3), (4, 0)])
@@ -636,27 +553,6 @@ class TestPairCalls:
         seen = _meshes_seen(monkeypatch)
         kn.riesz_kernel_laguerre_vec(2, 0.5, x, y)
         _check_block_rows(x, y, seen)
-
-    def test_agreement_warning_names_the_worst_pair(self, monkeypatch):
-        pair = kn._dw_pair_sw
-
-        def perturbed(k, alpha, s, w, x, y):
-            # route two off by 1% at (6, 2) and by 0.1% at (1.4, 2)
-            dw1, dw2, dwabs = pair(k, alpha, s, w, x, y)
-            scale = np.where(y != 2.0, 1.0, np.where(
-                x == 6.0, 1.01, np.where(x == 1.4, 1.001, 1.0)))
-            return dw1, dw2 * scale, dwabs
-
-        monkeypatch.setattr(kn, "_dw_pair_sw", perturbed)
-        x = np.repeat([0.3, 1.4, 6.0], 40)
-        y = np.tile(np.linspace(0.5, 3.5, 40), 3)
-        y[[10, 50, 90]] = 2.0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            kn.riesz_kernel_laguerre_vec(2, 0.5, x, y)
-        assert [w.category for w in caught] == [kn.KernelAgreementWarning]
-        assert str(caught[0].message).endswith(
-            "at (k=2, alpha=0.5, x=6.0, y=2.0)")
 
     @pytest.mark.parametrize("call,message", [
         (lambda: kn.riesz_kernel_laguerre_vec(
@@ -714,12 +610,14 @@ _CUT_GUARD = 1e-13
 
 
 def _laguerre_tail_terms(k, alpha, x, y):
-    # |wt_i F_i| of the three integrands at every row beyond _LAGUERRE_T_CUT
+    # |wt_i F_i| at every row beyond _LAGUERRE_T_CUT of the three
+    # integrands: the production route, and route two and route one's
+    # absolute sum from the oracle
     s, w, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
     tail = t > kn._LAGUERRE_T_CUT
-    parts = kn._dw_pair_sw(k, alpha, s[tail, None], w[tail, None], x,
-                           y[None, :])
+    mesh = (k, alpha, s[tail, None], w[tail, None], x, y[None, :])
+    parts = [kn._dw_pair_sw(*mesh), *laguerre_dw_routes(*mesh)[1:]]
     return [np.abs(wt[tail, None] * f) for f in parts]
 
 
@@ -735,9 +633,7 @@ class TestCertifiedTail:
         x = np.repeat(_SWEEP_X, 16)
         y = np.concatenate([_sweep_y(v) for v in _SWEEP_X])
         for alpha in _SWEEP_ALPHAS:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", kn.KernelAgreementWarning)
-                vals, _ = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
+            vals = kn.riesz_kernel_laguerre_vec(k, alpha, x, y)
             for xi, got in zip(_SWEEP_X, vals.reshape(len(_SWEEP_X), 16)):
                 yi = _sweep_y(xi)
                 whole = _laguerre_whole_mesh(k, alpha, xi, yi, math.inf)
@@ -771,24 +667,29 @@ class TestCertifiedTail:
         y = np.concatenate([np.geomspace(0.02, 2.0, 64),
                             x + np.delete(np.linspace(-1.0, 1.0, 65), 32)])
         seen = _meshes_seen(monkeypatch)
-        vals, _ = kn.riesz_kernel_laguerre_vec(2, -0.9, x, y)
+        vals = kn.riesz_kernel_laguerre_vec(2, -0.9, x, y)
         _check_block_rows(x, y, seen)
         assert vals.tobytes() == _laguerre_whole_mesh(2, -0.9, x, y).tobytes()
 
     def test_tiny_x(self):
         # the rows where z^(1/2 - k) overflows (k = 8, x = 1e-30) or z
         # underflows to 0 (x = 1e-150) lie beyond the cut: at 1e-30 the
-        # values are finite and the routes agree; at 1e-150 |K| is about
-        # 1e-450, and the sum is exactly 0
+        # values are finite and agree with route two on the same rows; at
+        # 1e-150 |K| is about 1e-450, and the sum is exactly 0
+        y = np.array([3.0, 4.0])
         with np.errstate(all="ignore"):
             assert np.isnan(_laguerre_whole_mesh(
-                8, 0.5, 1e-30, np.array([3.0, 4.0]), math.inf)).all()
-        vals, agreement = kn.riesz_kernel_laguerre_vec(8, 0.5, 1e-30,
-                                                       [3.0, 4.0])
-        assert np.all(np.isfinite(vals)) and agreement <= 1e-11
-        vals, agreement = kn.riesz_kernel_laguerre_vec(
-            1, 0.5, 1e-150, [2e-150, 3e-150])
-        assert vals.tolist() == [0.0, 0.0] and agreement == 0.0
+                8, 0.5, 1e-30, y, math.inf)).all()
+        vals = kn.riesz_kernel_laguerre_vec(8, 0.5, 1e-30, y)
+        _, _, t, weight = kn._s_quadrature(8)
+        two, = kn._s_integral(
+            lambda s, w, xb, yb: laguerre_dw_routes(8, 0.5, s, w, xb, yb)[1:2],
+            weight * t ** 3.0 / kn.gamma(4.0), *kn._pairs(1e-30, y), 8,
+            kn._LAGUERRE_T_CUT)
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.abs(vals - two) <= 1e-11 * np.abs(vals))
+        vals = kn.riesz_kernel_laguerre_vec(1, 0.5, 1e-150, [2e-150, 3e-150])
+        assert vals.tolist() == [0.0, 0.0]
         assert not np.signbit(vals).any()
 
     @pytest.mark.parametrize("k,l", _HERMITE_SWEEP)
@@ -954,7 +855,7 @@ class TestRieszKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in range(1, 5):
-                lag, _ = kn.riesz_kernel_laguerre_vec(k, -0.5, x, y)
+                lag = kn.riesz_kernel_laguerre_vec(k, -0.5, x, y)
                 even = (kn.riesz_kernel_hermite_vec(k, k, x, y)
                         + kn.riesz_kernel_hermite_vec(k, k, x, -y))
                 assert np.abs(lag - even).max() <= 1e-10 * np.abs(lag).max()

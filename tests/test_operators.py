@@ -234,7 +234,7 @@ class TestPVApply:
 
     def test_laguerre_pv_third_order(self):
         # beyond the second order the triple-sum kernel cancels harder near
-        # the diagonal; the conditioning-aware monitor must stay quiet
+        # the diagonal, and the PV value must still match the spectral one
         a, k, x = 0.5, 3, 1.3
         f = op.bump(1.25, 0.75)
         c = bs.analyze(f, laguerre_tag(a), 800)

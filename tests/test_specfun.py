@@ -7,7 +7,7 @@ import scipy.special as sps
 
 from rieszlag import specfun as sf
 from rieszlag.kernels import _s_quadrature
-from conftest import bessel_i, exact_hermite
+from conftest import bessel_asymptotic_masked, bessel_i, exact_hermite
 
 
 class TestGamma:
@@ -208,6 +208,24 @@ class TestBesselI:
                 break
         expected = total / np.sqrt(2.0 * np.pi * z)
         assert sf.bessel_i_scaled(nu, z).tobytes() == expected.tobytes()
+
+    def test_asymptotic_loop_equals_the_masked_loop(self):
+        # the loop adds every term; the masked loop it replaced stopped
+        # adding at the first term that did not fall.  Seeded sweep of nu
+        # in [-0.99, 300], half-integers included, each with z from just
+        # above the regime switch to 1e300, shuffled so that fast and slow
+        # entries share the live set
+        rng = np.random.default_rng(29)
+        nus = np.concatenate([rng.uniform(-0.99, 300.0, 240),
+                              rng.integers(0, 300, 80) + 0.5, [-0.99, 0.0]])
+        for nu in nus:
+            switch = max(30.0, 0.5 * nu * nu)
+            z = rng.permutation(np.concatenate([
+                [np.nextafter(switch, np.inf)],
+                switch * (1.0 + np.geomspace(1e-15, 1.0, 300)),
+                np.exp(rng.uniform(math.log(switch), math.log(1e300), 1200))]))
+            got = sf.bessel_i_scaled(nu, z)
+            assert got.tobytes() == bessel_asymptotic_masked(nu, z).tobytes()
 
 
 def _pv_block_z():

@@ -30,22 +30,22 @@ the --input-csv jobs are written once, to one directory that both trees
 read.
 
 Library items: scaled Bessel arrays for 8 orders across the power-series
-and asymptotic regimes, on z up to 900, on z from the regime switch to
-1e18 shuffled among those, and on the z mesh of one Laguerre PV block; the
-derivative kernel's three outputs on a production mesh; the Laguerre Riesz
-kernel with its route agreement at k = 1..4 on 1-, 2-, 64-, 65- and
-129-point y sets at 8 and 12 time nodes, and on the sweep of k = 1..5,
-seven alphas from -0.9 to 10 and five x from 0.05 to 20, 64 y each, where
-the cut of the s-rule at t = 15 moves last bits against the whole rule;
-the Hermite Riesz kernel for l <= k <= 4, and on the sweep of l = 1..4 at
-l = k and l < k <= 5 and four x from -1.5 to 26, two 64-y blocks each (near
-x, and near -x and across (-8, 8)), where the cut of the s-rule at t_l =
-45/(l + 1/2) moves last bits against the whole rule; pv_apply stage tables
-for both families; hermite_fn_table and phi_table (four alphas) at degrees
-0, 1 and 2, and at degree 1600 or 1200 on x from 36.5 to 40, where the seed
-e^(-x^2/2) underflows; check_prop33 for each statement; lp_scan reports at
-k = 1..3 for three alphas; and riesz_apply_laguerre_spectral and
-synthesize called once per point, for both bases at the points of riesz.
+and asymptotic regimes, on z up to 900, on z from the regime switch to 1e18
+shuffled among those, and on the z mesh of one Laguerre PV block; the
+derivative kernel on a production mesh; the Laguerre Riesz kernel at k =
+1..4 on 1-, 2-, 64-, 65- and 129-point y sets at 8 and 12 time nodes, and
+on the sweep of k = 1..5, seven alphas from -0.9 to 10 and five x from 0.05
+to 20, 64 y each, where the cut of the s-rule at t = 15 moves last bits
+against the whole rule; the Hermite Riesz kernel for l <= k <= 4, and on
+the sweep of l = 1..4 at l = k and l < k <= 5 and four x from -1.5 to 26,
+two 64-y blocks each (near x, and near -x and across (-8, 8)), where the
+cut of the s-rule at t_l = 45/(l + 1/2) moves last bits against the whole
+rule; pv_apply stage tables for both families; hermite_fn_table and
+phi_table (four alphas) at degrees 0, 1 and 2, and at degree 1600 or 1200
+on x from 36.5 to 40, where the seed e^(-x^2/2) underflows; check_prop33
+for each statement; lp_scan reports at k = 1..3 for three alphas; and
+riesz_apply_laguerre_spectral and synthesize called once per point, for
+both bases at the points of riesz.
 The lp-scan jobs at --family-size 1, 4, 5 and 20 cover analyze_all's
 groups of bumps: one alone, pairs, and pairs with a lone last bump.
 """
@@ -115,8 +115,7 @@ JOBS = [
     # an uncaught RuntimeError: the Bessel series does not converge
     ["kernel-table", "--family", "laguerre-heat", "--t", "1", "--alpha", "42",
      "--x", "32", "--y", "32"],
-    # a KernelAgreementWarning, then QuadratureConvergenceError: the routes
-    # part at tiny x
+    # tiny x, where the kernel still scales like x^(alpha + 3/2)
     ["kernel-table", "--family", "laguerre-riesz", "--k", "1", "--alpha",
      "0.5", "--x", "1e-30", "--y", "3"],
     # an uncaught RuntimeError: the Bessel argument underflows
@@ -314,8 +313,7 @@ def _items(samples: str) -> dict:
 
     def stage_table(spec, f, x):
         r = operators.pv_apply(spec, f, x, stages=6)
-        return (r.values, r.extrapolated, r.err_estimate, r.wk_correction,
-                r.kernel_agreement)
+        return r.values, r.extrapolated, r.err_estimate, r.wk_correction
 
     lag_f, her_f = operators.bump(1.25, 0.75), operators.bump(0.0, 1.0)
     for k in (1, 2, 3):
