@@ -36,6 +36,7 @@ __all__ = [
     "phi_table",
     "analyze",
     "analyze_all",
+    "analyze_at",
     "synthesize",
 ]
 
@@ -205,16 +206,36 @@ def _analysis_rule(f, nmax: int):
     return gauss_legendre_panels(np.linspace(a, b, panels + 1), 14)
 
 
+def _analyze_group(tag: BasisTag, nmax: int, fs, rules, x) -> tuple:
+    """The coefficients of each function of ``fs``, and the table at x, from
+    one basis table over the functions' nodes in order followed by x.
+
+    Each function's coefficients are one product of its columns of the
+    table, taken as a strided view (no copy), with its weighted values.  A
+    strided view and a contiguous copy of the same columns give the same
+    product, bit for bit, and the recurrences are elementwise in x, so the
+    coefficients are those of a table over the function's nodes alone.
+    The table at x is a view that keeps the whole table alive.
+    """
+    table = _basis_table(tag, nmax, np.concatenate(
+        [nodes for nodes, _ in rules] + [x]))
+    coeffs, start = [], 0
+    for f, (nodes, weights) in zip(fs, rules):
+        cols = table[:, start:start + nodes.size]
+        start += nodes.size
+        fx = np.asarray(f(nodes), dtype=float)
+        coeffs.append(SpectralCoeffs(tag, cols @ (weights * fx)))
+    return coeffs, table[:, start:]
+
+
 def analyze_all(fs, tag: BasisTag, nmax: int) -> list:
     """analyze for each function of ``fs``, in order, with shared tables.
 
     The functions are taken in order into groups whose nodes together are
     at most _TABLE_COLUMNS; a group's nodes share one basis table (a
-    function with more nodes than that has a table of its own).  The
-    recurrences are elementwise in x, so a function's columns of the
-    shared table are the bytes of its own table, and its coefficients,
-    one product of those columns copied out with its weighted values, are
-    those of analyze(f, tag, nmax), bit for bit.
+    function with more nodes than that has a table of its own), and each
+    function's coefficients are those of analyze(f, tag, nmax), bit for bit
+    (see _analyze_group).
     """
     if nmax < 0:
         raise ValueError("truncation must be >= 0")
@@ -230,16 +251,26 @@ def analyze_all(fs, tag: BasisTag, nmax: int) -> list:
             width = nodes.size
     coeffs = []
     for members in groups:
-        table = _basis_table(tag, nmax,
-                             np.concatenate([rules[i][0] for i in members]))
-        start = 0
-        for i in members:
-            nodes, weights = rules[i]
-            cols = np.ascontiguousarray(table[:, start:start + nodes.size])
-            start += nodes.size
-            fx = np.asarray(fs[i](nodes), dtype=float)
-            coeffs.append(SpectralCoeffs(tag, cols @ (weights * fx)))
+        coeffs += _analyze_group(tag, nmax, [fs[i] for i in members],
+                                 [rules[i] for i in members], np.empty(0))[0]
     return coeffs
+
+
+def analyze_at(f, tag: BasisTag, nmax: int, x) -> tuple:
+    """(analyze(f, tag, nmax), the table h_0..h_nmax or phi_0..phi_nmax at
+    x) from one recurrence over f's analysis nodes followed by x.
+
+    Both keep their bits: the coefficients are analyze's, and a point's
+    column is that of a one-point table (see _analyze_group).  The table at
+    x, shape (nmax+1, len(x)), is a view into the shared table, so the
+    node columns live as long as it does.
+    """
+    if nmax < 0:
+        raise ValueError("truncation must be >= 0")
+    rule = _analysis_rule(f, nmax)
+    coeffs, at_x = _analyze_group(tag, nmax, [f], [rule],
+                                  np.atleast_1d(np.asarray(x, dtype=float)))
+    return coeffs[0], at_x
 
 
 def analyze(f, tag: BasisTag, nmax: int) -> SpectralCoeffs:

@@ -22,7 +22,10 @@ import sys
 import numpy as np
 
 from . import combinat, kernels, operators, verify
-from .basis import KINDS, BasisTag, _basis_table, analyze, synthesize
+# synthesize has no use here; it stays imported because the benchmark tracer
+# (bench/spans.py) wraps cli.synthesize by name
+from .basis import (KINDS, BasisTag, _basis_table, _column_dots, analyze,
+                    analyze_at, synthesize)
 from .kernels import KernelSpec
 
 __all__ = ["main"]
@@ -191,6 +194,17 @@ def _cmd_kernel_table(args) -> int:
     return 0
 
 
+def _hermite_spectral_column(k: int, f, tag: BasisTag, nmax: int,
+                             pts: np.ndarray) -> np.ndarray:
+    """The Hermite Riesz transform of f's expansion at pts, the values
+    synthesize would give, from one basis recurrence over the analysis
+    nodes and pts.  The table dies on return, before the PV loop."""
+    coeffs, table = analyze_at(f, tag, nmax, pts)
+    transformed = operators.riesz_spectral_hermite(k, coeffs)
+    return _column_dots(transformed.coeffs,
+                        table[:transformed.truncation + 1])
+
+
 def _cmd_riesz(args) -> int:
     _check_points(args.points)
     _check_tolerance("max-abs-diff", args.max_abs_diff)
@@ -202,14 +216,13 @@ def _cmd_riesz(args) -> int:
     a, b = f.support
     pad = 0.12 * (b - a)
     pts = np.linspace(a + pad, b - pad, args.points)
-    coeffs = analyze(f, BasisTag(args.family, alpha), args.nmax)
-    # one basis table per term for the whole column; each point gets the
-    # bits of a one-point call
+    tag = BasisTag(args.family, alpha)
+    # each point of the spectral column gets the bits of a one-point call
     if args.family == "hermite":
-        column = synthesize(operators.riesz_spectral_hermite(args.k, coeffs),
-                            pts)
+        column = _hermite_spectral_column(args.k, f, tag, args.nmax, pts)
         spec = KernelSpec("hermite-riesz", k=args.k)
     else:
+        coeffs = analyze(f, tag, args.nmax)
         spec = KernelSpec("laguerre-riesz", k=args.k, alpha=alpha)
         column = operators.riesz_apply_laguerre_spectral(
             args.k, coeffs, pts, tail_tol=np.inf)

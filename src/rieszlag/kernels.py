@@ -197,7 +197,9 @@ def _dplusx_heat_sw(l: int, s, w, x, y):
     if l == 0:
         return val
     lam, arg = _raising_sw(s, w, x, y)
-    return _times(val, (-1.0) ** l, lam ** (0.5 * l), hermite_poly(l, arg))
+    # (-1)^l multiplies the per-row factor, not the mesh: for finite values
+    # (v * -1.0) * c is v * -c, bit for bit
+    return _times(val, (-1.0) ** l * lam ** (0.5 * l), hermite_poly(l, arg))
 
 
 def heat_kernel_laguerre(t: float, x, y, alpha):

@@ -228,11 +228,13 @@ def bessel_i_scaled(nu: float, z):
 # ---------------------------------------------------------------------------
 
 def _hermite_sequence(x: np.ndarray):
-    # H_0(x), H_1(x), ... by the three-term recurrence, computed on demand
-    p_prev = np.ones_like(x)
-    yield p_prev
-    two_x = p = 2.0 * x
-    for m in itertools.count(1):
+    # H_0(x), H_1(x), ... by the three-term recurrence, computed on demand;
+    # H_2 = 2x H_1 - 2 subtracts the scalar 2 * 1 * H_0, bit for bit
+    yield np.ones_like(x)
+    two_x = p_prev = 2.0 * x
+    yield two_x
+    p = two_x * two_x - 2.0
+    for m in itertools.count(2):
         yield p
         p, p_prev = (two_x * p - 2.0 * m * p_prev, p)
 

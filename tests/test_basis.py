@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rieszlag import basis as bs
+from rieszlag import cli
 from rieszlag import operators as op
 from conftest import basis_jet, fd_derivative, full_domain_rule
 
@@ -400,3 +401,70 @@ def _greedy(sizes, cap):
         else:
             groups.append([size])
     return groups
+
+
+def _sampled_spline():
+    """A sampled function as ``riesz --input-csv`` builds it."""
+    xs = np.linspace(-1.3, 0.9, 23)
+    fn = cli._cubic_spline(xs, np.sin(3.0 * xs) * (1.3 + xs) * (0.9 - xs))
+    fn.support = (float(xs[0]), float(xs[-1]))
+    return fn
+
+
+class TestAnalyzeAt:
+    TAG = bs.BasisTag("hermite")
+
+    @pytest.mark.parametrize("nmax", [2, 1200, 1600])
+    @pytest.mark.parametrize("points", [1, 2, 7])
+    @pytest.mark.parametrize("f", [op.bump(0.0, 1.0), _sampled_spline()],
+                             ids=["bump", "spline"])
+    def test_keeps_analyze_and_synthesize_bits(self, f, points, nmax):
+        # one table over the nodes and the points: the coefficients are
+        # analyze's bytes, and the point columns give synthesize's bytes for
+        # the expansion and its Riesz transforms, the one-coefficient zero
+        # vector of nmax < k included
+        a, b = f.support
+        x = np.linspace(a + 0.1, b - 0.1, points)
+        coeffs, table = bs.analyze_at(f, self.TAG, nmax, x)
+        assert table.shape == (nmax + 1, points)
+        assert (coeffs.coeffs.tobytes()
+                == bs.analyze(f, self.TAG, nmax).coeffs.tobytes())
+        assert (bs._column_dots(coeffs.coeffs, table).tobytes()
+                == bs.synthesize(coeffs, x).tobytes())
+        for k in (1, 2, 3):
+            transformed = op.riesz_spectral_hermite(k, coeffs)
+            if nmax < k:
+                assert transformed.coeffs.tobytes() == np.zeros(1).tobytes()
+            column = bs._column_dots(transformed.coeffs,
+                                     table[:transformed.truncation + 1])
+            assert column.tobytes() == bs.synthesize(transformed, x).tobytes()
+
+    def test_laguerre_tag(self):
+        tag = bs.BasisTag("laguerre", 0.5)
+        f = op.bump(1.25, 0.75)
+        x = np.linspace(0.6, 1.9, 5)
+        coeffs, table = bs.analyze_at(f, tag, 600, x)
+        assert (coeffs.coeffs.tobytes()
+                == bs.analyze(f, tag, 600).coeffs.tobytes())
+        assert table.tobytes() == bs.phi_table(600, 0.5, x).tobytes()
+
+    def test_input_checks(self):
+        f = op.bump(0.0, 1.0)
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            bs.analyze_at(f, self.TAG, -1, [0.0])
+        with pytest.raises(ValueError, match="finite x"):
+            bs.analyze_at(f, self.TAG, 10, [0.0, np.nan])
+
+    @pytest.mark.parametrize("nmax", [2, 1200, 1600])
+    def test_strided_view_product_is_the_copy_product(self, nmax):
+        # the coefficients multiply a strided view of their node columns in
+        # a wider table; BLAS must sum it as it sums a contiguous copy
+        rng = np.random.default_rng(nmax)
+        for width in (1, 14, 182, 256):
+            for before, after in ((0, 1), (0, 5), (37, 0), (3, 64)):
+                x = rng.uniform(-3.0, 3.0, before + width + after)
+                view = bs.hermite_fn_table(nmax, x)[:, before:before + width]
+                v = rng.standard_normal(width)
+                assert not view.flags.c_contiguous
+                assert ((view @ v).tobytes()
+                        == (np.ascontiguousarray(view) @ v).tobytes())

@@ -222,8 +222,9 @@ class TestRiesz:
     @pytest.mark.parametrize("points", [1, 2, 7])
     def test_hermite_spectral_column_uses_one_table(self, tmp_path,
                                                     monkeypatch, points):
-        # analyze and the whole spectral column each build one table, and
-        # every cell is the text of a one-point synthesize
+        # the analysis and the whole spectral column share one table, over
+        # the analysis nodes followed by the points, and every cell is the
+        # text of a one-point synthesize
         from rieszlag import operators as op
         calls = []
         table = basis.hermite_fn_table
@@ -236,9 +237,9 @@ class TestRiesz:
         out = tmp_path / "r.csv"
         assert run(["riesz", "--family", "hermite", "--k", "2", "--points",
                     str(points), "--stages", "3", "--out", str(out)]) == 0
-        assert len(calls) == 2
-        assert calls[1] == points
         f = op.bump(0.0, 1.0)
+        nodes = basis._analysis_rule(f, 1200)[0]
+        assert calls == [nodes.size + points]
         column = op.riesz_spectral_hermite(
             2, basis.analyze(f, basis.BasisTag("hermite"), 1200))
         cells = [line.split(",")[:2]

@@ -212,6 +212,24 @@ class TestRaisingDerivatives:
         assert got == pytest.approx(ref, rel=tol)
 
 
+    @pytest.mark.parametrize("l", range(6))
+    def test_sign_on_the_row_factor_keeps_bits(self, l):
+        # (-1)^l multiplies the per-row factor lam^(l/2); the mesh product
+        # it replaced multiplied every cell by -1.0 first
+        s, w, _, _ = kn._s_quadrature(8)
+        s, w = s[:, None], w[:, None]
+        x, y = 0.3, np.linspace(-6.0, 6.0, 97)[None, :]
+        val = kn._heat_sw(s, w, x, y)
+        lam, arg = kn._raising_sw(s, w, x, y)
+        want = val
+        if l:
+            if l % 2:
+                want = want * -1.0
+            want = want * lam ** (0.5 * l) * kn.hermite_poly(l, arg)
+        got = kn._dplusx_heat_sw(l, s, w, x, y)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDerivativeKernel:
     def test_k_zero_reduces_to_heat(self):
         # at large t, w = 1 - tanh(t/2) must not be formed by subtraction

@@ -332,6 +332,54 @@ class TestPVApply:
                         op.bump(0.5, 1.0), 0.4)
 
 
+class TestHermiteLaguerreIdentity:
+    """At alpha = -1/2, phi_n^{-1/2} = (-1)^n sqrt(2) h_{2n} on x > 0 and
+    D_{-1/2} = d/dx + x (ROADMAP item 6), so the Laguerre Riesz transform of
+    f is the Hermite Riesz transform of f's even extension at x > 0."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_spectral_route(self, k):
+        # the CLI's Laguerre bump against its even extension, whose
+        # expansion to degree 2N holds the Laguerre one to degree N; the two
+        # sides agree to 2.9e-8 at most (k = 3), so the bound is 4e-8
+        f = op.bump(1.25, 0.75)
+
+        def even(y):
+            return f(np.abs(y))
+
+        even.support = (-2.0, 2.0)
+        x = np.linspace(0.05, 3.0, 23)
+        lag = op.riesz_apply_laguerre_spectral(
+            k, bs.analyze(f, laguerre_tag(-0.5), 1200), x, tail_tol=np.inf)
+        her = bs.synthesize(
+            op.riesz_spectral_hermite(k, bs.analyze(even, TAG_H, 2400)), x)
+        assert np.abs(lag - her).max() <= 4e-8
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pv_route(self, k):
+        # the even bump of radius 3 on (0, 3) (it is 0 only at 3, and the
+        # piece below 1e-12 it leaves out weighs about 1e-12 |K|) against
+        # the bump itself.  The Laguerre excision also cuts |y + x| < eps
+        # out of the Hermite integral, a smooth term in eps that the
+        # extrapolation removes.  The two sides agree to 6.3e-9 at most
+        # (k = 2, x = 0.3), so the bound is 1e-8; their far-field panels
+        # differ, and for the bump of radius 1 they agree only to 4e-7.
+        # k >= 3 waits for ROADMAP item 5.
+        g = op.bump(0.0, 3.0)
+
+        def f(y):
+            return g(y)
+
+        f.support = (1e-12, 3.0)
+        for x in (0.3, 0.9, 1.5, 2.1, 2.7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lag = op.pv_apply(KernelSpec("laguerre-riesz", k=k,
+                                             alpha=-0.5), f, x)
+                her = op.pv_apply(KernelSpec("hermite-riesz", k=k), g, x)
+            assert abs(lag.total - her.total) <= 1e-8
+
+
 class TestPhiLimit:
     def test_k2(self):
         rep = op.phi_limit(2)

@@ -18,6 +18,7 @@ MODULES = ("basis", "cli", "combinat", "kernels", "operators", "specfun",
 # each with its reason.
 UNUSED_IMPORT_ALLOWED = {
     "basis.gauss_jacobi_01": "bench/spans.py wraps it",
+    "cli.synthesize": "bench/spans.py wraps it",
     "verify.analyze": "bench/spans.py wraps it",
     "verify.gauss_legendre_panels": "bench/spans.py wraps it",
 }

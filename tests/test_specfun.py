@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -237,7 +238,33 @@ def _pv_block_z():
     return (1.1 * y[None, :] * (w * (2.0 - w) / (2.0 * s))[:, None]).ravel()
 
 
+def reference_hermite_sequence(x):
+    # the generator as it was before H_2 subtracted a scalar; hermite_poly
+    # must keep its bytes
+    p_prev = np.ones_like(x)
+    yield p_prev
+    two_x = p = 2.0 * x
+    for m in itertools.count(1):
+        yield p
+        p, p_prev = (two_x * p - 2.0 * m * p_prev, p)
+
+
 class TestPolynomials:
+    def test_hermite_keeps_its_bytes(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            rng.uniform(-4.0, 4.0, 40_000), rng.standard_normal(30_000) * 40.0,
+            rng.uniform(-1e160, 1e160, 29_992),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -5e-324]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, want in zip(range(12), reference_hermite_sequence(x)):
+                assert sf.hermite_poly(n, x).tobytes() == want.tobytes()
+                for xi in (0.0, -0.0, 1.5, -2.25, np.inf, np.nan):
+                    ref = next(itertools.islice(
+                        reference_hermite_sequence(np.asarray(xi)), n, None))
+                    assert (np.float64(sf.hermite_poly(n, xi)).tobytes()
+                            == ref.tobytes())
+
     def test_hermite_trivial(self):
         assert sf.hermite_poly(0, 3.0) == 1.0
         assert sf.hermite_poly(1, 3.0) == 6.0

@@ -47,7 +47,9 @@ for each statement; lp_scan reports at k = 1..3 for three alphas; and
 riesz_apply_laguerre_spectral and synthesize called once per point, for
 both bases at the points of riesz.
 The lp-scan jobs at --family-size 1, 4, 5 and 20 cover analyze_all's
-groups of bumps: one alone, pairs, and pairs with a lone last bump.
+groups of bumps: one alone, pairs, and pairs with a lone last bump.  The
+Hermite riesz jobs at --nmax 1600, 2 (below --k) and -1 (invalid) cover the
+one table its analysis and its spectral column share.
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ JOBS = [
       for k in (1, 2, 3, 4)],
     # the Hermite spectral column comes from one table at any --points
     *[_riesz("hermite", 2, "--points", n) for n in ("1", "2", "9")],
+    # that table at the benchmark's degree, below --k (a zero column) and
+    # at an invalid --nmax
+    *[_riesz("hermite", k, "--nmax", "1600", "--points", "5", "--stages",
+             "10") for k in (1, 2, 3)],
+    _riesz("hermite", 3, "--nmax", "2"),
+    _riesz("hermite", 1, "--nmax", "-1"),
     _riesz("laguerre", 2, "--alpha", "0.5", "--points", "2"),
     # sampled input: a natural cubic spline through the rows of a file
     _riesz("hermite", 1, "--points", "2", "--input-csv",
