@@ -5,11 +5,13 @@ by normalized three-term recurrences, and expansion/synthesis between
 point values and spectral coefficients.  ``KINDS`` names the two systems.
 A table is built in place: one broadcast operation writes each degree's
 x-dependent factor into the row it will become, and the recurrence then
-costs three ufunc calls per degree.  Every entry is elementwise in x, so a
-point's column does not depend on the other points of the table; this is
-what lets analyze_all share one table among several functions and
-synthesize give each point its one-point bits.  Expansion takes compactly
-supported functions only: it integrates over ``f.support``.
+costs three ufunc calls per degree, whatever the table's width.  Every
+entry is elementwise in x, so a point's column does not depend on the
+other points of the table; this is what lets analyze_all share one table
+among several functions, analyze_at serve a function's coefficients and
+its values at other points from one recurrence, and synthesize give each
+point its one-point bits.  Expansion takes compactly supported functions
+only: it integrates over ``f.support``.
 
 The recurrences start from the seed e^(-x^2/2), which underflows to 0 at
 |x| >~ 38.6; from there on every degree evaluates to exactly 0, however
