@@ -211,7 +211,6 @@ class TestRaisingDerivatives:
         got = float(dplusx_heat(l, t, x0, y))
         assert got == pytest.approx(ref, rel=tol)
 
-
     @pytest.mark.parametrize("l", range(6))
     def test_sign_on_the_row_factor_keeps_bits(self, l):
         # (-1)^l multiplies the per-row factor lam^(l/2); the mesh product
