@@ -11,7 +11,6 @@ meaningful; coefficient tables are immutable after construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -112,12 +111,13 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # An entry converges once term <= 1e-17 * total: the term ratios decrease
     # in m, and a term that small cannot come while the terms still grow, so
     # every later term is below half an ulp of the total and leaves it
-    # unchanged.  So the test runs only on every fourth term and on the last:
-    # an entry that converged in between has added terms that changed
-    # nothing, and its latest term passes too.  Converged entries are stored
-    # and dropped from the active set once they make up a quarter of it, or
-    # all of it; until then they iterate on with their totals fixed.  Entries
-    # not converged after _SERIES_TERMS terms raise.  Once every entry has
+    # unchanged.  So the test runs only on every fourth term and on the last,
+    # and the terms are added in place on a window [lo, hi) of the entries
+    # that shrinks, at each test, to the span from the first to the last
+    # unconverged one; converged entries left inside it add terms that change
+    # nothing.  (The kernels' meshes have z falling down every column, so the
+    # converged entries gather at the ends of the flat array.)  Entries not
+    # converged after _SERIES_TERMS terms raise.  Once every entry has
     # converged, so do entries whose first term underflowed while the terms
     # still grow (z^2/4 > nu + 1): their sum lost its digits, or is 0 for a
     # first term of exactly 0, however large the true value.
@@ -125,31 +125,27 @@ def _bessel_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     total = term.copy()
     quarter_z2 = 0.25 * z * z
     lost = (term < np.finfo(float).tiny) & (quarter_z2 > nu + 1.0)
-    out = np.empty_like(z)
-    active = np.arange(z.size)
+    lo, hi = 0, z.size
     for m in range(1, _SERIES_TERMS):
-        term *= quarter_z2
-        term /= m * (nu + m)
-        total += term
+        step = term[lo:hi]
+        step *= quarter_z2[lo:hi]
+        step /= m * (nu + m)
+        total[lo:hi] += step
         if m % 4 and m < _SERIES_TERMS - 1:
             continue
-        done = term <= 1e-17 * total
-        if 4 * np.count_nonzero(done) >= active.size:
-            out[active[done]] = total[done]
-            live = ~done
-            active, term, total, quarter_z2, done = (
-                active[live], term[live], total[live], quarter_z2[live],
-                done[live])
-            if not active.size:
-                if np.any(lost):
-                    raise RuntimeError(
-                        f"Bessel series for order {nu} underflows at "
-                        f"z={z[np.argmax(lost)]}: its first term is below "
-                        f"the smallest normal float while the terms grow")
-                return out
+        going = step > 1e-17 * total[lo:hi]
+        if not going.any():
+            if np.any(lost):
+                raise RuntimeError(
+                    f"Bessel series for order {nu} underflows at "
+                    f"z={z[np.argmax(lost)]}: its first term is below "
+                    f"the smallest normal float while the terms grow")
+            return total
+        lo, hi = lo + np.argmax(going), hi - np.argmax(going[::-1])
+    going = term[lo:hi] > 1e-17 * total[lo:hi]
     raise RuntimeError(
         f"Bessel series for order {nu} not converged after "
-        f"{_SERIES_TERMS} terms at z={z[active[~done]].max()}")
+        f"{_SERIES_TERMS} terms at z={z[lo:hi][going].max()}")
 
 
 def _bessel_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
@@ -165,31 +161,26 @@ def _bessel_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # only on every second term.  (An older loop stopped adding at the first
     # term that did not fall; tests/test_specfun.py checks this one against
     # it, bit for bit, on a sweep of nu in [-0.99, 300] and z from the
-    # regime switch to 1e300.)  Finished entries are stored and dropped from
-    # the live set once they make up half of it; until then they iterate on,
-    # adding terms that leave their totals unchanged.
+    # regime switch to 1e300.)  The terms are added in place on a window
+    # [lo, hi) of the entries that shrinks, at each test, to the span from
+    # the first to the last unfinished one; finished entries left inside it
+    # add terms that leave their totals unchanged.
     term = np.ones_like(z)
     total = np.ones_like(z)
-    out = np.empty_like(z)
-    live = np.arange(z.size)
-    zl = z
     four_nu2 = 4.0 * nu * nu
+    lo, hi = 0, z.size
     for r in range(1, 120):
-        term *= (2 * r - 1) ** 2 - four_nu2
-        term /= 8.0 * r * zl
-        total += term
+        step = term[lo:hi]
+        step *= (2 * r - 1) ** 2 - four_nu2
+        step /= 8.0 * r * z[lo:hi]
+        total[lo:hi] += step
         if r % 2:
             continue
-        done = np.abs(term) <= 1e-18 * np.abs(total)
-        if 2 * np.count_nonzero(done) >= live.size:
-            out[live[done]] = total[done]
-            keep = ~done
-            live, term, total, zl = (live[keep], term[keep], total[keep],
-                                     zl[keep])
-            if not live.size:
-                break
-    out[live] = total
-    return out / np.sqrt(2.0 * np.pi * z)
+        going = np.abs(step) > 1e-18 * np.abs(total[lo:hi])
+        if not going.any():
+            break
+        lo, hi = lo + np.argmax(going), hi - np.argmax(going[::-1])
+    return total / np.sqrt(2.0 * np.pi * z)
 
 
 def bessel_i_scaled(nu: float, z):
@@ -227,24 +218,20 @@ def bessel_i_scaled(nu: float, z):
 # Hermite polynomials (recurrence)
 # ---------------------------------------------------------------------------
 
-def _hermite_sequence(x: np.ndarray):
-    # H_0(x), H_1(x), ... by the three-term recurrence, computed on demand;
-    # H_2 = 2x H_1 - 2 subtracts the scalar 2 * 1 * H_0, bit for bit
-    yield np.ones_like(x)
-    two_x = p_prev = 2.0 * x
-    yield two_x
-    p = two_x * two_x - 2.0
-    for m in itertools.count(2):
-        yield p
-        p, p_prev = (two_x * p - 2.0 * m * p_prev, p)
-
-
 def hermite_poly(n: int, x):
     """Hermite polynomial H_n(x) (physicists' normalization)."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    p = next(itertools.islice(_hermite_sequence(np.asarray(x, dtype=float)),
-                              n, None))
+    x = np.asarray(x, dtype=float)
+    if n == 0:
+        p = np.ones_like(x)
+    else:
+        # the three-term recurrence from H_1 = 2x; H_2 = 2x H_1 - 2
+        # subtracts the scalar 2 * 1 * H_0
+        two_x = p = 2.0 * x
+        p_prev = 1.0
+        for m in range(1, n):
+            p, p_prev = two_x * p - 2.0 * m * p_prev, p
     return p if p.ndim else float(p)
 
 

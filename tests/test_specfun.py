@@ -2,9 +2,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings, strategies as st
 
 from rieszlag import specfun as sf
 from rieszlag.kernels import _s_quadrature
@@ -26,6 +28,16 @@ class TestGamma:
             sf.gamma(0.0)
         with pytest.raises(ValueError):
             sf.log_gamma(-1.0)
+
+
+_PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                     max_examples=400)
+_ORDERS = st.floats(min_value=-1.0, max_value=300.0, exclude_min=True)
+# z log-uniform over the whole domain [1e-300, 1e300], and again over
+# [1e-3, 1e4], where the two regimes meet and the series runs longest
+_ARGS = st.one_of(*(st.floats(lo, hi).map(
+    lambda e: min(max(10.0 ** e, 1e-300), 1e300))
+    for lo, hi in ((-300.0, 300.0), (-3.0, 4.0))))
 
 
 class TestBesselI:
@@ -140,9 +152,10 @@ class TestBesselI:
             sf.bessel_i_scaled(60.0, z)
 
     def test_non_convergence_names_an_unconverged_z_among_converged(self):
-        # the four smallest z converge by term 5 and are compacted away; 50
-        # and 100 converge at terms 46 and 81, too few to compact, and
-        # still sit among the seven z in [860, 882] that need 539 to 551
+        # the four smallest z converge by term 5, and 50 and 100 at terms 46
+        # and 81, but they stay in the loop's window, which runs from the
+        # first to the last of the seven z in [860, 882] that need 539 to
+        # 551 terms, and the largest of those is named
         z = np.array([881.0, 0.1, 50.0, 0.2, 882.0, 0.3, 870.0, 875.0, 0.4,
                       880.0, 860.0, 100.0, 865.0])
         with pytest.raises(RuntimeError, match=r"order 42\.0 not converged "
@@ -164,51 +177,88 @@ class TestBesselI:
         scalar = np.array([sf.bessel_i_scaled(nu, float(v)) for v in z])
         assert vec.tobytes() == scalar.tobytes()
 
+    @_PROPERTY
+    @given(nu=_ORDERS, z=_ARGS)
+    def test_accurate_or_raises(self, nu, z):
+        # wherever e^{-z} I_nu(z) is a normal float, a call lies within
+        # 1e-12 of it or raises (20,000 random draws: at most 6.8e-13).  The
+        # oracle is scipy.special.ive, but mpmath for nu < 0: scipy's
+        # reflection I_{-v} = I_v + (2/pi) sin(pi v) K_v loses digits as
+        # v -> 1 (4.0e-12 at nu = -1 + 2^-52, z = 0.01)
+        try:
+            got = sf.bessel_i_scaled(nu, z)
+        except RuntimeError:
+            return
+        if nu < 0.0:
+            with mpmath.workdps(30):
+                want = float(mpmath.besseli(nu, z) * mpmath.exp(-z))
+        else:
+            want = sps.ive(nu, z)
+        if np.isfinite(want) and want >= np.finfo(float).tiny:
+            assert abs(got - want) <= 1e-12 * want
+
+    @_PROPERTY
+    @given(nu=_ORDERS, z=st.lists(_ARGS, min_size=1, max_size=40))
+    def test_drawn_array_equals_its_scalar_calls(self, nu, z):
+        # an array raises if one of its scalar calls does, and otherwise
+        # holds their bytes
+        try:
+            scalar = np.array([sf.bessel_i_scaled(nu, v) for v in z])
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                sf.bessel_i_scaled(nu, np.array(z))
+        else:
+            assert (sf.bessel_i_scaled(nu, np.array(z)).tobytes()
+                    == scalar.tobytes())
+
     @pytest.mark.parametrize("nu", [-0.9, 0.0, 0.5, 2.0, 7.5, 30.0])
     def test_retired_entries_match_the_whole_set_loop(self, nu):
         # the series loop run over every entry until the slowest converges,
-        # as before entries retired: the extra terms leave totals unchanged
+        # as before entries retired: the extra terms leave totals unchanged.
+        # The inputs: a sweep followed by one Laguerre PV block, where most
+        # entries converge within a few terms and a few need many, and then
+        # the orderings that keep converged entries longest in the loop's
+        # window (see _window_meshes)
         switch = max(30.0, 0.5 * nu * nu)
-        # plus one Laguerre PV block, where most entries converge within a
-        # few terms and a few need many
-        pv = _pv_block_z()
-        z = np.concatenate([np.geomspace(1e-300, 1e-3, 50),
-                            np.geomspace(1e-3, switch, 400),
-                            pv[pv <= switch]])
-        term = np.exp(nu * np.log(0.5 * z) - sf.log_gamma(nu + 1.0) - z)
-        total = term.copy()
-        for m in range(1, 500):
-            term = term * (0.25 * z * z) / (m * (nu + m))
-            total += term
-            if np.all(term <= 1e-17 * total):
-                break
-        assert sf.bessel_i_scaled(nu, z).tobytes() == total.tobytes()
+        sweep = np.concatenate([np.geomspace(1e-300, 1e-3, 50),
+                                np.geomspace(1e-3, switch, 400)])
+        for z in _window_meshes(sweep):
+            z = z[z <= switch]
+            term = np.exp(nu * np.log(0.5 * z) - sf.log_gamma(nu + 1.0) - z)
+            total = term.copy()
+            for m in range(1, 500):
+                term = term * (0.25 * z * z) / (m * (nu + m))
+                total += term
+                if np.all(term <= 1e-17 * total):
+                    break
+            assert sf.bessel_i_scaled(nu, z).tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("nu", [-0.9, 0.0, 0.5, 2.0, 3.5, 7.5, 30.0])
     def test_retired_asymptotic_entries_match_the_whole_set_loop(self, nu):
         # the asymptotic loop run over every entry until the slowest
         # finishes, as before entries retired: the extra terms leave totals
-        # unchanged.  Half-integer orders end on a term of exactly 0
+        # unchanged.  Half-integer orders end on a term of exactly 0.  The
+        # inputs are those of the series test, on this side of the switch
         switch = max(30.0, 0.5 * nu * nu)
-        pv = _pv_block_z()
-        z = np.concatenate([np.geomspace(switch, 1e18, 2000)[1:],
-                            pv[pv > switch]])
-        term = np.ones_like(z)
-        total = np.ones_like(z)
-        prev = np.abs(term)
-        active = np.ones(z.shape, dtype=bool)
+        sweep = np.geomspace(switch, 1e18, 2000)[1:]
         four_nu2 = 4.0 * nu * nu
-        for r in range(1, 120):
-            term = term * ((2 * r - 1) ** 2 - four_nu2) / (8.0 * r * z)
-            mag = np.abs(term)
-            active &= mag < prev
-            total = np.where(active, total + term, total)
-            prev = mag
-            if not active.any() or np.all(~active
-                                          | (mag <= 1e-18 * np.abs(total))):
-                break
-        expected = total / np.sqrt(2.0 * np.pi * z)
-        assert sf.bessel_i_scaled(nu, z).tobytes() == expected.tobytes()
+        for z in _window_meshes(sweep):
+            z = z[z > switch]
+            term = np.ones_like(z)
+            total = np.ones_like(z)
+            prev = np.abs(term)
+            active = np.ones(z.shape, dtype=bool)
+            for r in range(1, 120):
+                term = term * ((2 * r - 1) ** 2 - four_nu2) / (8.0 * r * z)
+                mag = np.abs(term)
+                active &= mag < prev
+                total = np.where(active, total + term, total)
+                prev = mag
+                if not active.any() or np.all(
+                        ~active | (mag <= 1e-18 * np.abs(total))):
+                    break
+            expected = total / np.sqrt(2.0 * np.pi * z)
+            assert sf.bessel_i_scaled(nu, z).tobytes() == expected.tobytes()
 
     def test_asymptotic_loop_equals_the_masked_loop(self):
         # the loop adds every term; the masked loop it replaced stopped
@@ -230,12 +280,37 @@ class TestBesselI:
 
 
 def _pv_block_z():
-    # the Bessel arguments z = x y (1 - s^2) / 2s of one Laguerre PV block:
-    # the 8-node s-rule for 64 y points about x = 1.1
+    # the Bessel arguments z = x y (1 - s^2) / 2s of one Laguerre PV block,
+    # one row per s: the 8-node s-rule for 64 y points about x = 1.1
     s, w, _, _ = _s_quadrature(8)
     y = 1.1 + np.concatenate([-np.geomspace(2e-4, 0.7, 32),
                               np.geomspace(2e-4, 0.9, 32)])
-    return (1.1 * y[None, :] * (w * (2.0 - w) / (2.0 * s))[:, None]).ravel()
+    return 1.1 * y[None, :] * (w * (2.0 - w) / (2.0 * s))[:, None]
+
+
+def _prop33_block_z():
+    # the Bessel arguments of the first block of check_prop33's
+    # prop33-ii-even scan at level 1: 64 (x, y) pairs, y = 2.2x to 8x, on
+    # the rows of the 8-node s-rule that the block keeps.  Its flat order
+    # is not monotone: z rises along each row's pairs and falls down each
+    # column
+    xs = np.geomspace(0.05, 20.0, 16)
+    x = np.repeat(xs, 12)[:64]
+    y = np.multiply.outer(xs, np.geomspace(2.2, 8.0, 12)).ravel()[:64]
+    s, w, t, _ = _s_quadrature(8)
+    rows = (t <= 15.0) & (-np.min((x - y) ** 2) / (4.0 * s) >= -800.0)
+    rows[0] = True
+    s, w = s[rows, None], w[rows, None]
+    return x * y * (w * (2.0 - w)) / (2.0 * s)
+
+
+def _window_meshes(sweep):
+    # the sweep followed by one PV block as the kernel passes it, then the
+    # orderings that keep finished entries longest in the Bessel loops'
+    # window: that block reversed and transposed, and a check_prop33 block
+    pv = _pv_block_z()
+    return [np.concatenate([sweep, pv.ravel()]), pv.ravel()[::-1],
+            pv.T.ravel(), _prop33_block_z().ravel()]
 
 
 def reference_hermite_sequence(x):

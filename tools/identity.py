@@ -31,7 +31,8 @@ read.
 
 Library items: scaled Bessel arrays for 8 orders across the power-series
 and asymptotic regimes, on z up to 900, on z from the regime switch to 1e18
-shuffled among those, and on the z mesh of one Laguerre PV block; the
+shuffled among those, on the z mesh of one Laguerre PV block as the kernel
+passes it and reversed, and on the z mesh of one check_prop33 block; the
 derivative kernel on a production mesh; the Laguerre Riesz kernel at k =
 1..4 on 1-, 2-, 64-, 65- and 129-point y sets at 8 and 12 time nodes, and
 on the sweep of k = 1..5, seven alphas from -0.9 to 10 and five x from 0.05
@@ -248,9 +249,27 @@ def _items(samples: str) -> dict:
                                np.geomspace(2e-4, 0.9, 32)])
     pv_z = (X * pv_y[None, :] * (w * (2.0 - w))[:, None]
             / (2.0 * s[:, None]))
+    # the Bessel arguments of the first block of check_prop33's
+    # prop33-ii-even scan at level 1: 64 (x, y) pairs, on the s rows the
+    # block keeps; its flat order is not monotone
+    p33_x = np.repeat(np.geomspace(0.05, 20.0, 16), 12)[:64]
+    p33_y = np.multiply.outer(np.geomspace(0.05, 20.0, 16),
+                              np.geomspace(2.2, 8.0, 12)).ravel()[:64]
+    _, _, t, _ = kernels._s_quadrature(8)
+    rows = ((t <= 15.0)
+            & (-np.min((p33_x - p33_y) ** 2) / (4.0 * s) >= -800.0))
+    rows[0] = True
+    p33_z = (p33_x * p33_y * (w[rows] * (2.0 - w[rows]))[:, None]
+             / (2.0 * s[rows, None]))
     for nu in (-0.5, 0.0, 0.3, 0.5, 1.5, 2.0, 4.5, 11.0):
         items[f"bessel_i_scaled nu={nu}"] = (
             lambda nu=nu: bessel_i_scaled(nu, z))
+        # the two orderings that keep finished entries longest in the
+        # Bessel loops' window
+        items[f"bessel_i_scaled nu={nu} pv block reversed"] = (
+            lambda nu=nu: bessel_i_scaled(nu, pv_z[::-1, ::-1]))
+        items[f"bessel_i_scaled nu={nu} prop33 block"] = (
+            lambda nu=nu: bessel_i_scaled(nu, p33_z))
         wide = np.random.default_rng(0).permutation(np.concatenate([
             np.geomspace(max(30.0, 0.5 * nu * nu), 1e18, 500), z[::2]]))
         items[f"bessel_i_scaled nu={nu} to 1e18"] = (
