@@ -212,18 +212,17 @@ def _cmd_riesz(args) -> int:
         f = _load_sampled_function(args.input_csv)
     else:
         f = _default_bump(args.family, args)
-    alpha = None if args.family == "hermite" else args.alpha
+    tag = BasisTag(args.family, _alpha(args, args.family == "laguerre"))
     a, b = f.support
     pad = 0.12 * (b - a)
     pts = np.linspace(a + pad, b - pad, args.points)
-    tag = BasisTag(args.family, alpha)
     # each point of the spectral column gets the bits of a one-point call
     if args.family == "hermite":
         column = _hermite_spectral_column(args.k, f, tag, args.nmax, pts)
         spec = KernelSpec("hermite-riesz", k=args.k)
     else:
         coeffs = analyze(f, tag, args.nmax)
-        spec = KernelSpec("laguerre-riesz", k=args.k, alpha=alpha)
+        spec = KernelSpec("laguerre-riesz", k=args.k, alpha=tag.alpha)
         column = operators.riesz_apply_laguerre_spectral(
             args.k, coeffs, pts, tail_tol=np.inf)
     rows = []
@@ -348,8 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="Laguerre type parameter; ignored for hermite")
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--input-csv", default=None,
                    help="columns x,f; compactly supported samples")
     p.add_argument("--points", type=int, default=5)

@@ -19,7 +19,8 @@ split at s = 1/2.  Near s = 1 the complement w = 1 - s is the integration
 variable, so no 1 - s cancellation ever occurs.  Scaled Bessel evaluations
 keep every exponential combined analytically; e^{+z} is never formed.
 
-The (s x pairs) mesh of a time integral is evaluated in blocks of 64 (x, y)
+A time integral's integrand gives one array, its (s x pairs) mesh, and the
+integral one sum per pair.  The mesh is evaluated in blocks of 64 (x, y)
 pairs, which keeps its temporaries small; in a CLI process the next block
 reuses them from the heap (cli._pad_heap).  Each pair's sum over s runs row
 by row in s order, whatever its block: numpy adds the rows of a block of
@@ -32,7 +33,8 @@ there, so the row adds exactly +-0 to every column of a sum that numpy
 starts from +0, provided its other factors are finite.  Those grow as s
 falls, so the first row, at the smallest s, is always kept: where they
 overflow (0 * inf = NaN, as at Laguerre k >= 9) it overflows too, and the
-sum is NaN as over the whole mesh, which raises.  Skipping changes no bit.
+sum is NaN as over the whole mesh, which raises QuadratureConvergenceError
+naming the pair.  Skipping changes no bit.
 
 The Riesz kernels' integrands decay fast in t: D_alpha^k W_t^alpha like
 e^{-(2k+alpha+1)t}, and (d/dx + x)^l W_t like e^{-(l+1/2)t}.  So each
@@ -180,23 +182,20 @@ def _heat_sw(s, w, x, y):
     return pref * np.exp(expo)
 
 
-def _raising_sw(s, w, x, y):
-    """(lam, arg) with (d/dx + x)^l W_t = W_t (-1)^l lam^{l/2} H_l(arg).
+def _dplusx_heat_sw(l: int, s, w, x, y):
+    """(d/dx + x)^l W_t(x, y) in substituted time.
 
     e^{x^2/2} W_t is a Gaussian in x with curvature -(1-s)^2/(4s), so the
-    l-th raising derivative is an l-th Hermite polynomial evaluation; no
-    finite differences.
+    l-th raising derivative is W_t (-1)^l lam^{l/2} H_l(arg), with lam =
+    (1-s)^2/(4s) and arg = ((1-s) x - (1+s) y) / (2 sqrt(s)): an l-th
+    Hermite polynomial evaluation, no finite differences.
     """
-    return w * w / (4.0 * s), (w * x - (1.0 + s) * y) / (2.0 * np.sqrt(s))
-
-
-def _dplusx_heat_sw(l: int, s, w, x, y):
-    """(d/dx + x)^l W_t(x, y) in substituted time (see _raising_sw)."""
     s, w, x, y = (np.asarray(v, dtype=float) for v in (s, w, x, y))
     val = _heat_sw(s, w, x, y)
     if l == 0:
         return val
-    lam, arg = _raising_sw(s, w, x, y)
+    lam = w * w / (4.0 * s)
+    arg = (w * x - (1.0 + s) * y) / (2.0 * np.sqrt(s))
     # (-1)^l multiplies the per-row factor, not the mesh: for finite values
     # (v * -1.0) * c is v * -c, bit for bit
     return _times(val, (-1.0) ** l * lam ** (0.5 * l), hermite_poly(l, arg))
@@ -333,56 +332,52 @@ def _column_sums(terms) -> np.ndarray:
     return np.cumsum(terms, axis=0)[-1] + 0.0
 
 
-def _s_integral(integrand, wt, x, y, nodes: int, t_cut: float) -> list:
-    """sum_i wt_i * F(s_i, x, y) over the rows of the s-rule of ``nodes``
-    with t_i <= t_cut, for each array F of the tuple ``integrand(s, w, x,
-    y)`` returns; one array per F, one entry per (x, y) pair.
+def _s_integral(integrand, wt, x, y, nodes: int, t_cut: float, what: str,
+                **params) -> np.ndarray:
+    """sum_i wt_i * integrand(s_i, w_i, x, y) over the rows of the s-rule of
+    ``nodes`` with t_i <= t_cut, one entry per (x, y) pair.
 
     Evaluated in blocks of pairs (see the module docstring): each column's
     sum runs row by row in s order, and a block skips the rows whose
     exponent bound -(x - y)^2 / 4s lies below _EXPO_FLOOR for every pair
-    of the block, except the first row."""
+    of the block, except the first row.  Raises QuadratureConvergenceError
+    at the first pair whose sum is not finite (0 * inf = NaN at the
+    smallest s, as at Laguerre k >= 9), naming the kernel ``what``, its
+    parameters and the pair."""
     s, w, t, _ = _s_quadrature(nodes)
     kept = t <= t_cut
-    blocks = []
+    sums = []
     for cols in _y_blocks(len(y)):
         xb, yb = x[cols], y[cols]
         rows = kept & (-np.min((xb - yb) ** 2) / (4.0 * s) >= _EXPO_FLOOR)
         rows[0] = True
-        # an overflow shows as a non-finite sum, which _check_finite raises;
-        # the integrand's arrays die with the block, so that they do not add
-        # to the next block's peak
+        # an overflow shows as a non-finite sum, which raises below; the
+        # integrand's array dies with the block, so that it does not add to
+        # the next block's peak
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks.append([_column_sums(wt[rows, None] * f) for f in integrand(
-                s[rows, None], w[rows, None], xb[None, :], yb[None, :])])
-    return [np.concatenate(sums) for sums in zip(*blocks)]
-
-
-def _check_finite(sums, x, y, what: str, **params) -> None:
-    """Raise at the first pair (x, y) where a kernel sum is not finite
-    (0 * inf = NaN at the smallest s, as at Laguerre k >= 9), naming the
-    kernel ``what``, its parameters and the pair."""
-    bad = ~np.all([np.isfinite(v) for v in sums], axis=0)
+            sums.append(_column_sums(wt[rows, None] * integrand(
+                s[rows, None], w[rows, None], xb[None, :], yb[None, :])))
+    sums = np.concatenate(sums)
+    bad = ~np.isfinite(sums)
     if np.any(bad):
         i = np.argmax(bad)
         named = ", ".join(f"{key}={value}" for key, value in params.items())
         raise QuadratureConvergenceError(
             f"{what} at {named}, x={x[i]}, y={y[i]} is not finite")
+    return sums
 
 
 def _hermite_time_integral(l: int, half_order: float, x, y,
                            nodes: int) -> np.ndarray:
     """(1/Gamma(q)) * integral of t^{q-1} (d/dx + x)^l W_t(x, y) dt,
-    q = half_order, at the pairs (x, y), ended at t_l (at l = 0 past the
-    rule's last node)."""
-    x, y = _pairs(x, y)
+    q = half_order, at the pairs (x, y) that _pairs gives, ended at t_l (at
+    l = 0 past the rule's last node)."""
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (half_order - 1.0)
-    vals, = _s_integral(
-        lambda s, w, xb, yb: (_dplusx_heat_sw(l, s, w, xb, yb),), wt, x, y,
-        nodes, _HERMITE_DECAY / (l + 0.5))
-    _check_finite([vals], x, y, "Hermite time integral", l=l, q=half_order)
-    return vals / gamma(half_order)
+    return _s_integral(
+        lambda s, w, xb, yb: _dplusx_heat_sw(l, s, w, xb, yb), wt, x, y,
+        nodes, _HERMITE_DECAY / (l + 0.5), "Hermite time integral", l=l,
+        q=half_order) / gamma(half_order)
 
 
 def _frac_tail(q: float, nodes: int) -> float:
@@ -399,18 +394,18 @@ def _frac_tail(q: float, nodes: int) -> float:
                     - math.log(x - q + 1.0))
 
 
-def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str):
+def _at_point(vec, x: float, y: float, rel_tol: float | None, what: str,
+              tail: float = 0.0):
     """(value, est_err) of a scalar kernel, a one-point view on its vector
     path ``vec(y, nodes)`` (the column of the pair (x, y) in any call that
-    holds it), which returns the kernel at the points y and a relative
-    error it knows of: K_gamma's tail share (_frac_tail), else 0.  The
-    value is taken at 12 time nodes; est_err is the change from 8, or that
-    relative error times |value| if larger.  est_err above rel_tol *
-    |value| raises (never, for rel_tol None)."""
+    holds it).  The value is taken at 12 time nodes; est_err is the change
+    from 8, or ``tail`` times |value| if larger, where ``tail`` is a
+    relative error the kernel knows of (K_gamma's tail share, _frac_tail).
+    est_err above rel_tol * |value| raises (never, for rel_tol None)."""
     y1 = np.array([float(y)])
-    coarse, agree = vec(y1, 8)
-    val = float(vec(y1, 12)[0][0])
-    err = max(abs(val - float(coarse[0])), agree * abs(val))
+    coarse = float(vec(y1, 8)[0])
+    val = float(vec(y1, 12)[0])
+    err = max(abs(val - coarse), tail * abs(val))
     if rel_tol is not None and err > max(rel_tol * abs(val), 1e-250):
         raise QuadratureConvergenceError(
             f"{what} quadrature stalled at ({x}, {y}): est err {err}")
@@ -445,11 +440,9 @@ def riesz_kernel_laguerre_vec(k: int, alpha, x, y, *, nodes: int = 8):
         raise ValueError("x and y must be > 0")
     _, _, t, weight = _s_quadrature(nodes)
     wt = weight * t ** (0.5 * k - 1.0) / gamma(0.5 * k)
-    vals, = _s_integral(
-        lambda s, w, xb, yb: (_dw_pair_sw(k, a, s, w, xb, yb),), wt, x, y,
-        nodes, _LAGUERRE_T_CUT)
-    _check_finite([vals], x, y, "Riesz kernel", k=k, alpha=a)
-    return vals
+    return _s_integral(
+        lambda s, w, xb, yb: _dw_pair_sw(k, a, s, w, xb, yb), wt, x, y,
+        nodes, _LAGUERRE_T_CUT, "Riesz kernel", k=k, alpha=a)
 
 
 def kernel_value(spec: KernelSpec, x: float, y: float,
@@ -471,15 +464,15 @@ def kernel_value(spec: KernelSpec, x: float, y: float,
             raise ValueError("K_gamma on the diagonal requires gamma > 1")
         q = 0.5 * spec.gamma
         return _at_point(
-            lambda ys, n: (_hermite_time_integral(0, q, float(x), ys, n),
-                           _frac_tail(q, n)),
-            x, y, 1e-5, "K_gamma")
+            lambda ys, n: _hermite_time_integral(0, q, *_pairs(float(x), ys),
+                                                 n),
+            x, y, 1e-5, "K_gamma", tail=_frac_tail(q, 8))
     if spec.family == "hermite-riesz":
         return _at_point(
-            lambda ys, n: (riesz_kernel_hermite_vec(spec.k, spec.l, float(x),
-                                                    ys, nodes=n), 0.0),
+            lambda ys, n: riesz_kernel_hermite_vec(spec.k, spec.l, float(x),
+                                                   ys, nodes=n),
             x, y, None, "Riesz kernel")
     return _at_point(
-        lambda ys, n: (riesz_kernel_laguerre_vec(spec.k, spec.alpha, float(x),
-                                                 ys, nodes=n), 0.0),
+        lambda ys, n: riesz_kernel_laguerre_vec(spec.k, spec.alpha, float(x),
+                                                ys, nodes=n),
         x, y, 1e-4, "Riesz kernel")

@@ -187,12 +187,20 @@ class TestKernelTable:
 class TestRiesz:
     def test_hermite_bump_abs_diff(self, tmp_path):
         out = tmp_path / "r.csv"
-        rc = run(["riesz", "--family", "hermite", "--k", "2", "--alpha",
-                  "0.7", "--points", "3", "--out", str(out),
-                  "--max-abs-diff", "1e-3"])
+        rc = run(["riesz", "--family", "hermite", "--k", "2", "--points",
+                  "3", "--out", str(out), "--max-abs-diff", "1e-3"])
         assert rc == 0
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert float(np.max(data["abs_diff"])) < 1e-3
+
+    def test_alpha_rejected_for_hermite(self, tmp_path, capsys):
+        # as in basis and kernel-table: no parameter the basis never uses
+        out = tmp_path / "r.csv"
+        assert run(["riesz", "--family", "hermite", "--k", "1", "--alpha",
+                    "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: hermite basis takes no alpha"]
+        assert not out.exists()
 
     def test_unsettled_principal_value_warns(self, tmp_path):
         # Laguerre k = 4: the extrapolation's own estimate is of the order

@@ -219,7 +219,8 @@ class TestRaisingDerivatives:
         s, w = s[:, None], w[:, None]
         x, y = 0.3, np.linspace(-6.0, 6.0, 97)[None, :]
         val = kn._heat_sw(s, w, x, y)
-        lam, arg = kn._raising_sw(s, w, x, y)
+        lam = w * w / (4.0 * s)
+        arg = (w * x - (1.0 + s) * y) / (2.0 * np.sqrt(s))
         want = val
         if l:
             if l % 2:
@@ -487,18 +488,23 @@ class TestBlockedTimeIntegrals:
 
     def test_overflow_stays_nan(self):
         # at k = 9 the smallest-s rows overflow (0 * inf); the whole mesh
-        # gives NaN and so must the blocks
+        # gives NaN and so must each block, the second of which skips rows:
+        # the sum raises, naming the block's first pair
         y = np.concatenate([np.linspace(0.5, 3.0, 60), np.geomspace(8, 30, 10)])
+        x, y = kn._pairs(1.4, y)
         _, _, t, weight = kn._s_quadrature(8)
         wt = weight * t ** 3.5 / kn.gamma(4.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vals = kn._s_integral(
-                lambda s, w, xb, yb: (kn._dw_pair_sw(9, 0.5, s, w, xb, yb),),
-                wt, *kn._pairs(1.4, y), 8, kn._LAGUERRE_T_CUT)[0]
             whole = _laguerre_whole_mesh(9, 0.5, 1.4, y)
         assert np.isnan(whole).all()
-        assert np.array_equal(vals, whole, equal_nan=True)
+        for cols in kn._y_blocks(len(y)):
+            with pytest.raises(kn.QuadratureConvergenceError,
+                               match=f"y={y[cols][0]} is not finite"):
+                kn._s_integral(
+                    lambda s, w, xb, yb: kn._dw_pair_sw(9, 0.5, s, w, xb, yb),
+                    wt, x[cols], y[cols], 8, kn._LAGUERRE_T_CUT,
+                    "Riesz kernel", k=9, alpha=0.5)
 
     @pytest.mark.parametrize("call,message", [
         (lambda: kn.riesz_kernel_laguerre_vec(9, 0.5, 1.4,
@@ -699,10 +705,10 @@ class TestCertifiedTail:
                 8, 0.5, 1e-30, y, math.inf)).all()
         vals = kn.riesz_kernel_laguerre_vec(8, 0.5, 1e-30, y)
         _, _, t, weight = kn._s_quadrature(8)
-        two, = kn._s_integral(
-            lambda s, w, xb, yb: laguerre_dw_routes(8, 0.5, s, w, xb, yb)[1:2],
+        two = kn._s_integral(
+            lambda s, w, xb, yb: laguerre_dw_routes(8, 0.5, s, w, xb, yb)[1],
             weight * t ** 3.0 / kn.gamma(4.0), *kn._pairs(1e-30, y), 8,
-            kn._LAGUERRE_T_CUT)
+            kn._LAGUERRE_T_CUT, "route two", k=8, alpha=0.5)
         assert np.all(np.isfinite(vals))
         assert np.all(np.abs(vals - two) <= 1e-11 * np.abs(vals))
         vals = kn.riesz_kernel_laguerre_vec(1, 0.5, 1e-150, [2e-150, 3e-150])
@@ -808,8 +814,8 @@ class TestFracKernel:
         # value is the 12-node integral and est_err that change, bit for bit
         value, err = kn.kernel_value(kn.KernelSpec("hermite-frac",
                                                    gamma=gamma), x, y)
-        fine, coarse = (kn._hermite_time_integral(0, 0.5 * gamma, x,
-                                                  np.array([y]), n)[0]
+        fine, coarse = (kn._hermite_time_integral(0, 0.5 * gamma,
+                                                  *kn._pairs(x, [y]), n)[0]
                         for n in (12, 8))
         assert value == fine
         assert err == abs(fine - coarse)
@@ -876,6 +882,43 @@ class TestRieszKernels:
                 even = (kn.riesz_kernel_hermite_vec(k, k, x, y)
                         + kn.riesz_kernel_hermite_vec(k, k, x, -y))
                 assert np.abs(lag - even).max() <= 1e-10 * np.abs(lag).max()
+
+    @pytest.mark.parametrize("x", [0.6, 1.4, 3.0])
+    def test_laguerre_plus_half_is_odd_hermite(self, x):
+        # D_{1/2} = A - 1/x with A = d/dx + x, and D(x^-m A^j) = x^-m
+        # A^(j+1) - (m+1) x^-(m+1) A^j, so D^k = sum c_mj x^-m A^j and
+        # K^{L,1/2}_k(x, y) = sum c_mj x^-m [K^H_kj(x, y) - K^H_kj(x, -y)]
+        # (ROADMAP item 9), away from the diagonal; at k = 4, x = 3 the two
+        # sides differ by 2.3e-11 of max|K|
+        y = np.linspace(0.02, 8.0, 300)
+        y = y[np.abs(y - x) >= 0.2]
+        c = {(0, 0): 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1, 5):
+                step = {}
+                for (m, j), v in c.items():
+                    step[m, j + 1] = step.get((m, j + 1), 0) + v
+                    step[m + 1, j] = step.get((m + 1, j), 0) - (m + 1) * v
+                c = step
+                lag = kn.riesz_kernel_laguerre_vec(k, 0.5, x, y)
+                her = {j: kn.riesz_kernel_hermite_vec(k, j, x, y)
+                       - kn.riesz_kernel_hermite_vec(k, j, x, -y)
+                       for j in range(k + 1)}
+                odd = sum(v * x ** -m * her[j] for (m, j), v in c.items())
+                assert np.abs(lag - odd).max() <= 1e-10 * np.abs(lag).max()
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.0])
+    def test_laguerre_plus_half_heat_is_odd_hermite(self, t):
+        # W^{1/2}_t(x, y) = W^H_t(x, y) - W^H_t(x, -y); measured 8.8e-15 of
+        # max|W| at most.  At t = 10 the difference cancels (2xy e^-t is
+        # small) and reads 2.5e-12
+        y = np.linspace(0.02, 8.0, 300)
+        for x in (0.6, 1.4, 3.0):
+            lag = kn.heat_kernel_laguerre(t, x, y, 0.5)
+            odd = kn.heat_kernel_hermite(t, x, y) - kn.heat_kernel_hermite(
+                t, x, -y)
+            assert np.abs(lag - odd).max() <= 1e-13 * np.abs(lag).max()
 
     def test_laguerre_diagonal_rejected(self):
         with pytest.raises(ValueError):

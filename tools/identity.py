@@ -50,7 +50,10 @@ both bases at the points of riesz.
 The lp-scan jobs at --family-size 1, 4, 5 and 20 cover analyze_all's
 groups of bumps: one alone, pairs, and pairs with a lone last bump.  The
 Hermite riesz jobs at --nmax 1600, 2 (below --k) and -1 (invalid) cover the
-one table its analysis and its spectral column share.
+one table its analysis and its spectral column share.  The hermite-frac
+kernel-table jobs at gamma 16 and 50 and the hermite-riesz job at k = 40
+cover K_gamma's tail share in est_err, its stalled raise and the time
+integral's not-finite raise.
 """
 
 from __future__ import annotations
@@ -117,6 +120,13 @@ JOBS = [
      "0.5", "--x", "0.3,1.0", "--y", "0.4,2.0"],
     ["kernel-table", "--family", "hermite-frac", "--gamma", "1.5",
      "--x", "0.3", "--y", "0.8,1.2"],
+    # K_gamma's share of mass beyond the rule's end: it sets est_err at
+    # gamma 16 and stalls the quadrature at gamma 50
+    *[["kernel-table", "--family", "hermite-frac", "--gamma", gamma,
+       "--x", "0.3", "--y", "0.9"] for gamma in ("16", "50")],
+    # the Hermite kernel's factors overflow at k = 40: not finite, exit 1
+    ["kernel-table", "--family", "hermite-riesz", "--k", "40", "--x", "0.3",
+     "--y=-1.0"],
     ["kernel-table", "--family", "hermite-riesz", "--k", "2", "--l", "1",
      "--x", "0.3", "--y", "0.8,1.2"],
     ["kernel-table", "--family", "laguerre-riesz", "--k", "2", "--alpha",
@@ -138,6 +148,7 @@ JOBS = [
      "--x", "0.3", "--y", "0.8"],
     ["basis", "--family", "hermite", "--alpha", "3", "--n", "2",
      "--points", "3"],
+    ["riesz", "--family", "hermite", "--k", "1", "--alpha", "3"],
     ["scan-bounds", "--statement", "prop33-i", "--k", "1", "--alpha", "0.5"],
     ["scan-bounds", "--statement", "prop33-ii-even", "--k", "2", "--alpha",
      "0.5"],
