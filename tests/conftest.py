@@ -2,13 +2,16 @@
 Richardson-extrapolated finite differences, high-precision heat-kernel
 series, basis-function derivatives by the ladder relations, full-domain
 quadrature nodes for integrals of basis functions, the Laguerre derivative
-kernel's second route, and the asymptotic Bessel loop as first written."""
+kernel's second route, the asymptotic Bessel loop as first written, and
+tools/oracle_table.py, the finite-expansion oracle's table."""
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +122,13 @@ def full_domain_rule(nmax: int, alpha=None, *, power=None):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def oracle_table(monkeypatch):
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "tools"))
+    return importlib.import_module("oracle_table")
 
 
 @functools.lru_cache(maxsize=None)

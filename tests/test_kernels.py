@@ -486,25 +486,34 @@ class TestBlockedTimeIntegrals:
             assert kn.riesz_kernel_hermite_vec(
                 k, k, x, y[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
 
-    def test_overflow_stays_nan(self):
+    def test_overflow_stays_nan(self, monkeypatch):
         # at k = 9 the smallest-s rows overflow (0 * inf); the whole mesh
-        # gives NaN and so must each block, the second of which skips rows:
-        # the sum raises, naming the block's first pair
+        # gives NaN and so must the blocks, the second of which skips rows:
+        # the sum raises, naming the first pair
         y = np.concatenate([np.linspace(0.5, 3.0, 60), np.geomspace(8, 30, 10)])
-        x, y = kn._pairs(1.4, y)
         _, _, t, weight = kn._s_quadrature(8)
         wt = weight * t ** 3.5 / kn.gamma(4.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             whole = _laguerre_whole_mesh(9, 0.5, 1.4, y)
         assert np.isnan(whole).all()
-        for cols in kn._y_blocks(len(y)):
-            with pytest.raises(kn.QuadratureConvergenceError,
-                               match=f"y={y[cols][0]} is not finite"):
-                kn._s_integral(
-                    lambda s, w, xb, yb: kn._dw_pair_sw(9, 0.5, s, w, xb, yb),
-                    wt, x[cols], y[cols], 8, kn._LAGUERRE_T_CUT,
-                    "Riesz kernel", k=9, alpha=0.5)
+        blocks = []
+        column_sums = kn._column_sums
+
+        def recorded(terms):
+            blocks.append(column_sums(terms))
+            return blocks[-1]
+
+        monkeypatch.setattr(kn, "_column_sums", recorded)
+        with pytest.raises(kn.QuadratureConvergenceError,
+                           match=r"Riesz kernel at k=9, alpha=0\.5, x=1\.4, "
+                                 r"y=0\.5 is not finite"):
+            kn._s_integral(
+                lambda s, w, xb, yb: kn._dw_pair_sw(9, 0.5, s, w, xb, yb),
+                wt, *kn._pairs(1.4, y), 8, kn._LAGUERRE_T_CUT,
+                "Riesz kernel", k=9, alpha=0.5)
+        assert len(blocks) == len(kn._y_blocks(len(y))) > 1
+        assert np.array_equal(np.concatenate(blocks), whole, equal_nan=True)
 
     @pytest.mark.parametrize("call,message", [
         (lambda: kn.riesz_kernel_laguerre_vec(9, 0.5, 1.4,

@@ -381,46 +381,27 @@ class TestHermiteLaguerreIdentity:
 
 
 class TestFiniteExpansionOracle:
-    """f = sum_{n <= N} c_n h_n (or c_n phi_n^alpha), c_n = N(0, 1)/(n + 1)
-    seeded, whose spectral image is exact to rounding: the PV route against
-    exact answers (ROADMAP item 20, stage 1).  f's support is where it is
-    negligible; at alpha >= 0 cutting (0, 1e-8) away loses nothing seen.
-    Only the bounds that hold by a factor of 4 or more are checked: the odd
-    k and Laguerre k = 4 wait for items 5 and 8."""
-
-    @staticmethod
-    def expansion(tag, degree, support):
-        c = np.random.default_rng(0).standard_normal(degree + 1)
-        coeffs = bs.SpectralCoeffs(tag, c / np.arange(1, degree + 2))
-
-        def f(y):
-            return bs.synthesize(coeffs, y)
-
-        f.support = support
-        return coeffs, f
+    """The PV route against exact answers on tools/oracle_table.py's finite
+    expansions, f = sum_{n <= N} c_n h_n (or c_n phi_n^alpha) with seeded
+    c_n, whose spectral image is exact to rounding (ROADMAP item 20, stage
+    1).  Only the bounds that hold by a factor of 4 or more are checked:
+    the odd k and Laguerre k = 4 wait for items 5 and 8."""
 
     @pytest.mark.parametrize("k", [2, 4])
-    def test_hermite(self, k):
+    def test_hermite(self, k, oracle_table):
         # measured 4.4e-11 (k = 2) and 9.0e-13 (k = 4)
-        coeffs, f = self.expansion(TAG_H, 6, (-13.0, 13.0))
-        x = np.array([-2.0, -0.5, 1.0, 2.5])
-        exact = bs.synthesize(op.riesz_spectral_hermite(k, coeffs), x)
-        pv = [op.pv_apply(KernelSpec("hermite-riesz", k=k), f, xi,
-                          stages=10).total for xi in x]
-        assert np.abs(pv - exact).max() <= 1e-9
+        row, = oracle_table.table(ks=(k,), alphas=())
+        assert row[:3] == ("hermite", None, k)
+        assert row[3] <= 1e-9
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
-    def test_laguerre_k2(self, alpha):
+    def test_laguerre_k2(self, alpha, oracle_table):
         # measured 6.7e-9, 5.6e-9 and 7.2e-9 (alpha 0, 0.5, 2), all at
-        # x = 3: the kernel's error (ROADMAP item 5)
-        coeffs, f = self.expansion(laguerre_tag(alpha), 5, (1e-8, 13.0))
-        x = np.array([0.5, 1.5, 3.0, 5.0])
-        # the expansion ends at degree 5, so its tail is no truncation
-        exact = op.riesz_apply_laguerre_spectral(2, coeffs, x,
-                                                 tail_tol=np.inf)
-        pv = [op.pv_apply(KernelSpec("laguerre-riesz", k=2, alpha=alpha), f,
-                          xi, stages=10).total for xi in x]
-        assert np.abs(pv - exact).max() <= 3e-8
+        # x = 3: the kernel's error (ROADMAP item 5).  The table's first
+        # row, Hermite k = 2, is cheap and not checked here
+        row = oracle_table.table(ks=(2,), alphas=(alpha,))[-1]
+        assert row[:3] == ("laguerre", alpha, 2)
+        assert row[3] <= 3e-8
 
 
 class TestPhiLimit:

@@ -10,9 +10,9 @@ pv_apply is measured against exact answers.  f's support is (-13, 13) or
 (1e-8, 13), where it is negligible.  For Hermite, and for Laguerre at alpha
 0, 0.5 and 2, each at k = 1..4, the table gives the largest |pv - exact|
 and the largest err_estimate of pv_apply at 10 stages over four points:
--2, -0.5, 1 and 2.5 (Hermite), 0.5, 1.5, 3 and 5 (Laguerre).  These are
-the expansions and points of TestFiniteExpansionOracle in
-tests/test_operators.py.
+-2, -0.5, 1 and 2.5 (Hermite), 0.5, 1.5, 3 and 5 (Laguerre).
+TestFiniteExpansionOracle in tests/test_operators.py checks its bounds on
+these rows.
 
 --tree names a source checkout; its src/ is imported, so two trees give
 their before and after tables.  Running all 16 rows takes a few seconds.
@@ -49,14 +49,14 @@ def expansion(tag, degree: int, support: tuple):
     return coeffs, f
 
 
-def table(stages: int = 10, ks=KS, alphas=ALPHAS, hermite: bool = True):
+def table(stages: int = 10, ks=KS, alphas=ALPHAS):
     """Rows (family, alpha, k, max |pv - exact|, max err_estimate): the
-    Hermite rows if ``hermite``, then the Laguerre rows of each alpha."""
+    Hermite rows, then the Laguerre rows of each alpha."""
     from rieszlag import basis, operators
     from rieszlag.kernels import KernelSpec
 
     rows = []
-    for alpha in ([None] if hermite else []) + list(alphas):
+    for alpha in [None, *alphas]:
         family = "hermite" if alpha is None else "laguerre"
         degree, support, points = HERMITE if alpha is None else LAGUERRE
         coeffs, f = expansion(basis.BasisTag(family, alpha), degree, support)
