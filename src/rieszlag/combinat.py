@@ -3,6 +3,8 @@
 Everything in this module is computed in arbitrary-precision rational
 arithmetic (``fractions.Fraction``); there are no tolerances.  Floating
 point enters only when a caller converts a coefficient for numerical use.
+The chain-rule expansion of d^N/dx^N g(x^2) is checked on the monomials
+g(u) = u^q, where both sides are falling factorials times x^(2q-N).
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ def bracket_coeff(alpha, r: int) -> Fraction:
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     a = Fraction(alpha)
-    num = Fraction(1)
-    for i in range(1, r + 1):
-        num *= 4 * a * a - (2 * i - 1) ** 2
+    num = math.prod((4 * a * a - (2 * i - 1) ** 2 for i in range(1, r + 1)),
+                    start=Fraction(1))
     return num / Fraction(2 ** (2 * r) * math.factorial(r))
 
 
@@ -61,11 +62,7 @@ def a_sum(j: int, s: int) -> int:
     """
     if j < 0 or s < 0:
         raise ValueError("j and s must be nonnegative")
-    total = 0
-    for l in range(j + 1):
-        power = 1 if (l == 0 and s == 0) else l**s
-        total += (-1) ** l * math.comb(j, l) * power
-    return total
+    return sum((-1) ** l * math.comb(j, l) * l**s for l in range(j + 1))
 
 
 def lemma_n1_check(j: int, m: int, alpha) -> Fraction:
@@ -93,52 +90,18 @@ def lemma_n1_check(j: int, m: int, alpha) -> Fraction:
     return total
 
 
-# -- dense polynomials over Fraction, used by the derivative identity -------
-
-def _poly_diff(coeffs: list[Fraction]) -> list[Fraction]:
-    return [Fraction(i) * coeffs[i] for i in range(1, len(coeffs))] or [Fraction(0)]
-
-def _poly_diff_n(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    for _ in range(n):
-        coeffs = _poly_diff(coeffs)
-    return coeffs
-
-def _poly_compose_square(coeffs: list[Fraction]) -> list[Fraction]:
-    # p(u) -> p(x^2): interleave zero coefficients
-    out = [Fraction(0)] * (2 * len(coeffs) - 1)
-    out[::2] = coeffs
-    return out
-
-def _poly_shift_add(acc: list[Fraction], coeffs: list[Fraction], shift: int,
-                    scale: Fraction) -> list[Fraction]:
-    need = shift + len(coeffs)
-    if len(acc) < need:
-        acc = acc + [Fraction(0)] * (need - len(acc))
-    for i, c in enumerate(coeffs):
-        acc[shift + i] += scale * c
-    return acc
-
-
 def identity_2_3_check(N: int, q: int) -> Fraction:
     """Residual of the chain-rule expansion of d^N/dx^N [g(x^2)] for g(u) = u^q.
 
-    Both sides are exact polynomials in x with rational coefficients; the
-    return value is the maximum absolute coefficient of their difference
-    (zero when the identity holds).
+    Both sides are one multiple of x^(2q-N): the falling factorial (2q)_N
+    on the left and sum_l E_{N,l} (q)_{N-l} on the right, with (n)_m =
+    n!/(n-m)! and 0 for m > n.  The return value is the absolute
+    difference of the two multiples (zero when the identity holds).
     """
     if N < 0 or q < 0:
         raise ValueError("N and q must be nonnegative")
-    g = [Fraction(0)] * q + [Fraction(1)]          # u^q
-    lhs = _poly_diff_n(_poly_compose_square(g), N)  # d^N/dx^N x^(2q)
-    rhs: list[Fraction] = [Fraction(0)]
-    for l in range(N // 2 + 1):
-        dg = _poly_diff_n(g, N - l)                 # (d^{N-l} g)(u)
-        rhs = _poly_shift_add(rhs, _poly_compose_square(dg), N - 2 * l,
-                              e_coeff(N, l))
-    width = max(len(lhs), len(rhs))
-    lhs += [Fraction(0)] * (width - len(lhs))
-    rhs += [Fraction(0)] * (width - len(rhs))
-    return max((abs(a - b) for a, b in zip(lhs, rhs)), default=Fraction(0))
+    return abs(math.perm(2 * q, N) - sum(e_coeff(N, l) * math.perm(q, N - l)
+                                         for l in range(N // 2 + 1)))
 
 
 # Type parameters at which lemma N1 is checked.

@@ -2,8 +2,9 @@
 Richardson-extrapolated finite differences, high-precision heat-kernel
 series, basis-function derivatives by the ladder relations, full-domain
 quadrature nodes for integrals of basis functions, the Laguerre derivative
-kernel's second route, the asymptotic Bessel loop as first written, and
-tools/oracle_table.py, the finite-expansion oracle's table."""
+kernel's second route, the asymptotic Bessel loop as first written,
+tools/oracle_table.py, the finite-expansion oracle's table, and a wrong
+chain-rule coefficient for the identity suite's failure path."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rieszlag import combinat
 from rieszlag import kernels as kn
 from rieszlag.basis import hermite_fn_table, phi_table
 from rieszlag.specfun import (alpha_value, bessel_i_scaled, gauss_jacobi_01,
@@ -122,6 +124,16 @@ def full_domain_rule(nmax: int, alpha=None, *, power=None):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def wrong_e51(monkeypatch):
+    """combinat.e_coeff with E_{5,1} off by 1/3.  The derivative identity
+    on g(u) = u^q then has the residual (q)_4 / 3 at N = 5, nonzero from
+    q = 4 on."""
+    true_e = combinat.e_coeff
+    monkeypatch.setattr(combinat, "e_coeff", lambda N, l: true_e(N, l)
+                        + (Fraction(1, 3) if (N, l) == (5, 1) else 0))
 
 
 @pytest.fixture

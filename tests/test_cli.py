@@ -1,12 +1,14 @@
 import argparse
 import ctypes
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
 import threading
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,17 @@ class TestIdentities:
         entries = json.loads(out.read_text())
         assert entries and all(e["status"] == "exact-pass" for e in entries)
         assert {"identity", "parameters", "status", "witness"} <= set(entries[0])
+
+    def test_failure_exits_one_with_witness(self, tmp_path, capsys,
+                                            wrong_e51):
+        assert run(["identities", "--jmax", "0", "--jmax-n1", "0",
+                    "--nmax", "5", "--qmax", "8",
+                    "--out", str(tmp_path / "id.json")]) == 1
+        witness = json.loads(capsys.readouterr().err)["assertion-failure"]
+        assert witness["check"] == "exact identities"
+        assert [(e["parameters"], e["witness"]) for e in witness["failures"]] \
+            == [({"N": 5, "q": q}, str(Fraction(math.perm(q, 4), 3)))
+                for q in range(4, 9)]
 
     def test_empty_report_rejected(self, tmp_path, capsys):
         # a report that checks nothing must not pass

@@ -86,6 +86,16 @@ class TestDerivativeIdentity:
             for q in range(9):
                 assert cb.identity_2_3_check(n, q) == 0
 
+    def test_wrong_coefficient_is_caught(self, wrong_e51):
+        for q in range(9):
+            assert cb.identity_2_3_check(5, q) == Fraction(math.perm(q, 4), 3)
+        report = cb.identities_report(jmax_a=0, jmax_n1=0, nmax_23=5,
+                                      qmax_23=8)
+        entries = [e for e in report if e["parameters"]["N"] == 5]
+        assert [(e["status"], e["witness"]) for e in entries] == [
+            ("exact-pass" if q < 4 else "fail",
+             str(Fraction(math.perm(q, 4), 3))) for q in range(9)]
+
 
 def test_float_consistency_with_kernels():
     # the floating-point tables used by the kernel formulas agree with the

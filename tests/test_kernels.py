@@ -352,16 +352,15 @@ def _whole_mesh(integrand, wt, y, nodes=8, t_cut=math.inf):
     # array of two or more columns: row by row
     s, w, t, _ = kn._s_quadrature(nodes)
     rows = t <= t_cut
-    parts = integrand(s[rows, None], w[rows, None], y[None, :])
-    return [(wt[rows, None] * f).sum(axis=0) for f in parts]
+    mesh = integrand(s[rows, None], w[rows, None], y[None, :])
+    return (wt[rows, None] * mesh).sum(axis=0)
 
 
 def _laguerre_whole_mesh(k, alpha, x, y, t_cut=kn._LAGUERRE_T_CUT):
     _, _, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0) / kn.gamma(0.5 * k)
-    return _whole_mesh(
-        lambda s, w, yb: (kn._dw_pair_sw(k, alpha, s, w, x, yb),), wt, y,
-        t_cut=t_cut)[0]
+    return _whole_mesh(lambda s, w, yb: kn._dw_pair_sw(k, alpha, s, w, x, yb),
+                       wt, y, t_cut=t_cut)
 
 
 def _hermite_whole_mesh(k, x, y, l=None, t_cut=None):
@@ -369,8 +368,8 @@ def _hermite_whole_mesh(k, x, y, l=None, t_cut=None):
     t_cut = kn._HERMITE_DECAY / (l + 0.5) if t_cut is None else t_cut
     _, _, t, weight = kn._s_quadrature(8)
     wt = weight * t ** (0.5 * k - 1.0)
-    return _whole_mesh(lambda s, w, yb: (kn._dplusx_heat_sw(l, s, w, x, yb),),
-                       wt, y, t_cut=t_cut)[0] / kn.gamma(0.5 * k)
+    return _whole_mesh(lambda s, w, yb: kn._dplusx_heat_sw(l, s, w, x, yb),
+                       wt, y, t_cut=t_cut) / kn.gamma(0.5 * k)
 
 
 def _rows_seen(monkeypatch, name):

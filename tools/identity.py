@@ -53,7 +53,8 @@ Hermite riesz jobs at --nmax 1600, 2 (below --k) and -1 (invalid) cover the
 one table its analysis and its spectral column share.  The hermite-frac
 kernel-table jobs at gamma 16 and 50 and the hermite-riesz job at k = 40
 cover K_gamma's tail share in est_err, its stalled raise and the time
-integral's not-finite raise.
+integral's not-finite raise.  The identities job at --nmax 24 --qmax 24
+checks the derivative identity of g(x^2) far past the default N, q <= 8.
 """
 
 from __future__ import annotations
@@ -178,6 +179,7 @@ JOBS = [
     ["basis", "--family", "laguerre", "--alpha", "1.5", "--mode", "coeffs",
      "--n", "40"],
     ["identities"],
+    ["identities", "--nmax", "24", "--qmax", "24"],
     # argparse's usage text and invalid-choice messages list the choices
     ["basis", "--family", "nope"],
     ["kernel-table", "--family", "nope", "--x", "1", "--y", "1"],
