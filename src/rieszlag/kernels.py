@@ -305,13 +305,11 @@ def _s_quadrature(nodes: int):
 
 
 def _y_blocks(n: int) -> list:
-    """Slices of _Y_BLOCK consecutive columns covering range(n).  A lone
-    last column joins the block before it, which saves an integrand call,
-    so only a one-point call has a one-column block."""
-    starts = list(range(0, n, _Y_BLOCK))
-    if n > 1 and n % _Y_BLOCK == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts or [0], starts[1:] + [n])]
+    """Slices of _Y_BLOCK consecutive columns covering range(n), the last
+    one narrower where n is not a multiple of _Y_BLOCK; n = 0 gives one
+    empty slice."""
+    return [slice(a, min(a + _Y_BLOCK, n))
+            for a in range(0, max(n, 1), _Y_BLOCK)]
 
 
 def _pairs(x, y):

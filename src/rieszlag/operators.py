@@ -157,10 +157,14 @@ def riesz_spectral_hermite(k: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
 # k successive first-order Laguerre derivatives of an expansion
 # ---------------------------------------------------------------------------
 
-def _dalpha_terms(coeff_vec: np.ndarray, k: int) -> dict:
-    """Apply the first-order Laguerre factor k times to sum c_n phi_n^alpha.
+def _laguerre_terms(k: int, f: SpectralCoeffs, tail_tol: float) -> list:
+    """The terms (p, shift, d) of the order-k Laguerre Riesz transform of
+    f: the transform is the sum of x^p * (d @ phi^(alpha+shift)) over them,
+    in this order.  Warns when f's tail exceeds tail_tol.
 
-    One application maps the term x^p * sum_m d_m phi_m^(alpha+a) to
+    Starts from the negative power k/2 of f and applies the first-order
+    Laguerre factor k times.  One application maps the term
+    x^p * sum_m d_m phi_m^(alpha+a) to
 
         (p + a) x^(p-1) * sum_m d_m phi_m^(alpha+a)
         + x^p * sum_m (-2 sqrt(m+1) d_{m+1}) phi_m^(alpha+a+1),
@@ -168,7 +172,15 @@ def _dalpha_terms(coeff_vec: np.ndarray, k: int) -> dict:
     so the working function stays inside the family
     {x^p * (vector against phi^(alpha+a))}.
     """
-    terms = {(0, 0): np.asarray(coeff_vec, dtype=float)}
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if f.basis.kind != "laguerre":
+        raise ValueError("expansion basis must be laguerre")
+    if f.tail_bound > tail_tol:
+        warnings.warn(
+            f"expansion tail {f.tail_bound:.2e} exceeds {tail_tol:.0e}; "
+            "raise the truncation", TruncationTailWarning)
+    terms = {(0, 0): negative_power(0.5 * k, f).coeffs}
     for _ in range(k):
         new = defaultdict(float)
         for (p, a), d in terms.items():
@@ -180,24 +192,7 @@ def _dalpha_terms(coeff_vec: np.ndarray, k: int) -> dict:
                 shifted[:-1] = -2.0 * np.sqrt(m + 1.0) * d[1:]
             new[p, a + 1] += shifted
         terms = new
-    return terms
-
-
-def _laguerre_terms(k: int, f: SpectralCoeffs, tail_tol: float) -> list:
-    """The terms (p, shift, d) of the order-k Laguerre Riesz transform of
-    f: the transform is the sum of x^p * (d @ phi^(alpha+shift)) over them,
-    in this order.  Warns when f's tail exceeds tail_tol."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if f.basis.kind != "laguerre":
-        raise ValueError("expansion basis must be laguerre")
-    if f.tail_bound > tail_tol:
-        warnings.warn(
-            f"expansion tail {f.tail_bound:.2e} exceeds {tail_tol:.0e}; "
-            "raise the truncation", TruncationTailWarning)
-    g = negative_power(0.5 * k, f)
-    return [(p, shift, d)
-            for (p, shift), d in _dalpha_terms(g.coeffs, k).items()]
+    return [(p, shift, d) for (p, shift), d in terms.items()]
 
 
 def riesz_apply_laguerre_spectral(k: int, f: SpectralCoeffs, x, *,
@@ -250,22 +245,23 @@ def _eps_schedule(stages: int) -> np.ndarray:
     return 0.1 * 0.5 ** np.arange(stages)
 
 
-def _pv_segments(x: float, eps: np.ndarray, support):
-    """12-node Gauss-Legendre segments outside |y - x| > eps[-1], aligned so
-    that every excision radius in the schedule is a segment boundary.
+def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray,
+                       support) -> np.ndarray:
+    """Integrals of kern_vec(y) f(y) over the support minus |y - x| <= eps_i,
+    one per excision radius, from a single kernel evaluation on 12-node
+    Gauss-Legendre panels aligned so that every radius is a panel edge.
 
-    Returns the nodes and the weights of all segments, one segment after
-    the other, and per segment its strip index (-1 for the far field) and
-    the end of its nodes.  The panels of all segments are formed at once."""
+    The far field |y - x| > eps_0 takes geometric runs refined toward x,
+    and each strip eps_{i+1} < |y - x| <= eps_i two panels on each side;
+    each far run and each strip is summed as one dot product."""
     a, b = float(support[0]), float(support[1])
-    eps0 = eps[0]
     far = []
-    for lo, hi, toward in ((a, x - eps0, "right"), (x + eps0, b, "left")):
+    for lo, hi, toward in ((a, x - eps[0], "right"), (x + eps[0], b, "left")):
         if hi > lo:
-            floor = min(0.3, max(1e-9, eps0 / (3.0 * (hi - lo))))
+            floor = min(0.3, max(1e-9, eps[0] / (3.0 * (hi - lo))))
             far.append(geometric_edges(lo, hi, toward=toward, floor=floor))
-    # the strips eps_{i+1} < |y - x| <= eps_i, left then right for each i,
-    # each split into two panels where np.linspace(y0, y1, 3) splits it
+    # the strips, left then right for each i, each split into two panels
+    # where np.linspace(y0, y1, 3) splits it
     y0 = np.ravel([np.maximum(a, x - eps[:-1]), np.maximum(a, x + eps[1:])],
                   order="F")
     y1 = np.ravel([np.minimum(b, x - eps[1:]), np.minimum(b, x + eps[:-1])],
@@ -276,35 +272,22 @@ def _pv_segments(x: float, eps: np.ndarray, support):
     # distinct edges; it holds a few ulps times max |K f|
     far = [e for e in far if np.all(np.diff(e) > 0)]
     keep = np.all(strip_hi > strip_lo, axis=1)
-    nodes, weights = gauss_legendre_spans(
-        np.concatenate([e[:-1] for e in far] + [strip_lo[keep].ravel()]),
-        np.concatenate([e[1:] for e in far] + [strip_hi[keep].ravel()]), 12)
-    index = [-1] * len(far) + (np.flatnonzero(keep) // 2).tolist()
-    ends = np.cumsum([12 * (len(e) - 1) for e in far] + [24] * keep.sum())
-    return nodes, weights, list(zip(index, ends.tolist()))
-
-
-def _excised_integrals(kern_vec, f, x: float, eps: np.ndarray,
-                       support) -> np.ndarray:
-    """Integrals of kern_vec(y) f(y) over the support minus |y - x| <= eps_i,
-    one per excision radius, from a single kernel evaluation on the
-    segments of :func:`_pv_segments`, with one dot product per segment."""
-    ally, ws, segs = _pv_segments(x, eps, support)
-    if not segs:
+    if not far and not keep.any():
         raise ValueError(f"the support {tuple(support)} lies within the "
                          f"smallest excision radius {eps[-1]} of x={x}")
-    contrib = kern_vec(ally) * np.asarray(f(ally), dtype=float)
-    far_total = 0.0
-    strip_total = np.zeros(len(eps) - 1)
-    pos = 0
-    for idx, end in segs:
-        seg_val = float(ws[pos:end] @ contrib[pos:end])
-        pos = end
-        if idx < 0:
-            far_total += seg_val
-        else:
-            strip_total[idx] += seg_val
-    return far_total + np.concatenate([[0.0], np.cumsum(strip_total)])
+    y, ws = gauss_legendre_spans(
+        np.concatenate([e[:-1] for e in far] + [strip_lo[keep].ravel()]),
+        np.concatenate([e[1:] for e in far] + [strip_hi[keep].ravel()]), 12)
+    contrib = kern_vec(y) * np.asarray(f(y), dtype=float)
+    ends = np.cumsum([0] + [12 * (len(e) - 1) for e in far]
+                     + [24] * np.count_nonzero(keep))
+    # slot 0 adds up the far runs and slot i + 1 the strips at eps_i, each
+    # from +0 in the order of the nodes
+    slots = [0] * len(far) + (np.flatnonzero(keep) // 2 + 1).tolist()
+    totals = np.zeros(len(eps))
+    np.add.at(totals, slots, [float(ws[p:q] @ contrib[p:q])
+                              for p, q in zip(ends, ends[1:])])
+    return totals[0] + np.concatenate([[0.0], np.cumsum(totals[1:])])
 
 
 def pv_apply(spec: KernelSpec, f, x: float, *, stages: int = 8) -> PVResult:

@@ -215,6 +215,16 @@ class TestRiesz:
             "invalid input: hermite basis takes no alpha"]
         assert not out.exists()
 
+    def test_support_within_the_smallest_radius(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run(["riesz", "--family", "hermite", "--k", "1",
+                    "--bump-radius", "0.001", "--stages", "3", "--points",
+                    "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: the support (-0.001, 0.001) lies within the "
+            "smallest excision radius 0.025 of x=-0.00076"]
+        assert not out.exists()
+
     def test_unsettled_principal_value_warns(self, tmp_path):
         # Laguerre k = 4: the extrapolation's own estimate is of the order
         # of the value; the CSV is written as before and the exit code

@@ -422,13 +422,15 @@ _BLOCK_TEST_Y = np.concatenate([np.linspace(0.05, 2.6, 150),
 
 
 class TestBlockedTimeIntegrals:
-    def test_blocks_cover_and_never_leave_one_column(self):
-        for n in range(0, 300):
+    def test_blocks_cover_in_full_width_slices(self):
+        assert kn._y_blocks(0) == [slice(0, 0)]
+        for n in range(1, 300):
             blocks = kn._y_blocks(n)
             assert [i for b in blocks for i in range(n)[b]] == list(range(n))
-            widths = [b.stop - b.start for b in blocks]
-            assert max(widths) <= 2 * kn._Y_BLOCK
-            assert n == 1 or 1 not in widths
+            widths = [len(range(n)[b]) for b in blocks]
+            assert widths == [b.stop - b.start for b in blocks]
+            assert all(0 < width <= kn._Y_BLOCK for width in widths)
+            assert widths[:-1] == [kn._Y_BLOCK] * (len(blocks) - 1)
 
     def test_column_sums_start_from_plus_zero(self):
         # a skipped row adds +-0; numpy's sum never yields -0 from it, nor
@@ -533,8 +535,8 @@ class TestBlockedTimeIntegrals:
 
 
 # pairs at four x, 40 y near each of the first three and across (0.02, 40),
-# 9 y at the last: 129 pairs, so the two blocks straddle changes of x and
-# the lone last column joins the second block
+# 9 y at the last: 129 pairs, so the first two blocks straddle changes of x
+# and the last pair is a one-column block of its own
 _PAIR_X = np.array([0.3, 1.4, 6.0, 20.0])
 _PAIR_Y = [np.concatenate([x * (1.0 + np.geomspace(1e-3, 0.5, 10)),
                            x * (1.0 - np.geomspace(1e-3, 0.5, 10)),
@@ -551,8 +553,8 @@ class TestPairCalls:
     def test_layout(self):
         x, y = _pair_arrays()
         blocks = kn._y_blocks(len(y))
-        assert [b.stop - b.start for b in blocks] == [64, 65]
-        assert [len(np.unique(x[b])) for b in blocks] == [2, 3]
+        assert [b.stop - b.start for b in blocks] == [64, 64, 1]
+        assert [len(np.unique(x[b])) for b in blocks] == [2, 3, 1]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.0])
@@ -565,6 +567,9 @@ class TestPairCalls:
                for xi, yi in zip(x[::17], y[::17])]
         assert vals.tobytes() == np.concatenate(per_x).tobytes()
         assert np.concatenate(one).tobytes() == vals[::17].tobytes()
+        # the last pair, the call's one-column block, as a one-point call
+        last = kn.riesz_kernel_laguerre_vec(k, alpha, x[-1], y[-1:])
+        assert last.tobytes() == vals[-1:].tobytes()
 
     @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (3, 3), (4, 0)])
     def test_hermite_pairs_equal_per_x_calls(self, k, l):

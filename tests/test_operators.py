@@ -319,6 +319,26 @@ class TestPVApply:
             near = op.pv_apply(spec, f, nearby, stages=10)
             assert res.total == pytest.approx(near.total, rel=1e-8)
 
+    def test_far_piece_an_ulp_wide(self):
+        # x is -0.9 moved 3 ulps toward 0, so x - 0.1 lies 3 ulps above the
+        # support end -1: the left far piece, 3.3e-16 wide, has no
+        # increasing geometric edges and is dropped
+        spec = KernelSpec("hermite-riesz", k=1)
+        f = op.bump(0.0, 1.0)
+        x = -0.8999999999999997
+        assert x == -0.9 + 3 * 2.0 ** -53 and x - 0.1 == -1.0 + 3 * 2.0 ** -53
+        res = op.pv_apply(spec, f, x, stages=10)
+        near = op.pv_apply(spec, f, x - 1e-10, stages=10)
+        assert res.total == pytest.approx(near.total, rel=1e-8)
+
+    def test_support_within_the_smallest_radius(self):
+        # no far piece and no strip is left to integrate over
+        with pytest.raises(ValueError, match=(
+                r"^the support \(-0\.001, 0\.001\) lies within the smallest "
+                r"excision radius 0\.025 of x=-0\.00076$")):
+            op.pv_apply(KernelSpec("hermite-riesz", k=1), op.bump(0.0, 0.001),
+                        -0.00076, stages=3)
+
     def test_pv_validation(self):
         f = op.bump(0.0, 1.0)
         with pytest.raises(ValueError):

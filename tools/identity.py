@@ -41,7 +41,9 @@ against the whole rule; the Hermite Riesz kernel for l <= k <= 4, and on
 the sweep of l = 1..4 at l = k and l < k <= 5 and four x from -1.5 to 26,
 two 64-y blocks each (near x, and near -x and across (-8, 8)), where the
 cut of the s-rule at t_l = 45/(l + 1/2) moves last bits against the whole
-rule; pv_apply stage tables for both families; hermite_fn_table and
+rule; pv_apply stage tables for both families, and for the Hermite
+kernel at k = 1, 10 stages, where the rule drops a strip one ulp wide at
+either support end or a far piece 3 ulps wide; hermite_fn_table and
 phi_table (four alphas) at degrees 0, 1 and 2, and at degree 1600 or 1200
 on x from 36.5 to 40, where the seed e^(-x^2/2) underflows; check_prop33
 for each statement; lp_scan reports at k = 1..3 for three alphas; and
@@ -55,6 +57,8 @@ kernel-table jobs at gamma 16 and 50 and the hermite-riesz job at k = 40
 cover K_gamma's tail share in est_err, its stalled raise and the time
 integral's not-finite raise.  The identities job at --nmax 24 --qmax 24
 checks the derivative identity of g(x^2) far past the default N, q <= 8.
+The riesz jobs at --bump-radius 0.001 --stages 3 cover pv_apply's raise
+where the support lies within the smallest excision radius.
 """
 
 from __future__ import annotations
@@ -111,6 +115,10 @@ JOBS = [
     _riesz("laguerre", 2, "--alpha", "0.5", "--points", "2", "--stages", "6",
            "--input-csv", f"{SAMPLES}/laguerre.csv"),
     _riesz("hermite", 1, "--input-csv", f"{SAMPLES}/one-row.csv"),
+    # the support lies within the smallest excision radius: exit 2
+    *[["riesz", "--family", family, "--k", k, "--bump-radius", "0.001",
+       "--stages", "3", "--points", "2"]
+      for family, k in (("hermite", "1"), ("laguerre", "2"))],
     # the kernel's factors overflow at k = 9: QuadratureConvergenceError,
     # exit 1 and no CSV
     ["riesz", "--family", "laguerre", "--k", "9", "--alpha", "0.5",
@@ -351,8 +359,8 @@ def _items(samples: str) -> dict:
         items[f"phi_table nmax=1200 alpha={a} underflow edge"] = (
             lambda a=a: phi_table(1200, a, edge))
 
-    def stage_table(spec, f, x):
-        r = operators.pv_apply(spec, f, x, stages=6)
+    def stage_table(spec, f, x, stages=6):
+        r = operators.pv_apply(spec, f, x, stages=stages)
         return r.values, r.extrapolated, r.err_estimate, r.wk_correction
 
     lag_f, her_f = operators.bump(1.25, 0.75), operators.bump(0.0, 1.0)
@@ -365,6 +373,15 @@ def _items(samples: str) -> dict:
         items[f"pv_apply hermite k={k}"] = (
             lambda k=k: stage_table(kernels.KernelSpec("hermite-riesz", k=k),
                                     her_f, 0.3))
+    # pieces of the PV rule too narrow for distinct edges, which it drops:
+    # the strip above x and the strip below x one ulp wide at a support
+    # end, and the left far piece 3 ulps wide
+    for center, radius, x in ((-0.99, 0.5, -0.54), (0.99, 0.5, 0.54),
+                              (0.0, 1.0, -0.8999999999999997)):
+        items[f"pv_apply hermite k=1 bump({center}, {radius}) x={x}"] = (
+            lambda center=center, radius=radius, x=x: stage_table(
+                kernels.KernelSpec("hermite-riesz", k=1),
+                operators.bump(center, radius), x, stages=10))
 
     def prop33(statement, k):
         r = verify.check_prop33(statement, k, 0.5)
