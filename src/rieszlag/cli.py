@@ -81,13 +81,11 @@ def _alpha(args, laguerre: bool):
 
 
 def _default_bump(family: str, args):
-    center = args.bump_center
-    radius = args.bump_radius
-    if center is None:
-        center = 0.0 if family == "hermite" else 1.25
-    if radius is None:
-        radius = 1.0 if family == "hermite" else 0.75
-    return operators.bump(center, radius)
+    # each basis family's default (centre, radius)
+    center, radius = {"hermite": (0.0, 1.0), "laguerre": (1.25, 0.75)}[family]
+    return operators.bump(
+        center if args.bump_center is None else args.bump_center,
+        radius if args.bump_radius is None else args.bump_radius)
 
 
 def _cubic_spline(xs: np.ndarray, ys: np.ndarray):
@@ -270,9 +268,9 @@ def _cmd_scan_bounds(args) -> int:
     else:
         sampling = {name: getattr(args, name) for name in ("nx", "ny")
                     if getattr(args, name) is not None}
-        report = verify.check_prop33(
-            args.statement, args.k, 0.0 if args.alpha is None else args.alpha,
-            levels=args.levels, **sampling)
+        report = verify.check_prop33(args.statement, args.k,
+                                     _alpha(args, True), levels=args.levels,
+                                     **sampling)
     _write_text(args.out, _json_text(report.to_dict()))
     if not report.stable:
         return _fail({"check": "bound scan stability",
@@ -281,7 +279,7 @@ def _cmd_scan_bounds(args) -> int:
 
 
 def _cmd_lp_scan(args) -> int:
-    report = verify.lp_scan(args.k, args.alpha, args.p, args.delta,
+    report = verify.lp_scan(args.k, _alpha(args, True), args.p, args.delta,
                             args.family_size, seed=args.seed)
     _write_text(args.out, _json_text(report.to_dict()))
     if report.in_range and not all(np.isfinite(report.ratios)):
@@ -385,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     threads(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--family-size", type=int, default=20)

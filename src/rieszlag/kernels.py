@@ -68,7 +68,6 @@ from .specfun import (alpha_value, bessel_i_scaled, gamma, hermite_poly,
 __all__ = [
     "FAMILIES",
     "KernelSpec",
-    "KernelAgreementWarning",
     "QuadratureConvergenceError",
     "heat_kernel_hermite",
     "heat_kernel_laguerre",
@@ -81,8 +80,8 @@ FAMILIES = ("hermite-heat", "laguerre-heat", "hermite-frac",
 
 class KernelAgreementWarning(UserWarning):
     """Once raised where two evaluations of the Laguerre derivative kernel
-    disagreed.  Only one evaluation runs now, so nothing raises it; it stays
-    defined while bench/run.py counts it."""
+    disagreed.  Only one evaluation runs now, so nothing raises it; it is
+    not exported, and bench/run.py, which counts it, is its only reader."""
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -378,14 +377,14 @@ def _hermite_time_integral(l: int, half_order: float, x, y,
         q=half_order) / gamma(half_order)
 
 
-def _frac_tail(q: float, nodes: int) -> float:
+def _frac_tail(q: float) -> float:
     """Bound on the share of the mass of t^(q-1) e^(-t/2), the n = 0 term of
-    the K_gamma integrand (q = gamma/2), that lies beyond the last node
-    t_end of the s-rule: Q(q, x) <= x^(q-1) e^(-x) x / (Gamma(q) (x-q+1))
-    at x = t_end/2 (for q >= 1; inf when x <= q - 1).  For large gamma
-    that term carries the kernel, and this is the relative error the rule's
-    end leaves."""
-    x = 0.5 * float(_s_quadrature(nodes)[2].max())
+    the K_gamma integrand (q = gamma/2), that lies beyond t_end, the last
+    node of the 8-node s-rule:
+    Q(q, x) <= x^(q-1) e^(-x) x / (Gamma(q) (x-q+1)) at x = t_end/2 (for
+    q >= 1; inf when x <= q - 1).  For large gamma that term carries the
+    kernel, and this is the relative error the rule's end leaves."""
+    x = 0.5 * float(_s_quadrature(8)[2].max())
     if x <= q - 1.0:
         return math.inf
     return math.exp(q * math.log(x) - x - math.lgamma(q)
@@ -464,7 +463,7 @@ def kernel_value(spec: KernelSpec, x: float, y: float,
         return _at_point(
             lambda ys, n: _hermite_time_integral(0, q, *_pairs(float(x), ys),
                                                  n),
-            x, y, 1e-5, "K_gamma", tail=_frac_tail(q, 8))
+            x, y, 1e-5, "K_gamma", tail=_frac_tail(q))
     if spec.family == "hermite-riesz":
         return _at_point(
             lambda ys, n: riesz_kernel_hermite_vec(spec.k, spec.l, float(x),

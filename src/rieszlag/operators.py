@@ -73,16 +73,16 @@ def wk(k: int) -> float:
 @dataclass(frozen=True)
 class PVResult:
     """Excised integrals over a decreasing excision schedule and their
-    extrapolated limit.  ``kernel_agreement`` is always 0.0: the Laguerre
-    kernel has one route, and the field stays while bench/spans.py reads
-    it."""
+    extrapolated limit.  ``kernel_agreement`` is a class constant 0.0, not
+    a field: the Laguerre kernel has one route, and bench/spans.py is its
+    only reader."""
 
     epsilons: np.ndarray
     values: np.ndarray
     extrapolated: float
     err_estimate: float
     wk_correction: float
-    kernel_agreement: float = 0.0
+    kernel_agreement = 0.0
 
     def __post_init__(self):
         eps = np.asarray(self.epsilons, dtype=float)

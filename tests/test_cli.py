@@ -488,6 +488,41 @@ class TestScans:
             f"invalid input: tol must be finite and >= 0, got {float(tol)}"]
 
 
+class TestDefaults:
+    """Every --alpha defaults through cli._alpha: 0 where a Laguerre family
+    or a Prop 3.3 scan takes it, none where a Hermite family rejects it.
+    Each bump field not given takes its family's default on its own."""
+
+    def test_every_alpha_defaults_to_none(self):
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        defaults = {name: a.default
+                    for name, sub in subparsers.choices.items()
+                    for a in sub._actions if "--alpha" in a.option_strings}
+        assert defaults == dict.fromkeys(
+            ["basis", "kernel-table", "riesz", "scan-bounds", "lp-scan"])
+
+    @pytest.mark.parametrize("argv,explicit", [
+        (["scan-bounds", "--statement", "prop33-i", "--k", "1", "--nx", "4",
+          "--ny", "3"], ["--alpha", "0"]),
+        (["lp-scan", "--k", "1", "--family-size", "2"], ["--alpha", "0"]),
+        (["riesz", "--family", "laguerre", "--k", "1", "--bump-center", "1.3",
+          "--points", "2", "--stages", "3"], ["--bump-radius", "0.75"]),
+    ], ids=["scan-bounds", "lp-scan", "riesz-bump-radius"])
+    def test_default_equals_explicit(self, capsys, argv, explicit):
+        runs = []
+        for extra in ([], explicit):
+            rc = run(argv + extra)
+            runs.append((rc, *capsys.readouterr()))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
+    def test_lp_scan_alpha_checked(self, capsys):
+        assert run(["lp-scan", "--k", "1", "--alpha", "-1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: alpha must be a finite number > -1, got -1.0"]
+
+
 class TestBasisDump:
     def test_samples(self, tmp_path):
         out = tmp_path / "b.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -226,10 +227,8 @@ class TestPVApply:
         c = bs.analyze(f, laguerre_tag(alpha), 800)
         x = 1.4
         spectral = op.riesz_apply_laguerre_spectral(2, c, x, tail_tol=1e-3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", kn.KernelAgreementWarning)
-            res = op.pv_apply(KernelSpec("laguerre-riesz", k=2, alpha=alpha),
-                              f, x, stages=10)
+        res = op.pv_apply(KernelSpec("laguerre-riesz", k=2, alpha=alpha),
+                          f, x, stages=10)
         assert abs(res.total - spectral) < 1e-3 * (1 + abs(spectral))
 
     def test_laguerre_pv_third_order(self):
@@ -239,10 +238,8 @@ class TestPVApply:
         f = op.bump(1.25, 0.75)
         c = bs.analyze(f, laguerre_tag(a), 800)
         spectral = op.riesz_apply_laguerre_spectral(k, c, x, tail_tol=1e-3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", kn.KernelAgreementWarning)
-            res = op.pv_apply(KernelSpec("laguerre-riesz", k=k, alpha=a), f,
-                              x, stages=10)
+        res = op.pv_apply(KernelSpec("laguerre-riesz", k=k, alpha=a), f, x,
+                          stages=10)
         assert abs(res.total - spectral) < 1e-3 * (1 + abs(spectral))
 
     def test_pv_k4_needs_sign_corrected_constant(self):
@@ -264,6 +261,11 @@ class TestPVApply:
         assert np.all(np.diff(res.epsilons) < 0)
         assert np.all(res.epsilons > 0)
         assert res.err_estimate >= 0
+        # kernel_agreement is a class constant that bench reads, not a field
+        assert [fl.name for fl in dataclasses.fields(op.PVResult)] == [
+            "epsilons", "values", "extrapolated", "err_estimate",
+            "wk_correction"]
+        assert res.kernel_agreement == op.PVResult.kernel_agreement == 0.0
         with pytest.raises(ValueError):
             op.PVResult(np.array([0.1, 0.2]), np.array([1.0, 2.0]), 0.0, 0.0,
                         0.0)
@@ -405,7 +407,9 @@ class TestFiniteExpansionOracle:
     expansions, f = sum_{n <= N} c_n h_n (or c_n phi_n^alpha) with seeded
     c_n, whose spectral image is exact to rounding (ROADMAP item 20, stage
     1).  Only the bounds that hold by a factor of 4 or more are checked:
-    the odd k and Laguerre k = 4 wait for items 5 and 8."""
+    the odd k and Laguerre k = 4 wait for items 5 and 8.  At odd k the
+    table's eps log eps refit (item 8), which no package code applies yet,
+    is checked too; at Laguerre k = 3 it waits for the kernel (item 5)."""
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_hermite(self, k, oracle_table):
@@ -422,6 +426,30 @@ class TestFiniteExpansionOracle:
         row = oracle_table.table(ks=(2,), alphas=(alpha,))[-1]
         assert row[:3] == ("laguerre", alpha, 2)
         assert row[3] <= 3e-8
+
+    def test_hermite_refit(self, oracle_table):
+        # measured 7.6e-12 (k = 1) and 6.1e-12 (k = 3), against 2.4e-5 and
+        # 1.4e-4 from pv_apply's extrapolation
+        rows = oracle_table.table(ks=(1, 3), alphas=())
+        assert [row[:3] for row in rows] == [("hermite", None, 1),
+                                            ("hermite", None, 3)]
+        assert all(row[5] <= 1e-10 for row in rows)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_laguerre_k1_refit(self, alpha, oracle_table):
+        # measured 2.3e-12, 3.2e-12 and 7.8e-12 (alpha 0, 0.5, 2)
+        row = oracle_table.table(ks=(1,), alphas=(alpha,))[-1]
+        assert row[:3] == ("laguerre", alpha, 1)
+        assert row[5] <= 1e-10
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the Laguerre kernel's error at k = 3: 2.0e-4 "
+                       "to 3.5e-4 after the refit (ROADMAP item 5)")
+    def test_laguerre_k3_refit(self, oracle_table):
+        rows = oracle_table.table(ks=(3,))[1:]
+        assert [row[:3] for row in rows] == [("laguerre", a, 3)
+                                            for a in (0.0, 0.5, 2.0)]
+        assert all(row[5] <= 1e-9 for row in rows)
 
 
 class TestPhiLimit:

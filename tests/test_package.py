@@ -122,11 +122,16 @@ def test_every_import_is_used():
 
 def test_benchmark_tracer_installs(monkeypatch):
     # bench/spans.py wraps module attributes by name, and bench/run.py's
-    # fresh interpreter calls a few entry points; both must keep resolving
+    # fresh interpreter calls a few entry points; both must keep resolving.
+    # bench is the only reader of kernels.KernelAgreementWarning (run.py
+    # counts it) and of PVResult.kernel_agreement (spans.py notes it), so
+    # this test keeps both alive
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parents[1] / "bench"))
     spans = importlib.import_module("spans")
     from rieszlag import cli, kernels, operators, specfun
+
+    assert issubclass(kernels.KernelAgreementWarning, Warning)
 
     wrapped = [(kernels, "bessel_i_scaled"), (operators, "pv_apply"),
                (cli, "analyze")]
@@ -139,11 +144,15 @@ def test_benchmark_tracer_installs(monkeypatch):
         for n in (12, 14):
             specfun.gauss_legendre_panels([0.0, 1.0], n)
         specfun.gauss_jacobi_01(160, 0.0)
+        operators.pv_apply(kernels.KernelSpec("hermite-riesz", k=1),
+                           operators.bump(0.0, 1.0), 0.2, stages=3)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["kernels.laguerre_vec.calls"] == 1
     assert metrics["kernels.laguerre_vec.y_points"] == 1
+    assert metrics["operators.pv_apply.calls"] == 1
+    assert metrics["kernels.route_disagreement_max"] == 0.0
     assert [getattr(mod, name) for mod, name in wrapped] == before
 
 

@@ -93,12 +93,21 @@ def test_run_bench_records_child_faults_and_system_time(bench_pairs,
 
 def test_oracle_table_rows(oracle_table):
     # TestFiniteExpansionOracle checks the bounds at 10 stages; here one row
-    # of each family at 3 stages runs both branches cheaply
+    # of each family at 3 stages runs both branches cheaply, with no refit
+    # (it needs 7 radii), and the Hermite k = 1 row at 7 stages has one
     rows = oracle_table.table(stages=3, ks=(1,), alphas=(0.5,))
     assert [row[:3] for row in rows] == [("hermite", None, 1),
                                         ("laguerre", 0.5, 1)]
-    assert all(math.isfinite(v) and v > 0 for row in rows for v in row[3:])
-    lines = oracle_table.format_table(rows).splitlines()
+    assert all(math.isfinite(v) and v > 0 for row in rows for v in row[3:5])
+    assert [row[5] for row in rows] == [None, None]
+    refitted, = oracle_table.table(stages=7, ks=(1,), alphas=())
+    assert math.isfinite(refitted[5]) and 0 < refitted[5] < refitted[3]
+    lines = oracle_table.format_table([*rows, refitted]).splitlines()
+    assert lines[0].split() == ["family", "alpha", "k", "max|pv-exact|",
+                                "max", "err_estimate", "max|refit-exact|"]
     assert [line.split() for line in lines[1:]] == [
-        ["hermite", "1", f"{rows[0][3]:.2e}", f"{rows[0][4]:.2e}"],
-        ["laguerre", "0.5", "1", f"{rows[1][3]:.2e}", f"{rows[1][4]:.2e}"]]
+        ["hermite", "1", f"{rows[0][3]:.2e}", f"{rows[0][4]:.2e}", "-"],
+        ["laguerre", "0.5", "1", f"{rows[1][3]:.2e}", f"{rows[1][4]:.2e}",
+         "-"],
+        ["hermite", "1", f"{refitted[3]:.2e}", f"{refitted[4]:.2e}",
+         f"{refitted[5]:.2e}"]]

@@ -58,7 +58,16 @@ cover K_gamma's tail share in est_err, its stalled raise and the time
 integral's not-finite raise.  The identities job at --nmax 24 --qmax 24
 checks the derivative identity of g(x^2) far past the default N, q <= 8.
 The riesz jobs at --bump-radius 0.001 --stages 3 cover pv_apply's raise
-where the support lies within the smallest excision radius.
+where the support lies within the smallest excision radius.  The
+scan-bounds and lp-scan jobs without --alpha cover its default 0 there,
+and the jobs given only one of --bump-center and --bump-radius cover each
+family's default for the other.
+
+JOBS ends with every job any seed can put into a benchmark workload
+(bench/workloads.py's every_job, 116 argvs over lag_riesz, her_riesz and
+scans), so each job the benchmark times and checks is compared bit for
+bit.  workloads.py is read from the tree that holds this tool, and run
+without writing anything into bench/, so both trees run the same jobs.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ import json
 import math
 import os
 import re
+import runpy
 import struct
 import subprocess
 import sys
@@ -87,6 +97,9 @@ SAMPLES = "<samples>"
 # a number written in text: a decimal with optional exponent, inf or nan
 NUMBER = re.compile(
     r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\binf\b|\bnan\b")
+# the benchmark's job lists; run_path compiles the file without caching it
+WORKLOADS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
 
 
 def _riesz(family: str, k: int, *extra: str) -> list:
@@ -169,6 +182,8 @@ JOBS = [
     ["scan-bounds", "--statement", "prop31-l-table", "--k", "1", "--alpha",
      "7"],
     ["lp-scan", "--k", "1", "--family-size", "4"],
+    # alpha defaults to 0 for the scans
+    ["scan-bounds", "--statement", "prop33-ii-even", "--k", "2"],
     # analyze_all's groups at seed 0: one bump alone, and two pairs and a
     # lone last bump
     ["lp-scan", "--k", "1", "--family-size", "1"],
@@ -184,6 +199,11 @@ JOBS = [
     ["basis", "--family", "laguerre", "--alpha", "0.5", "--n", "7",
      "--points", "50"],
     ["basis", "--family", "hermite", "--mode", "coeffs", "--n", "40"],
+    # one bump field given, the family's default for the other
+    ["basis", "--family", "hermite", "--mode", "coeffs", "--n", "20",
+     "--bump-radius", "0.8"],
+    ["riesz", "--family", "laguerre", "--k", "1", "--bump-center", "1.3",
+     "--points", "2", "--stages", "3"],
     ["basis", "--family", "laguerre", "--alpha", "1.5", "--mode", "coeffs",
      "--n", "40"],
     ["identities"],
@@ -195,6 +215,8 @@ JOBS = [
     ["scan-bounds", "--statement", "nope", "--k", "1"],
     ["kernel-table", "--help"],
     ["scan-bounds", "--help"],
+    *[argv for workload in WORKLOADS["TEMPLATES"]
+      for argv in WORKLOADS["every_job"](workload)],
 ]
 
 ALPHAS = (-0.5, 0.0, 0.5, 2.0)
