@@ -13,9 +13,10 @@ its values at other points from one recurrence, and synthesize give each
 point its one-point bits.  Expansion takes compactly supported functions
 only: it integrates over ``f.support``.
 
-The recurrences start from the seed e^(-x^2/2), which underflows to 0 at
-|x| >~ 38.6; from there on every degree evaluates to exactly 0, however
-large the true value.
+The recurrences start from the seed e^(-x^2/2), which is subnormal from
+|x| ~ 37.6 and 0 from about 38.7.  Wrong values come first: at degree 1600
+the Hermite value is off by 3.1e-12 relative at x = 37.9, 8.4e-11 at 38.0,
+1.5e-2 at 38.5 and 1.3 at 38.6.  From 38.7 every degree is exactly 0.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ class SpectralCoeffs:
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def tail_bound(self) -> float:
-        """Crude truncation indicator |c_N| + |c_{N-1}|."""
-        c = self.coeffs
-        return float(abs(c[-1]) + (abs(c[-2]) if len(c) > 1 else 0.0))
 
 
 # ---------------------------------------------------------------------------

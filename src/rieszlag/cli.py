@@ -221,8 +221,7 @@ def _cmd_riesz(args) -> int:
     else:
         coeffs = analyze(f, tag, args.nmax)
         spec = KernelSpec("laguerre-riesz", k=args.k, alpha=tag.alpha)
-        column = operators.riesz_apply_laguerre_spectral(
-            args.k, coeffs, pts, tail_tol=np.inf)
+        column = operators.riesz_apply_laguerre_spectral(args.k, coeffs, pts)
     rows = []
     for i, x in enumerate(pts):
         pv = operators.pv_apply(spec, f, float(x), stages=args.stages)

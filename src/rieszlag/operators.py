@@ -24,7 +24,6 @@ from .specfun import (gamma, gauss_jacobi_01, gauss_legendre_panels,
 __all__ = [
     "PVAccuracyWarning",
     "PVResult",
-    "TruncationTailWarning",
     "wk",
     "bump",
     "negative_power",
@@ -36,10 +35,6 @@ __all__ = [
     "weighted_norm",
     "extrapolate_to_zero",
 ]
-
-
-class TruncationTailWarning(UserWarning):
-    """Spectral tail of an expansion is too large for the requested use."""
 
 
 class PVAccuracyWarning(UserWarning):
@@ -157,10 +152,9 @@ def riesz_spectral_hermite(k: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
 # k successive first-order Laguerre derivatives of an expansion
 # ---------------------------------------------------------------------------
 
-def _laguerre_terms(k: int, f: SpectralCoeffs, tail_tol: float) -> list:
-    """The terms (p, shift, d) of the order-k Laguerre Riesz transform of
-    f: the transform is the sum of x^p * (d @ phi^(alpha+shift)) over them,
-    in this order.  Warns when f's tail exceeds tail_tol.
+def _laguerre_terms(k: int, f: SpectralCoeffs) -> list:
+    """The terms (p, shift, d), in order, of the order-k Laguerre Riesz
+    transform of f: the sum of x^p * (d @ phi^(alpha+shift)) over them.
 
     Starts from the negative power k/2 of f and applies the first-order
     Laguerre factor k times.  One application maps the term
@@ -176,10 +170,6 @@ def _laguerre_terms(k: int, f: SpectralCoeffs, tail_tol: float) -> list:
         raise ValueError("k must be >= 1")
     if f.basis.kind != "laguerre":
         raise ValueError("expansion basis must be laguerre")
-    if f.tail_bound > tail_tol:
-        warnings.warn(
-            f"expansion tail {f.tail_bound:.2e} exceeds {tail_tol:.0e}; "
-            "raise the truncation", TruncationTailWarning)
     terms = {(0, 0): negative_power(0.5 * k, f).coeffs}
     for _ in range(k):
         new = defaultdict(float)
@@ -195,8 +185,7 @@ def _laguerre_terms(k: int, f: SpectralCoeffs, tail_tol: float) -> list:
     return [(p, shift, d) for (p, shift), d in terms.items()]
 
 
-def riesz_apply_laguerre_spectral(k: int, f: SpectralCoeffs, x, *,
-                                  tail_tol: float = 1e-9):
+def riesz_apply_laguerre_spectral(k: int, f: SpectralCoeffs, x):
     """Order-k Laguerre Riesz transform through the spectral route:
     negative power k/2 followed by k successive analytic applications of
     the first-order factor, evaluated pointwise.  The type parameter
@@ -205,7 +194,7 @@ def riesz_apply_laguerre_spectral(k: int, f: SpectralCoeffs, x, *,
     One basis table per term serves every x, and each point's value is the
     same, bit for bit, whatever other points share the call (see
     basis._column_dots)."""
-    terms = _laguerre_terms(k, f, tail_tol)
+    terms = _laguerre_terms(k, f)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xa <= 0):
         raise ValueError("x must be > 0")
@@ -405,6 +394,9 @@ def _norm_rule(p: float, delta: float, interval) -> list:
         raise ValueError("weighted norms live on (0, inf)")
     pieces = []
     if a == 0.0:
+        if not delta > -1.0:
+            raise ValueError("delta must be > -1 on an interval from 0, "
+                             f"got delta={delta}")
         cut = min(1.0, b)
         u, w = gauss_jacobi_01(160, delta)
         pieces.append((cut * u, cut * w))
@@ -428,7 +420,7 @@ def _norm_sum(rule: list, values: list, p: float, delta: float) -> float:
 
 def weighted_norm(f, p: float, delta: float, interval) -> float:
     """L^p(x^delta dx) norm of f over ``interval`` = (a, b), 0 <= a, for a
-    finite p >= 1 (p = inf would read 1.0 for every f) and a finite delta.
+    finite p >= 1 (p = inf reads 1.0 for any f), finite delta, > -1 if a = 0.
 
     For intervals reaching down to 0 the weight is absorbed by a
     power-weighted endpoint rule on (0, 1); the rest of the interval takes

@@ -253,7 +253,7 @@ def lp_scan(k: int, alpha, p: float, delta: float, family_size: int, *,
     lo, hi = strong_type_range(k, a, p)
     rule = operators._norm_rule(p, delta, (0.0, 30.0))
     bumps = [_seeded_bump(seed, i) for i in range(family_size)]
-    terms = [operators._laguerre_terms(k, coeffs, math.inf)
+    terms = [operators._laguerre_terms(k, coeffs)
              for coeffs in analyze_all(bumps, tag, 600)]
     images = [[np.zeros_like(x) for x, _ in rule] for _ in bumps]
     # terms outside, so that one table is alive at a time; every bump has

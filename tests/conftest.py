@@ -3,8 +3,9 @@ Richardson-extrapolated finite differences, high-precision heat-kernel
 series, basis-function derivatives by the ladder relations, full-domain
 quadrature nodes for integrals of basis functions, the Laguerre derivative
 kernel's second route, the asymptotic Bessel loop as first written,
-tools/oracle_table.py, the finite-expansion oracle's table, and a wrong
-chain-rule coefficient for the identity suite's failure path."""
+tools/oracle_table.py, the finite-expansion oracle's table and its 16
+default rows computed once, and a wrong chain-rule coefficient for the
+identity suite's failure path."""
 
 from __future__ import annotations
 
@@ -136,11 +137,22 @@ def wrong_e51(monkeypatch):
                         + (Fraction(1, 3) if (N, l) == (5, 1) else 0))
 
 
+TOOLS = str(Path(__file__).resolve().parents[1] / "tools")
+
+
 @pytest.fixture
 def oracle_table(monkeypatch):
-    monkeypatch.syspath_prepend(
-        str(Path(__file__).resolve().parents[1] / "tools"))
+    monkeypatch.syspath_prepend(TOOLS)
     return importlib.import_module("oracle_table")
+
+
+@pytest.fixture(scope="session")
+def oracle_rows():
+    """oracle_table.table()'s rows at 10 stages by (family, alpha, k)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(TOOLS)
+        rows = importlib.import_module("oracle_table").table()
+    return {row[:3]: row for row in rows}
 
 
 @functools.lru_cache(maxsize=None)

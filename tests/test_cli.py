@@ -308,7 +308,7 @@ class TestRiesz:
         assert len(cells) == points
         for x, spectral in cells:
             assert spectral == repr(op.riesz_apply_laguerre_spectral(
-                2, coeffs, float(x), tail_tol=np.inf))
+                2, coeffs, float(x)))
 
     def test_alpha_is_a_number(self, capsys):
         # --alpha parses as a float for every family, as in every subcommand
@@ -470,6 +470,19 @@ class TestScans:
         assert capsys.readouterr().err.splitlines() == [
             f"invalid input: need finite p and delta, got p={p}, "
             f"delta={delta}"]
+
+    @pytest.mark.parametrize("delta", ["-1.5", "-1"])
+    def test_lp_scan_delta_not_integrable_at_0(self, tmp_path, capsys,
+                                               delta):
+        # x^delta is not integrable at 0; the endpoint rule's own check
+        # named its power, a parameter lp-scan does not have
+        out = tmp_path / "lp.json"
+        assert run(["lp-scan", "--k", "1", "--family-size", "2",
+                    f"--delta={delta}", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: delta must be > -1 on an interval from 0, "
+            f"got delta={float(delta)}"]
 
     def test_phi_limit(self, tmp_path):
         out = tmp_path / "phi.json"

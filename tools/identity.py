@@ -61,7 +61,8 @@ The riesz jobs at --bump-radius 0.001 --stages 3 cover pv_apply's raise
 where the support lies within the smallest excision radius.  The
 scan-bounds and lp-scan jobs without --alpha cover its default 0 there,
 and the jobs given only one of --bump-center and --bump-radius cover each
-family's default for the other.
+family's default for the other.  The lp-scan job at --delta -1.5 covers
+the rejection of a weight x^delta that is not integrable at 0.
 
 JOBS ends with every job any seed can put into a benchmark workload
 (bench/workloads.py's every_job, 116 argvs over lag_riesz, her_riesz and
@@ -75,6 +76,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -193,6 +195,8 @@ JOBS = [
     # the benchmark's k = 2 job, and k = 3 (three terms) at alpha 2
     ["lp-scan", "--k", "2", "--family-size", "20", "--seed", "3"],
     ["lp-scan", "--k", "3", "--alpha", "2", "--family-size", "4"],
+    # the endpoint rule's weight x^delta is not integrable at 0: exit 2
+    ["lp-scan", "--k", "1", "--delta", "-1.5", "--family-size", "2"],
     ["phi-limit", "--k", "2"],
     ["phi-limit", "--k", "4"],
     ["basis", "--family", "hermite", "--n", "5", "--points", "50"],
@@ -417,13 +421,16 @@ def _items(samples: str) -> dict:
     # one call per point, at the 5 points of riesz: a multi-point call
     # sums in an order that depends on the number of points in older trees
     xs = np.linspace(0.68, 1.82, 5)
+    # trees before the spectral route lost its tail check warned by default
+    spectral = operators.riesz_apply_laguerre_spectral
+    no_tail = ({"tail_tol": np.inf} if "tail_tol" in inspect.signature(
+        spectral).parameters else {})
     for a in (0.5, 2.0):
         coeffs = analyze(lag_f, BasisTag("laguerre", a), 1200)
         for k in (1, 2, 3):
             items[f"riesz_apply_laguerre_spectral k={k} alpha={a}"] = (
                 lambda k=k, coeffs=coeffs: [
-                    operators.riesz_apply_laguerre_spectral(
-                        k, coeffs, float(x), tail_tol=np.inf) for x in xs])
+                    spectral(k, coeffs, float(x), **no_tail) for x in xs])
 
     def lp_scan(k, a):
         r = verify.lp_scan(k, a, 3.0, 0.5, 20, seed=k)
